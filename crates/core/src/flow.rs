@@ -55,6 +55,25 @@ impl DeploymentFlow {
         train_data: &[Sample],
         array: &mut SramArray,
     ) -> DeployedModel {
+        self.deploy_with(array, |faults| self.trainer(spec).train(train_data, faults))
+    }
+
+    /// The trainer of step (4): `spec` under this flow's
+    /// [`mat`](Self::mat) recipe.
+    pub fn trainer(&self, spec: &NetSpec) -> MatTrainer {
+        MatTrainer::new(spec.clone(), self.mat.clone())
+    }
+
+    /// [`deploy`](Self::deploy) with the pure training step supplied by the
+    /// caller: `train` receives the canary-pinned fault map and must
+    /// return what [`trainer`](Self::trainer) would train against it (a
+    /// [`TrainingMemo`](crate::TrainingMemo) lookup, say). Canary
+    /// selection, profiling, upload and arming still run on `array`.
+    pub fn deploy_with(
+        &self,
+        array: &mut SramArray,
+        train: impl FnOnce(&FaultMap) -> TrainedModel,
+    ) -> DeployedModel {
         // (1) Canary selection — destructive profiling, so it precedes
         // weight upload.
         let canaries = CanarySet::select(
@@ -74,7 +93,7 @@ impl DeploymentFlow {
                 .set_fault(c.word, c.bit, !c.preferred);
         }
         // (4) Memory-adaptive training.
-        let model = MatTrainer::new(spec.clone(), self.mat.clone()).train(train_data, &faults);
+        let model = train(&faults);
         // (5) Upload + arm at a safe voltage.
         array.set_operating_point(self.controller.v_safe, self.temp_c);
         upload_weights(&model, array);

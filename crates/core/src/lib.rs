@@ -21,7 +21,8 @@
 //!
 //! The compile-time deployment flow (Fig. 3) is orchestrated by
 //! [`DeploymentFlow`]: profile → memory-adaptive training → canary
-//! selection → deploy.
+//! selection → deploy. A [`TrainingMemo`] lets a sweep train each
+//! distinct model once, however many chips and points ask for it.
 //!
 //! # Example: train around a synthetic fault map
 //!
@@ -56,6 +57,7 @@ mod controller;
 mod flow;
 mod layout;
 mod mat;
+mod memo;
 mod models;
 mod quantizer;
 
@@ -66,6 +68,7 @@ pub use controller::{CanaryController, ControllerConfig, PollOutcome};
 pub use flow::{upload_weights, DeployedModel, DeploymentFlow};
 pub use layout::{LayoutError, Location, ParamRef, WeightLayout};
 pub use mat::{train_naive, MatConfig, MatTrainer, TrainedModel, UpdateRule};
+pub use memo::{TrainingMemo, TrainingSet};
 pub use models::{
     drop_surrogate_map, fitted_array_config, CellFaults, FaultContext, FaultModel, RandomBer,
     SramVoltage, TimingError,

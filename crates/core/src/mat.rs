@@ -202,6 +202,16 @@ impl MatTrainer {
         MatTrainer { spec, cfg }
     }
 
+    /// The topology this trainer trains.
+    pub fn spec(&self) -> &NetSpec {
+        &self.spec
+    }
+
+    /// The training recipe.
+    pub fn config(&self) -> &MatConfig {
+        &self.cfg
+    }
+
     /// Runs memory-adaptive training against a profiled fault map. With
     /// `cfg.restarts > 1`, trains that many independently initialized
     /// candidates and keeps the one whose **masked view** attains the

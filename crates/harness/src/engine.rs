@@ -34,14 +34,37 @@
 //!
 //! # Model reuse
 //!
-//! Under [`ReusePolicy::SupersetMap`](crate::ReusePolicy::SupersetMap)
-//! the engine walks voltages high-to-low and keeps the last trained
-//! model; a new point reuses it iff the training-time fault map is a
-//! superset of the point's map (bit-cell failures are monotone in
-//! voltage, so "no new faults appeared" means the trained model already
-//! routes around everything present). This skips redundant retraining
-//! across the fault-free top of the voltage range while reproducing the
-//! paper's one-model-per-operating-point flow wherever maps differ.
+//! Two mechanisms keep a sweep from training a model twice; neither
+//! changes a report byte.
+//!
+//! **Superset reuse.** Under
+//! [`ReusePolicy::SupersetMap`](crate::ReusePolicy::SupersetMap) the
+//! engine walks voltages high-to-low and keeps the last trained model; a
+//! new point reuses it iff the training-time fault map is a superset of
+//! the point's map (bit-cell failures are monotone in voltage, so "no new
+//! faults appeared" means the trained model already routes around
+//! everything present). This decision, and the `reused_model` flag it
+//! records, reproduce the paper's one-model-per-operating-point flow
+//! wherever maps differ.
+//!
+//! **The training memo.** Every training the engine needs — the naive
+//! baseline, each adaptive model, and the MAT step of every `mat-canary`
+//! deployment — is requested from one [`TrainingMemo`] per sweep
+//! execution. Its key is training *content* (topology, recipe, train
+//! split, fault-mask planes), never the operating point, so a repeat
+//! trains once: every chip of a scenario shares the naive baseline, MAT
+//! against a fault-free profile is that baseline, and canary targets above
+//! the first bit-cell failures pin identical maps. Training is a pure
+//! function of the key's content, so a hit is the model a fresh training
+//! would produce.
+//!
+//! [`run_sweep_observed`] builds the memo (unless the context carries
+//! one) and, through [`MemoEviction`], drops a scenario's models as soon
+//! as its last unit finishes: keys include the train split, so no other
+//! unit can hit them. A serve job owns its memo the same way, and
+//! [`run_unit_observed`] without one memoizes within the unit. The memo
+//! never outlives a sweep; the cell cache is what spans runs. A training
+//! never enters rayon while it fills a memo slot (see [`TrainingMemo`]).
 //!
 //! # The cache skip path
 //!
@@ -70,11 +93,11 @@ use crate::sched::{
 };
 use matic_core::{
     drop_surrogate_map, upload_weights, CellFaults, DeploymentFlow, FaultContext, FaultedWeights,
-    MatConfig, MatTrainer, ParamRef, TrainedModel, WeightLayout,
+    MatTrainer, ParamRef, TrainedModel, TrainingMemo, TrainingSet, WeightLayout,
 };
 use matic_datasets::Split;
 use matic_nn::kernel::MacDropSpec;
-use matic_nn::{NetSpec, Sample};
+use matic_nn::Sample;
 use matic_snnac::microcode::Program;
 use matic_snnac::npu::NpuStats;
 use matic_snnac::{Chip, ChipConfig, Snnac};
@@ -82,7 +105,7 @@ use matic_sram::{ArrayConfig, FaultMap, SramArray};
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The outcome of one sweep run: the deterministic report plus the
 /// run's cache provenance. The provenance lives here — not inside the
@@ -157,10 +180,18 @@ pub fn sweep_units(plan: &SweepPlan) -> Vec<(usize, usize)> {
 /// exactly [`run_sweep_with_cache`]; with a cancel token it stops at the
 /// next cell boundary of every unit once the token flips; with an
 /// in-flight table it deduplicates cell computations against concurrent
-/// sweeps sharing the same table and cache.
+/// sweeps sharing the same table and cache. Its units share the context's
+/// training memo, or one built for this run.
 pub fn run_sweep_observed(plan: &SweepPlan, ctx: &ExecContext<'_>) -> SweepOutcome {
     let splits = sweep_splits(plan);
     let units = sweep_units(plan);
+    let own_memo = TrainingMemo::new();
+    let memo = ctx.memo.unwrap_or(&own_memo);
+    let eviction = MemoEviction::new(plan, &units);
+    let ctx = ExecContext {
+        memo: Some(memo),
+        ..*ctx
+    };
     let pool = ThreadPoolBuilder::new()
         .num_threads(plan.threads.unwrap_or(0))
         .build()
@@ -169,11 +200,43 @@ pub fn run_sweep_observed(plan: &SweepPlan, ctx: &ExecContext<'_>) -> SweepOutco
         units
             .par_iter()
             .map(|&(scen_idx, chip_idx)| {
-                run_unit_observed(plan, scen_idx, chip_idx, &splits[scen_idx], ctx)
+                let split = &splits[scen_idx];
+                let outcome = run_unit_observed(plan, scen_idx, chip_idx, split, &ctx);
+                eviction.unit_done(memo, scen_idx, split);
+                outcome
             })
             .collect()
     });
     assemble_sweep(plan, per_unit, ctx.cache.is_some())
+}
+
+/// Evicts each scenario's models from a sweep's [`TrainingMemo`] once the
+/// last of its units has finished. Training keys include the train split,
+/// and splits are per scenario, so no other unit can hit those entries:
+/// a model lives exactly as long as a unit that could reuse it may run.
+#[derive(Debug)]
+pub struct MemoEviction {
+    /// Units not yet finished, per scenario index.
+    pending: Vec<AtomicUsize>,
+}
+
+impl MemoEviction {
+    /// Tracks `units` (the `(scenario, chip)` pairs this execution runs).
+    pub fn new(plan: &SweepPlan, units: &[(usize, usize)]) -> Self {
+        let pending = (0..plan.scenarios.len())
+            .map(|s| AtomicUsize::new(units.iter().filter(|u| u.0 == s).count()))
+            .collect();
+        MemoEviction { pending }
+    }
+
+    /// Records that a unit of `scen_idx` finished (completed or
+    /// cancelled); the scenario's last one evicts the models trained on
+    /// its split.
+    pub fn unit_done(&self, memo: &TrainingMemo, scen_idx: usize, split: &Split) {
+        if self.pending[scen_idx].fetch_sub(1, Ordering::SeqCst) == 1 && !memo.is_empty() {
+            memo.evict(&TrainingSet::new(&split.train));
+        }
+    }
 }
 
 /// Reassembles per-unit outcomes (in [`sweep_units`] order) into the
@@ -441,10 +504,36 @@ pub fn run_unit_observed(
 ) -> UnitOutcome {
     let scen = &*plan.scenarios[scen_idx];
     let points = plan.axis.points();
+    let unit_memo = TrainingMemo::new();
+    let training = UnitTraining {
+        memo: ctx.memo.unwrap_or(&unit_memo),
+        trainer: MatTrainer::new(scen.topology(), plan.train_config(scen)),
+        data: TrainingSet::new(&split.train),
+    };
     if plan.model.needs_silicon() {
-        run_silicon_unit(plan, scen, scen_idx, chip_idx, split, points, ctx)
+        run_silicon_unit(
+            plan, scen, scen_idx, chip_idx, split, &training, points, ctx,
+        )
     } else {
-        run_injected_unit(plan, scen, scen_idx, chip_idx, split, points, ctx)
+        run_injected_unit(
+            plan, scen, scen_idx, chip_idx, split, &training, points, ctx,
+        )
+    }
+}
+
+/// How a unit trains: every model comes from the memo (the sweep's, or
+/// the unit's own), with the scenario's trainer and train split (hashed
+/// at most once per unit).
+struct UnitTraining<'a> {
+    memo: &'a TrainingMemo,
+    trainer: MatTrainer,
+    data: TrainingSet<'a>,
+}
+
+impl UnitTraining<'_> {
+    /// The model trained against `faults`.
+    fn train(&self, faults: &FaultMap) -> Arc<TrainedModel> {
+        self.memo.train(&self.trainer, &self.data, faults)
     }
 }
 
@@ -454,7 +543,7 @@ pub fn run_unit_observed(
 /// cell of the unit records. Materialized on the first cache miss; a
 /// fully cached unit never trains it.
 struct NaiveBaseline {
-    model: TrainedModel,
+    model: Arc<TrainedModel>,
     nominal: f64,
 }
 
@@ -462,8 +551,7 @@ struct NaiveBaseline {
 /// **on the chip** at 0.9 V — the voltage-axis flavour.
 fn ensure_naive_on_chip<'a>(
     slot: &'a mut Option<NaiveBaseline>,
-    spec: &NetSpec,
-    cfg: &MatConfig,
+    training: &UnitTraining<'_>,
     is_classification: bool,
     split: &Split,
     chip: &mut Chip,
@@ -471,7 +559,7 @@ fn ensure_naive_on_chip<'a>(
     if slot.is_none() {
         let geom = chip.config().array.clone();
         let clean = FaultMap::clean(0.9, geom.banks, geom.bank.words, geom.bank.word_bits);
-        let model = MatTrainer::new(spec.clone(), cfg.clone()).train(&split.train, &clean);
+        let model = training.train(&clean);
         let (nominal, _) = eval_on_chip(chip, &model, is_classification, &split.test, 0.9);
         *slot = Some(NaiveBaseline { model, nominal });
     }
@@ -484,15 +572,14 @@ fn ensure_naive_on_chip<'a>(
 /// with zero faults composed in.
 fn ensure_naive_injected<'a>(
     slot: &'a mut Option<NaiveBaseline>,
-    spec: &NetSpec,
-    cfg: &MatConfig,
+    training: &UnitTraining<'_>,
     is_classification: bool,
     split: &Split,
     geom: &ArrayConfig,
 ) -> &'a NaiveBaseline {
     if slot.is_none() {
         let clean = FaultMap::clean(0.9, geom.banks, geom.bank.words, geom.bank.word_bits);
-        let model = MatTrainer::new(spec.clone(), cfg.clone()).train(&split.train, &clean);
+        let model = training.train(&clean);
         let clean_faults = CellFaults {
             map: clean,
             drops: None,
@@ -511,7 +598,7 @@ fn ensure_naive_injected<'a>(
 /// always trained against `map`, reproducing the cold run's model bytes.
 struct AdaptiveModel {
     map: FaultMap,
-    model: Option<TrainedModel>,
+    model: Option<Arc<TrainedModel>>,
 }
 
 /// Advances the adaptive slot for a point whose profiled/injected map is
@@ -534,12 +621,10 @@ fn advance_adaptive(plan: &SweepPlan, slot: &mut Option<AdaptiveModel>, map: &Fa
 /// has not already done so.
 fn materialize_adaptive<'a>(
     slot: &'a mut AdaptiveModel,
-    spec: &NetSpec,
-    cfg: &MatConfig,
-    train: &[Sample],
+    training: &UnitTraining<'_>,
 ) -> &'a TrainedModel {
     if slot.model.is_none() {
-        slot.model = Some(MatTrainer::new(spec.clone(), cfg.clone()).train(train, &slot.map));
+        slot.model = Some(training.train(&slot.map));
     }
     slot.model.as_ref().expect("filled above")
 }
@@ -567,11 +652,10 @@ fn run_silicon_unit(
     scen_idx: usize,
     chip_idx: usize,
     split: &Split,
+    training: &UnitTraining<'_>,
     points: &[f64],
     ctx: &ExecContext<'_>,
 ) -> UnitOutcome {
-    let spec = scen.topology();
-    let cfg = plan.train_config(scen);
     let is_class = scen.is_classification();
     let chip_cfg = ChipConfig::with_geometry(
         plan.model.geometry(),
@@ -645,7 +729,7 @@ fn run_silicon_unit(
             let cell = match mode {
                 TrainingMode::Naive => {
                     let baseline =
-                        ensure_naive_on_chip(&mut naive, &spec, &cfg, is_class, split, &mut chip);
+                        ensure_naive_on_chip(&mut naive, training, is_class, split, &mut chip);
                     let nominal = baseline.nominal;
                     let slot = &mut evals.as_mut().expect("initialized above").naive;
                     let (error, stats) = cached_eval(
@@ -661,14 +745,10 @@ fn run_silicon_unit(
                 }
                 TrainingMode::Mat => {
                     let nominal =
-                        ensure_naive_on_chip(&mut naive, &spec, &cfg, is_class, split, &mut chip)
+                        ensure_naive_on_chip(&mut naive, training, is_class, split, &mut chip)
                             .nominal;
-                    let model = materialize_adaptive(
-                        adaptive.as_mut().expect("advanced above"),
-                        &spec,
-                        &cfg,
-                        &split.train,
-                    );
+                    let model =
+                        materialize_adaptive(adaptive.as_mut().expect("advanced above"), training);
                     let slot = &mut evals.as_mut().expect("initialized above").mat;
                     let (error, stats) =
                         cached_eval(slot, &mut chip, model, is_class, &split.test, voltage);
@@ -680,10 +760,10 @@ fn run_silicon_unit(
                 }
                 TrainingMode::MatCanary => {
                     let nominal =
-                        ensure_naive_on_chip(&mut naive, &spec, &cfg, is_class, split, &mut chip)
+                        ensure_naive_on_chip(&mut naive, training, is_class, split, &mut chip)
                             .nominal;
                     run_canary_cell(
-                        plan, scen, chip_idx, &mut chip, &spec, split, voltage, nominal,
+                        plan, scen, chip_idx, &mut chip, training, split, voltage, nominal,
                     )
                 }
             };
@@ -752,17 +832,21 @@ fn run_canary_cell(
     scen: &dyn Scenario,
     chip_idx: usize,
     chip: &mut Chip,
-    spec: &matic_nn::NetSpec,
+    training: &UnitTraining<'_>,
     split: &Split,
     voltage: f64,
     nominal: f64,
 ) -> CellRecord {
     let is_class = scen.is_classification();
     let flow = DeploymentFlow {
-        mat: plan.train_config(scen),
+        mat: training.trainer.config().clone(),
         ..DeploymentFlow::new(voltage)
     };
-    let mut net = chip.deploy(&flow, spec, &split.train);
+    // Only the pure training step is memoized; canary selection,
+    // profiling, upload and arming run on the chip as always.
+    let mut net = chip.deploy_with(&flow, training.trainer.spec(), |faults| {
+        TrainedModel::clone(&training.train(faults))
+    });
     let settled = chip.poll_canaries(&mut net);
     // Compose the post-disturb contents once at the settled rail and run
     // the whole eval set through the batched kernel. Bit-identical to
@@ -857,14 +941,13 @@ fn run_injected_unit(
     scen_idx: usize,
     chip_idx: usize,
     split: &Split,
+    training: &UnitTraining<'_>,
     points: &[f64],
     ctx: &ExecContext<'_>,
 ) -> UnitOutcome {
-    let spec = scen.topology();
-    let cfg = plan.train_config(scen);
     let is_class = scen.is_classification();
     let geom = plan.model.geometry();
-    let layout = WeightLayout::new(&spec, geom.banks, geom.bank.words)
+    let layout = WeightLayout::new(training.trainer.spec(), geom.banks, geom.bank.words)
         .expect("scenario topology fits the model's weight memory");
 
     // The unit-invariant half of every cell key, hashed once.
@@ -916,7 +999,7 @@ fn run_injected_unit(
             let cell = match mode {
                 TrainingMode::Naive => {
                     let baseline =
-                        ensure_naive_injected(&mut naive, &spec, &cfg, is_class, split, &geom);
+                        ensure_naive_injected(&mut naive, training, is_class, split, &geom);
                     let error =
                         eval_injected(&baseline.model, is_class, &split.test, &faults, &geom);
                     base_injected_cell(
@@ -933,14 +1016,9 @@ fn run_injected_unit(
                 }
                 TrainingMode::Mat => {
                     let nominal =
-                        ensure_naive_injected(&mut naive, &spec, &cfg, is_class, split, &geom)
-                            .nominal;
-                    let model = materialize_adaptive(
-                        adaptive.as_mut().expect("advanced above"),
-                        &spec,
-                        &cfg,
-                        &split.train,
-                    );
+                        ensure_naive_injected(&mut naive, training, is_class, split, &geom).nominal;
+                    let model =
+                        materialize_adaptive(adaptive.as_mut().expect("advanced above"), training);
                     let error = eval_injected(model, is_class, &split.test, &faults, &geom);
                     let mut cell = base_injected_cell(
                         plan, scen, chip_idx, mode, stress, error, nominal, &train_map, drop_stats,

@@ -85,8 +85,12 @@ pub use cache::{
 };
 pub use engine::{
     assemble_sweep, eval_composed_set, eval_on_chip, run_sweep, run_sweep_observed,
-    run_sweep_with_cache, run_unit_observed, set_eval_chunk, sweep_splits, sweep_units, SweepRun,
+    run_sweep_with_cache, run_unit_observed, set_eval_chunk, sweep_splits, sweep_units,
+    MemoEviction, SweepRun,
 };
+/// The training memo an [`ExecContext`] carries (see the engine's model
+/// reuse notes).
+pub use matic_core::TrainingMemo;
 pub use pareto::{
     energy_report, AccuracyBudget, BenchmarkEnergy, EnergyReport, EnergyReportError,
     ScenarioOutcome, ScenarioSelection, TradeoffPoint, ENERGY_SCHEMA,

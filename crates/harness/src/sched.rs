@@ -33,6 +33,7 @@
 
 use crate::cache::{CellKey, SweepCache};
 use crate::report::CellRecord;
+use matic_core::TrainingMemo;
 use rayon::prelude::*;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -187,8 +188,9 @@ impl Drop for InflightGuard<'_> {
 
 /// Everything the engine consults while executing cells: the cache to
 /// replay from and checkpoint into, the in-flight table for cross-run
-/// dedup, the cancellation token, and the progress observer. All fields
-/// are optional; [`ExecContext::batch`] is the plain batch configuration.
+/// dedup, the cancellation token, the progress observer, and the training
+/// memo. All fields are optional; [`ExecContext::batch`] is the plain batch
+/// configuration.
 #[derive(Default, Clone, Copy)]
 pub struct ExecContext<'a> {
     /// Persistent cell cache (replay + checkpoint-on-write), if any.
@@ -201,6 +203,9 @@ pub struct ExecContext<'a> {
     pub cancel: Option<&'a CancelToken>,
     /// Per-cell progress observer, if any.
     pub progress: Option<&'a dyn ProgressSink>,
+    /// The sweep's training memo, shared by all of its units. Without one,
+    /// each unit memoizes its own trainings.
+    pub memo: Option<&'a TrainingMemo>,
 }
 
 /// What [`ExecContext::resolve`] decided about one cell.
@@ -292,6 +297,7 @@ impl std::fmt::Debug for ExecContext<'_> {
             .field("inflight", &self.inflight.is_some())
             .field("cancel", &self.cancel.is_some())
             .field("progress", &self.progress.is_some())
+            .field("memo", &self.memo.is_some())
             .finish()
     }
 }

@@ -84,6 +84,7 @@ fn cancel_mid_sweep_checkpoints_the_prefix_and_resumes_byte_identical() {
         inflight: None,
         cancel: Some(&token),
         progress: Some(&sink),
+        memo: None,
     };
     let cancelled = match run_sweep_observed(&plan1, &ctx) {
         SweepOutcome::Cancelled(c) => c,
@@ -139,6 +140,7 @@ fn concurrent_identical_sweeps_compute_each_cell_once() {
             inflight: Some(&inflight),
             cancel: None,
             progress: None,
+            memo: None,
         };
         match run_sweep_observed(&run_plan, &ctx) {
             SweepOutcome::Complete(run) => run,
@@ -202,6 +204,7 @@ fn concurrent_overlapping_grids_share_the_common_cells() {
             inflight: Some(&inflight),
             cancel: None,
             progress: None,
+            memo: None,
         };
         match run_sweep_observed(p, &ctx) {
             SweepOutcome::Complete(run) => run,

@@ -11,11 +11,12 @@
 use crate::protocol::{JobKind, JobSpec, JobStatusInfo, ShardUnit};
 use matic_datasets::Split;
 use matic_harness::{
-    assemble_sweep, energy_report, AccuracyBudget, CancelToken, CellOrigin, ProgressSink,
-    ReusePolicy, SweepOutcome, SweepPlan, TrainingMode, UnitOutcome,
+    assemble_sweep, energy_report, run_unit_observed, AccuracyBudget, CancelToken, CellOrigin,
+    ExecContext, MemoEviction, ProgressSink, ReusePolicy, SweepOutcome, SweepPlan, TrainingMemo,
+    TrainingMode, UnitOutcome,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Builds the sweep plan a spec describes, with the same validation
@@ -183,6 +184,40 @@ struct JobState {
     /// Per-unit outcome slots in [`matic_harness::sweep_units`] order.
     slots: Vec<Option<UnitOutcome>>,
     remaining: usize,
+    /// Dropped when the job turns terminal.
+    inputs: Option<Arc<JobInputs>>,
+}
+
+/// What a job's units run on: the per-scenario datasets and the job's
+/// training memo. A job holds them only until it turns terminal, so a
+/// long-lived daemon keeps no finished job's datasets or models.
+#[derive(Debug)]
+pub(crate) struct JobInputs {
+    /// Per-scenario datasets, generated once at admission.
+    splits: Vec<Split>,
+    /// The job's training memo, shared by all of its units.
+    memo: TrainingMemo,
+    eviction: MemoEviction,
+}
+
+impl JobInputs {
+    /// Runs one `(scenario, chip)` unit through `ctx` with the job's
+    /// memo, then evicts the scenario's models if it was the last unit.
+    pub(crate) fn run_unit(
+        &self,
+        plan: &SweepPlan,
+        (scen_idx, chip_idx): (usize, usize),
+        ctx: &ExecContext<'_>,
+    ) -> UnitOutcome {
+        let split = &self.splits[scen_idx];
+        let ctx = ExecContext {
+            memo: Some(&self.memo),
+            ..*ctx
+        };
+        let outcome = run_unit_observed(plan, scen_idx, chip_idx, split, &ctx);
+        self.eviction.unit_done(&self.memo, scen_idx, split);
+        outcome
+    }
 }
 
 /// One admitted job. Shared between the connection thread that streams
@@ -197,8 +232,6 @@ pub struct Job {
     /// The job's `(scenario, chip)` units, scenario-major — the full
     /// grid, or the `chip_range` slice of it for shard jobs.
     pub units: Vec<(usize, usize)>,
-    /// Per-scenario datasets, generated once at admission.
-    pub splits: Vec<Split>,
     /// Cooperative cancellation for every unit of this job.
     pub cancel: CancelToken,
     /// Per-cell counters for progress streams.
@@ -222,12 +255,16 @@ impl Job {
         };
         let slots = units.iter().map(|_| None).collect::<Vec<_>>();
         let remaining = units.len();
+        let inputs = JobInputs {
+            splits,
+            memo: TrainingMemo::new(),
+            eviction: MemoEviction::new(&plan, &units),
+        };
         Ok(Job {
             id,
             spec,
             plan,
             units,
-            splits,
             cancel: CancelToken::new(),
             progress: JobProgress::default(),
             cache_enabled,
@@ -235,6 +272,7 @@ impl Job {
                 phase: JobPhase::Queued,
                 slots,
                 remaining,
+                inputs: Some(Arc::new(inputs)),
             }),
             changed: Condvar::new(),
         })
@@ -245,6 +283,16 @@ impl Job {
     pub fn cells_total(&self) -> usize {
         let full_units = self.plan.scenarios.len() * self.plan.chips;
         self.plan.cell_count() / full_units * self.units.len()
+    }
+
+    /// The datasets and memo the job's units run on; `None` once the job
+    /// is terminal (a unit still running keeps its own handle).
+    pub(crate) fn inputs(&self) -> Option<Arc<JobInputs>> {
+        self.state
+            .lock()
+            .expect("job state poisoned")
+            .inputs
+            .clone()
     }
 
     /// Marks the first unit pickup (idempotent).
@@ -276,6 +324,7 @@ impl Job {
                 .map(|s| s.take().expect("all units complete"))
                 .collect();
             st.phase = self.finalize(per_unit);
+            st.inputs = None;
         }
         self.changed.notify_all();
     }
@@ -285,6 +334,7 @@ impl Job {
         let mut st = self.state.lock().expect("job state poisoned");
         if !st.phase.is_terminal() {
             st.phase = JobPhase::Failed(reason);
+            st.inputs = None;
             self.changed.notify_all();
         }
     }

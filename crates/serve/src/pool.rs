@@ -12,8 +12,8 @@
 //!
 //! Workers execute units through the harness scheduler's
 //! [`ExecContext`], wiring in the daemon-wide cache, the shared
-//! in-flight dedup table, the job's cancel token, and the job's
-//! progress counters.
+//! in-flight dedup table, the job's cancel token, its progress
+//! counters and its training memo.
 
 use crate::job::Job;
 use matic_harness::{ExecContext, Inflight, SweepCache, UnitOutcome};
@@ -148,9 +148,9 @@ pub fn spawn_workers(
 
 /// Executes one unit of one job (the worker loop body).
 pub fn run_one_unit(exec: &SharedExec, job: &Arc<Job>, unit_idx: usize) {
-    if job.phase().is_terminal() {
-        return; // a failed job's stragglers are dead work
-    }
+    let Some(inputs) = job.inputs() else {
+        return; // a terminal job's stragglers are dead work
+    };
     if job.cancel.is_cancelled() {
         // Skip the walk entirely; an empty cancelled outcome still
         // participates in assembly so the job terminates.
@@ -171,8 +171,9 @@ pub fn run_one_unit(exec: &SharedExec, job: &Arc<Job>, unit_idx: usize) {
             inflight: Some(&exec.inflight),
             cancel: Some(&job.cancel),
             progress: Some(&job.progress),
+            ..ExecContext::default()
         };
-        matic_harness::run_unit_observed(&job.plan, scen_idx, chip_idx, &job.splits[scen_idx], &ctx)
+        inputs.run_unit(&job.plan, (scen_idx, chip_idx), &ctx)
     }));
     match outcome {
         Ok(outcome) => job.complete_unit(unit_idx, outcome),
@@ -185,15 +186,15 @@ pub fn run_one_unit(exec: &SharedExec, job: &Arc<Job>, unit_idx: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobPhase;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
-    #[test]
-    fn queue_delivers_in_fifo_order_and_closes_cleanly() {
-        let q = Arc::new(WorkQueue::new(8));
+    /// A one-voltage naive sweep of `chips` chips, small enough to run.
+    fn tiny_job(chips: usize) -> Arc<Job> {
         let spec = crate::protocol::JobSpec {
             kind: crate::protocol::JobKind::Sweep,
-            chips: 1,
+            chips,
             voltages: Some(vec![0.9]),
             bers: None,
             clock: None,
@@ -208,7 +209,13 @@ mod tests {
             chip_range: None,
             topology: None,
         };
-        let job = Arc::new(Job::admit(1, spec, false).expect("valid spec"));
+        Arc::new(Job::admit(1, spec, false).expect("valid spec"))
+    }
+
+    #[test]
+    fn queue_delivers_in_fifo_order_and_closes_cleanly() {
+        let q = Arc::new(WorkQueue::new(8));
+        let job = tiny_job(1);
         assert!(q.push((Arc::clone(&job), 0)));
         let (_, idx) = q.pop().expect("one queued item");
         assert_eq!(idx, 0);
@@ -220,24 +227,7 @@ mod tests {
     #[test]
     fn full_queue_blocks_push_until_a_pop_frees_a_slot() {
         let q = Arc::new(WorkQueue::new(1));
-        let spec = crate::protocol::JobSpec {
-            kind: crate::protocol::JobKind::Sweep,
-            chips: 2,
-            voltages: Some(vec![0.9]),
-            bers: None,
-            clock: None,
-            benchmarks: vec!["inversek2j".into()],
-            modes: vec!["naive".into()],
-            data_scale: 0.05,
-            epoch_scale: 0.1,
-            seed: 1,
-            no_reuse: false,
-            budget_percent: 2.0,
-            budget_mse: 0.02,
-            chip_range: None,
-            topology: None,
-        };
-        let job = Arc::new(Job::admit(1, spec, false).expect("valid spec"));
+        let job = tiny_job(2);
         assert!(q.push((Arc::clone(&job), 0)));
 
         let pushed = Arc::new(AtomicUsize::new(0));
@@ -259,5 +249,35 @@ mod tests {
         let _ = q.pop().expect("frees the slot");
         blocked.join().expect("pusher thread");
         assert_eq!(pushed.load(Ordering::SeqCst), 2, "push succeeded");
+    }
+
+    #[test]
+    fn terminal_jobs_release_their_datasets_and_memo() {
+        let exec = SharedExec::default();
+        for end in ["done", "cancelled", "failed"] {
+            let job = tiny_job(2);
+            let inputs = Arc::downgrade(&job.inputs().expect("an admitted job holds its inputs"));
+            match end {
+                "done" => {}
+                "cancelled" => job.cancel.cancel(),
+                _ => job.fail("injected failure".into()),
+            }
+            for unit in 0..job.units.len() {
+                run_one_unit(&exec, &job, unit);
+            }
+            let phase = job.phase();
+            assert_eq!(phase.name(), end);
+            if let JobPhase::Done { misses, .. } = phase {
+                assert_eq!(misses, 2, "both units ran");
+            }
+            assert!(
+                job.inputs().is_none(),
+                "{end}: the job let go of its inputs"
+            );
+            assert!(
+                inputs.upgrade().is_none(),
+                "{end}: the splits and memo were freed"
+            );
+        }
     }
 }

@@ -5,7 +5,7 @@ use crate::microcode::Program;
 use crate::msp430::{assemble, canary_map, canary_program, Mmio, Msp430};
 use crate::npu::{NpuStats, Snnac};
 use crate::regulator::VoltageRegulator;
-use matic_core::{CanarySet, DeployedModel, DeploymentFlow, FaultedWeights};
+use matic_core::{CanarySet, DeployedModel, DeploymentFlow, FaultedWeights, TrainedModel};
 use matic_energy::{EnergyModel, OperatingPoint};
 use matic_fixed::QFormat;
 use matic_nn::{NetSpec, Sample};
@@ -230,7 +230,21 @@ impl Chip {
         spec: &NetSpec,
         train_data: &[Sample],
     ) -> DeployedNetwork {
-        let model = flow.deploy(spec, train_data, &mut self.array);
+        self.deploy_with(flow, spec, |faults| {
+            flow.trainer(spec).train(train_data, faults)
+        })
+    }
+
+    /// [`Chip::deploy`] with the pure training step supplied by the caller
+    /// (see [`DeploymentFlow::deploy_with`]); every other step of the flow
+    /// runs on this chip.
+    pub fn deploy_with(
+        &mut self,
+        flow: &DeploymentFlow,
+        spec: &NetSpec,
+        train: impl FnOnce(&FaultMap) -> TrainedModel,
+    ) -> DeployedNetwork {
+        let model = flow.deploy_with(&mut self.array, train);
         self.regulator
             .set_mv((flow.controller.v_safe * 1000.0).round() as u32);
         let npu = Snnac::snnac(model.model().format());

@@ -333,6 +333,24 @@ impl FaultMap {
         f.write_str("matic.fault-map/v2");
         f.write_u64(self.voltage.to_bits());
         f.write_u64(self.temp_c.to_bits());
+        self.absorb_masks(&mut f);
+        f.finish()
+    }
+
+    /// Stable 128-bit fingerprint of the fault **content** alone: the
+    /// geometry and every bank's OR/AND/XOR masks, without the profiled
+    /// operating point. Two maps share it exactly when they inject
+    /// identical faults, whatever voltage and temperature produced them —
+    /// the identity of a map to anything that only applies its masks
+    /// (e.g. memory-adaptive training).
+    pub fn mask_fingerprint(&self) -> u128 {
+        let mut f = crate::fingerprint::Fingerprint::new();
+        f.write_str("matic.fault-masks/v1");
+        self.absorb_masks(&mut f);
+        f.finish()
+    }
+
+    fn absorb_masks(&self, f: &mut crate::fingerprint::Fingerprint) {
         f.write_u64(self.banks.len() as u64);
         for bank in &self.banks {
             f.write_u64(bank.word_bits() as u64);
@@ -343,7 +361,6 @@ impl FaultMap {
                 f.write_u64(bank.xor_mask(w) as u64);
             }
         }
-        f.finish()
     }
 
     /// Voltage-monotonicity relation over whole arrays.
