@@ -34,18 +34,27 @@
 //!
 //! # Model reuse
 //!
-//! Two mechanisms keep a sweep from training a model twice; neither
-//! changes a report byte.
+//! Every unit runs one per-point walk ([`run_unit_observed`]) whatever
+//! the fault model; a private `FaultSource` (profiled silicon, or injected
+//! synthetic faults) is the only place the models differ. Three
+//! mechanisms keep that walk from training or evaluating a model twice;
+//! none changes a report byte.
 //!
 //! **Superset reuse.** Under
 //! [`ReusePolicy::SupersetMap`](crate::ReusePolicy::SupersetMap) the
-//! engine walks voltages high-to-low and keeps the last trained model; a
-//! new point reuses it iff the training-time fault map is a superset of
-//! the point's map (bit-cell failures are monotone in voltage, so "no new
-//! faults appeared" means the trained model already routes around
-//! everything present). This decision, and the `reused_model` flag it
-//! records, reproduce the paper's one-model-per-operating-point flow
-//! wherever maps differ.
+//! engine walks the stress axis from the mildest point and keeps the last
+//! trained model; a new point reuses it iff the training-time fault map is
+//! a superset of the point's map (bit-cell failures are monotone in
+//! voltage, so "no new faults appeared" means the trained model already
+//! routes around everything present). This decision, and the
+//! `reused_model` flag it records, reproduce the paper's
+//! one-model-per-operating-point flow wherever maps differ.
+//!
+//! **Evaluation replay.** On every axis, a point whose storage and
+//! training fault masks equal the previous point's replays its
+//! evaluations instead of re-running the NPU (for drop models the
+//! training map is the drop set's exact surrogate, so e.g. clock points
+//! below the drop onset share one evaluation).
 //!
 //! **The training memo.** Every training the engine needs — the naive
 //! baseline, each adaptive model, and the MAT step of every `mat-canary`
@@ -80,7 +89,9 @@
 //!   eagerly), but the actual training runs only when a miss needs the
 //!   model. A miss that follows cache-hit points therefore trains
 //!   against the exact map the cold run would have used, reproducing
-//!   both the model bytes and the `reused_model` provenance flag.
+//!   both the model bytes and the `reused_model` provenance flag;
+//! * evaluation-replay slots track the fault content at every point but
+//!   fill only on misses, so a miss after cache hits evaluates afresh.
 
 use crate::cache::{CacheUsage, CellKey, SweepCache, UnitKeyPrefix};
 use crate::plan::{ReusePolicy, StressAxis, SweepPlan, TrainingMode};
@@ -472,7 +483,8 @@ fn argmax(v: &[f64]) -> usize {
 /// point for an inference whose NPU counters are `npu`: the point itself,
 /// the calibrated per-domain pJ/cycle there, energy/inference and power
 /// at the point's clock. The caller must have programmed the rail to the
-/// cell's voltage first (both `eval_on_chip` and `cached_eval` do).
+/// cell's voltage first (`eval_on_chip` does, and so does
+/// `FaultSource::set_stress` for a replayed evaluation).
 fn cell_energy(chip: &Chip, npu: NpuStats) -> CellEnergy {
     let op = chip.operating_point();
     let (logic_pj_per_cycle, sram_pj_per_cycle) = chip.energy_per_cycle();
@@ -503,165 +515,17 @@ pub fn run_unit_observed(
     ctx: &ExecContext<'_>,
 ) -> UnitOutcome {
     let scen = &*plan.scenarios[scen_idx];
-    let points = plan.axis.points();
     let unit_memo = TrainingMemo::new();
-    let training = UnitTraining {
+    let unit = Unit {
+        plan,
+        scen,
+        chip_idx,
+        split,
         memo: ctx.memo.unwrap_or(&unit_memo),
         trainer: MatTrainer::new(scen.topology(), plan.train_config(scen)),
         data: TrainingSet::new(&split.train),
     };
-    if plan.model.needs_silicon() {
-        run_silicon_unit(
-            plan, scen, scen_idx, chip_idx, split, &training, points, ctx,
-        )
-    } else {
-        run_injected_unit(
-            plan, scen, scen_idx, chip_idx, split, &training, points, ctx,
-        )
-    }
-}
-
-/// How a unit trains: every model comes from the memo (the sweep's, or
-/// the unit's own), with the scenario's trainer and train split (hashed
-/// at most once per unit).
-struct UnitTraining<'a> {
-    memo: &'a TrainingMemo,
-    trainer: MatTrainer,
-    data: TrainingSet<'a>,
-}
-
-impl UnitTraining<'_> {
-    /// The model trained against `faults`.
-    fn train(&self, faults: &FaultMap) -> Arc<TrainedModel> {
-        self.memo.train(&self.trainer, &self.data, faults)
-    }
-}
-
-/// The unit's fault-oblivious baseline (quantization-aware, trained
-/// against a clean map — the paper disables only the memory-adaptive
-/// modifications) plus its error at the 0.9 V nominal point, which every
-/// cell of the unit records. Materialized on the first cache miss; a
-/// fully cached unit never trains it.
-struct NaiveBaseline {
-    model: Arc<TrainedModel>,
-    nominal: f64,
-}
-
-/// Trains the baseline (if not yet trained) and evaluates nominal error
-/// **on the chip** at 0.9 V — the voltage-axis flavour.
-fn ensure_naive_on_chip<'a>(
-    slot: &'a mut Option<NaiveBaseline>,
-    training: &UnitTraining<'_>,
-    is_classification: bool,
-    split: &Split,
-    chip: &mut Chip,
-) -> &'a NaiveBaseline {
-    if slot.is_none() {
-        let geom = chip.config().array.clone();
-        let clean = FaultMap::clean(0.9, geom.banks, geom.bank.words, geom.bank.word_bits);
-        let model = training.train(&clean);
-        let (nominal, _) = eval_on_chip(chip, &model, is_classification, &split.test, 0.9);
-        *slot = Some(NaiveBaseline { model, nominal });
-    }
-    slot.as_ref().expect("filled above")
-}
-
-/// Baseline flavour for synthetic (injected) fault models: nominal error
-/// is the quantized model through the NPU against a clean store and an
-/// undropped kernel — the same evaluation path the stressed cells use,
-/// with zero faults composed in.
-fn ensure_naive_injected<'a>(
-    slot: &'a mut Option<NaiveBaseline>,
-    training: &UnitTraining<'_>,
-    is_classification: bool,
-    split: &Split,
-    geom: &ArrayConfig,
-) -> &'a NaiveBaseline {
-    if slot.is_none() {
-        let clean = FaultMap::clean(0.9, geom.banks, geom.bank.words, geom.bank.word_bits);
-        let model = training.train(&clean);
-        let clean_faults = CellFaults {
-            map: clean,
-            drops: None,
-        };
-        let nominal = eval_injected(&model, is_classification, &split.test, &clean_faults, geom);
-        *slot = Some(NaiveBaseline { model, nominal });
-    }
-    slot.as_ref().expect("filled above")
-}
-
-/// The unit's adaptive-model slot. `map` is the fault map the cold walk
-/// would have trained against at the current point — advanced eagerly at
-/// **every** point so reuse decisions (and the `reused_model` provenance
-/// flag) replay the cold run exactly even when earlier points were
-/// cache hits. `model` is materialized only when a miss needs it, and is
-/// always trained against `map`, reproducing the cold run's model bytes.
-struct AdaptiveModel {
-    map: FaultMap,
-    model: Option<Arc<TrainedModel>>,
-}
-
-/// Advances the adaptive slot for a point whose profiled/injected map is
-/// `map`. Returns `true` when the cold walk would have reused the
-/// previously trained model (the slot keeps its training-time map),
-/// `false` when it would retrain (the slot re-targets `map`, lazily).
-fn advance_adaptive(plan: &SweepPlan, slot: &mut Option<AdaptiveModel>, map: &FaultMap) -> bool {
-    let reuse = plan.reuse == ReusePolicy::SupersetMap
-        && slot.as_ref().is_some_and(|a| map.is_subset_of(&a.map));
-    if !reuse {
-        *slot = Some(AdaptiveModel {
-            map: map.clone(),
-            model: None,
-        });
-    }
-    reuse
-}
-
-/// Trains the slot's model against its recorded map, if a previous miss
-/// has not already done so.
-fn materialize_adaptive<'a>(
-    slot: &'a mut AdaptiveModel,
-    training: &UnitTraining<'_>,
-) -> &'a TrainedModel {
-    if slot.model.is_none() {
-        slot.model = Some(training.train(&slot.map));
-    }
-    slot.model.as_ref().expect("filled above")
-}
-
-/// Chip-evaluation results cached across voltage points whose profiled
-/// fault maps are identical. The fault-composed weights — and therefore
-/// the metric and the cycle counters — are a pure function of
-/// (model, fault map), so when a voltage step adds no new faults the NPU
-/// would reproduce the same numbers read-for-read; only the
-/// operating-point energy scaling (computed outside the cache) changes.
-struct EvalCache {
-    map: FaultMap,
-    naive: Option<(f64, NpuStats)>,
-    mat: Option<(f64, NpuStats)>,
-}
-
-/// The sweep unit for silicon-backed fault models
-/// ([`needs_silicon`](matic_core::FaultModel::needs_silicon)): a chip is
-/// synthesized to the model's declared geometry, profiled at every stress
-/// point, and the model turns the profile into the cell's fault content.
-#[allow(clippy::too_many_arguments)]
-fn run_silicon_unit(
-    plan: &SweepPlan,
-    scen: &dyn Scenario,
-    scen_idx: usize,
-    chip_idx: usize,
-    split: &Split,
-    training: &UnitTraining<'_>,
-    points: &[f64],
-    ctx: &ExecContext<'_>,
-) -> UnitOutcome {
-    let is_class = scen.is_classification();
-    let chip_cfg = ChipConfig::with_geometry(
-        plan.model.geometry(),
-        plan.model.weight_format().unwrap_or_default(),
-    );
-    let mut chip = Chip::synthesize(chip_cfg, plan.chip_seed(chip_idx));
+    let mut source = FaultSource::new(&unit);
     // The unit-invariant half of every cell key, hashed once.
     let prefix = ctx
         .cache
@@ -669,43 +533,39 @@ fn run_silicon_unit(
 
     let mut naive: Option<NaiveBaseline> = None;
     let mut adaptive: Option<AdaptiveModel> = None;
-    let mut evals: Option<EvalCache> = None;
+    // The previous point, and its naive / adaptive evaluations once a
+    // miss computed them.
+    let mut prev: Option<PointFaults> = None;
+    let (mut naive_eval, mut mat_eval) = (None, None);
+    let points = plan.axis.points();
     let mut cells = Vec::with_capacity(points.len() * plan.modes.len());
-    for (point_idx, &voltage) in points.iter().enumerate() {
-        let profiled = chip.profile(voltage);
-        let map = plan
-            .model
-            .faults_at(&FaultContext {
-                stress: voltage,
+    for (point_idx, &stress) in points.iter().enumerate() {
+        let point = source.point(
+            plan,
+            FaultContext {
+                stress,
                 cell_seed: plan.cell_map_seed(chip_idx, scen_idx, point_idx),
                 unit_seed: plan.unit_fault_seed(chip_idx, scen_idx),
-                profiled: Some(&profiled),
-            })
-            .map;
+                profiled: None,
+            },
+        );
         // One fault-content digest per point, shared by all modes.
-        let map_fp = prefix.as_ref().map(|_| map.fingerprint());
-        // A voltage step that adds no new faults recomputes nothing: the
-        // trained model is reused below (superset-map policy) and the
-        // chip evaluations are replayed from the cache (valid because the
-        // models are unchanged whenever the map is). Compare fault
-        // *content* (the bank masks), not `FaultMap` equality — the map
-        // carries the profiled voltage, which differs at every step and
-        // would make this replay unreachable.
-        let keep_evals = plan.reuse == ReusePolicy::SupersetMap
-            && evals.as_ref().is_some_and(|e| e.map.banks() == map.banks());
-        if !keep_evals {
-            evals = Some(EvalCache {
-                map: map.clone(),
-                naive: None,
-                mat: None,
-            });
+        let map_fp = prefix.as_ref().map(|_| point.train_map.fingerprint());
+        // A step that adds no new faults recomputes nothing: the trained
+        // model is reused below (superset-map policy) and the evaluations
+        // are replayed (valid because the models are unchanged whenever
+        // the fault content is).
+        let replay = plan.reuse == ReusePolicy::SupersetMap
+            && prev.as_ref().is_some_and(|p| p.same_content(&point));
+        if !replay {
+            (naive_eval, mat_eval) = (None, None);
         }
         // Adaptive-model provenance for this operating point (shared by
         // Mat cells; MatCanary trains its own because canary pins change
         // the map). Advanced even when every cell here turns out cached,
         // so later misses see the cold walk's training-time map.
-        let reused =
-            plan.modes.contains(&TrainingMode::Mat) && advance_adaptive(plan, &mut adaptive, &map);
+        let reused = plan.modes.contains(&TrainingMode::Mat)
+            && advance_adaptive(plan, &mut adaptive, &point.train_map);
         for &mode in &plan.modes {
             // The cooperative cancellation point: a cancelled sweep stops
             // before starting the next cell, with everything finished so
@@ -726,55 +586,269 @@ fn run_silicon_unit(
                 }
                 Resolution::Compute(claim) => claim,
             };
-            let cell = match mode {
-                TrainingMode::Naive => {
-                    let baseline =
-                        ensure_naive_on_chip(&mut naive, training, is_class, split, &mut chip);
-                    let nominal = baseline.nominal;
-                    let slot = &mut evals.as_mut().expect("initialized above").naive;
-                    let (error, stats) = cached_eval(
-                        slot,
-                        &mut chip,
-                        &baseline.model,
-                        is_class,
-                        &split.test,
-                        voltage,
-                    );
-                    base_cell(plan, scen, chip_idx, mode, voltage, error, nominal, &map)
-                        .with_energy(cell_energy(&chip, stats))
-                }
-                TrainingMode::Mat => {
-                    let nominal =
-                        ensure_naive_on_chip(&mut naive, training, is_class, split, &mut chip)
-                            .nominal;
-                    let model =
-                        materialize_adaptive(adaptive.as_mut().expect("advanced above"), training);
-                    let slot = &mut evals.as_mut().expect("initialized above").mat;
-                    let (error, stats) =
-                        cached_eval(slot, &mut chip, model, is_class, &split.test, voltage);
-                    let mut cell =
-                        base_cell(plan, scen, chip_idx, mode, voltage, error, nominal, &map)
-                            .with_energy(cell_energy(&chip, stats));
-                    cell.reused_model = reused;
-                    cell
-                }
-                TrainingMode::MatCanary => {
-                    let nominal =
-                        ensure_naive_on_chip(&mut naive, training, is_class, split, &mut chip)
-                            .nominal;
-                    run_canary_cell(
-                        plan, scen, chip_idx, &mut chip, training, split, voltage, nominal,
-                    )
-                }
+            let baseline = ensure_naive(&mut naive, &unit, &mut source);
+            let cell = if mode == TrainingMode::MatCanary {
+                let FaultSource::Silicon(chip) = &mut source else {
+                    unreachable!("plan validation rejects mat-canary on synthetic fault models")
+                };
+                run_canary_cell(&unit, chip, stress, baseline.nominal)
+            } else {
+                let (model, slot) = if mode == TrainingMode::Naive {
+                    (&*baseline.model, &mut naive_eval)
+                } else {
+                    let adaptive = adaptive.as_mut().expect("advanced above");
+                    (materialize_adaptive(adaptive, &unit), &mut mat_eval)
+                };
+                let (error, stats) = match *slot {
+                    Some(cached) => {
+                        source.set_stress(stress);
+                        cached
+                    }
+                    None => *slot.insert(source.eval(&unit, model, &point.faults, stress)),
+                };
+                let (nominal, map) = (baseline.nominal, &point.train_map);
+                let mut cell = new_cell(&unit, mode, stress, error, nominal, map, point.drops);
+                cell.energy = source.energy(stats);
+                cell.reused_model = mode == TrainingMode::Mat && reused;
+                cell
             };
             ctx.finish(claim, key.as_ref(), &cell);
             cells.push((cell, CellOrigin::Computed));
         }
+        prev = Some(point);
     }
     UnitOutcome {
         cells,
         cancelled: false,
     }
+}
+
+/// Where a unit's fault content comes from — the only place the
+/// silicon-backed and synthetic fault models differ. The walk in
+/// [`run_unit_observed`] is shared.
+enum FaultSource {
+    /// A chip synthesized to the model's geometry
+    /// ([`needs_silicon`](matic_core::FaultModel::needs_silicon)),
+    /// profiled at every stress point and evaluated through its own SRAM.
+    Silicon(Chip),
+    /// Seed-derived faults composed into a behaviourally clean store;
+    /// `layout` places the scenario's weights for the drop statistics.
+    Injected {
+        geom: ArrayConfig,
+        layout: WeightLayout,
+    },
+}
+
+/// One stress point's fault content.
+struct PointFaults {
+    /// What the evaluation composes in.
+    faults: CellFaults,
+    /// The map MAT trains against — and the content the cell key
+    /// fingerprints: the storage map itself, or for kernel-side drops the
+    /// exact stuck-at-0 surrogate (a dropped MAC contributes zero to the
+    /// integer accumulation, precisely what a zeroed weight word does).
+    train_map: FaultMap,
+    /// For drop models, the dropped weight population (see
+    /// [`dropped_weight_stats`]), which replaces the storage-map
+    /// statistics in the cell.
+    drops: Option<(usize, f64)>,
+}
+
+impl PointFaults {
+    /// Whether `other` holds the same fault content, so evaluations at
+    /// one replay at the other. An evaluation is a pure function of
+    /// (model, storage faults, drops), and what the drops do is fixed by
+    /// the training map (their exact surrogate). Compares the bank masks,
+    /// not `FaultMap` equality: a map carries its profiled voltage, which
+    /// differs at every step.
+    fn same_content(&self, other: &PointFaults) -> bool {
+        self.faults.map.banks() == other.faults.map.banks()
+            && self.train_map.banks() == other.train_map.banks()
+    }
+}
+
+impl FaultSource {
+    fn new(unit: &Unit<'_>) -> Self {
+        let model = &unit.plan.model;
+        let geom = model.geometry();
+        if model.needs_silicon() {
+            let chip_cfg =
+                ChipConfig::with_geometry(geom, model.weight_format().unwrap_or_default());
+            FaultSource::Silicon(Chip::synthesize(
+                chip_cfg,
+                unit.plan.chip_seed(unit.chip_idx),
+            ))
+        } else {
+            let layout = WeightLayout::new(unit.trainer.spec(), geom.banks, geom.bank.words)
+                .expect("scenario topology fits the model's weight memory");
+            FaultSource::Injected { geom, layout }
+        }
+    }
+
+    /// The fault content at `ctx.stress`; silicon profiles the chip there
+    /// (once per point) and hands the profile to the model.
+    fn point(&mut self, plan: &SweepPlan, ctx: FaultContext<'_>) -> PointFaults {
+        match self {
+            FaultSource::Silicon(chip) => {
+                let profiled = chip.profile(ctx.stress);
+                let faults = plan.model.faults_at(&FaultContext {
+                    profiled: Some(&profiled),
+                    ..ctx
+                });
+                PointFaults {
+                    train_map: faults.map.clone(),
+                    faults,
+                    drops: None,
+                }
+            }
+            FaultSource::Injected { geom, layout } => {
+                let faults = plan.model.faults_at(&ctx);
+                let (train_map, drops) = match &faults.drops {
+                    Some(d) => (
+                        drop_surrogate_map(d, layout, geom.bank.word_bits),
+                        Some(dropped_weight_stats(d, layout)),
+                    ),
+                    None => (faults.map.clone(), None),
+                };
+                PointFaults {
+                    faults,
+                    train_map,
+                    drops,
+                }
+            }
+        }
+    }
+
+    /// The Table I metric and per-inference NPU counters of `model` on
+    /// the unit's test set under `faults` at `stress`: on the chip at that
+    /// SRAM voltage, or through a clean store with the faults composed in.
+    fn eval(
+        &mut self,
+        unit: &Unit<'_>,
+        model: &TrainedModel,
+        faults: &CellFaults,
+        stress: f64,
+    ) -> (f64, NpuStats) {
+        let (is_class, test) = (unit.scen.is_classification(), &unit.split.test);
+        match self {
+            FaultSource::Silicon(chip) => eval_on_chip(chip, model, is_class, test, stress),
+            FaultSource::Injected { geom, .. } => {
+                eval_injected(model, is_class, test, faults, geom)
+            }
+        }
+    }
+
+    /// Programs the rail to `stress` for a replayed evaluation, so the
+    /// energy accounting sees the cell's operating point.
+    fn set_stress(&mut self, stress: f64) {
+        if let FaultSource::Silicon(chip) = self {
+            chip.set_sram_voltage(stress);
+        }
+    }
+
+    /// The cell's energy record at the current operating point; synthetic
+    /// sources have no silicon to meter.
+    fn energy(&self, npu: NpuStats) -> Option<CellEnergy> {
+        match self {
+            FaultSource::Silicon(chip) => Some(cell_energy(chip, npu)),
+            FaultSource::Injected { .. } => None,
+        }
+    }
+
+    /// The fault-free map the naive baseline trains against.
+    fn clean_map(&self) -> FaultMap {
+        let geom = match self {
+            FaultSource::Silicon(chip) => &chip.config().array,
+            FaultSource::Injected { geom, .. } => geom,
+        };
+        FaultMap::clean(0.9, geom.banks, geom.bank.words, geom.bank.word_bits)
+    }
+}
+
+/// One (scenario, chip) unit's invariants. Every model comes from the
+/// memo (the sweep's, or the unit's own), with the scenario's trainer and
+/// train split (hashed at most once per unit).
+struct Unit<'a> {
+    plan: &'a SweepPlan,
+    scen: &'a dyn Scenario,
+    chip_idx: usize,
+    split: &'a Split,
+    memo: &'a TrainingMemo,
+    trainer: MatTrainer,
+    data: TrainingSet<'a>,
+}
+
+impl Unit<'_> {
+    /// The model trained against `faults`.
+    fn train(&self, faults: &FaultMap) -> Arc<TrainedModel> {
+        self.memo.train(&self.trainer, &self.data, faults)
+    }
+}
+
+/// The unit's fault-oblivious baseline (quantization-aware, trained
+/// against a clean map — the paper disables only the memory-adaptive
+/// modifications) plus its error at the 0.9 V nominal point, which every
+/// cell of the unit records. Materialized on the first cache miss; a
+/// fully cached unit never trains it.
+struct NaiveBaseline {
+    model: Arc<TrainedModel>,
+    nominal: f64,
+}
+
+/// Trains the baseline (if not yet trained) and evaluates its nominal
+/// error: on the chip at 0.9 V, or for synthetic sources through the same
+/// path the stressed cells use, with zero faults composed in.
+fn ensure_naive<'a>(
+    slot: &'a mut Option<NaiveBaseline>,
+    unit: &Unit<'_>,
+    source: &mut FaultSource,
+) -> &'a NaiveBaseline {
+    if slot.is_none() {
+        let clean = CellFaults {
+            map: source.clean_map(),
+            drops: None,
+        };
+        let model = unit.train(&clean.map);
+        let (nominal, _) = source.eval(unit, &model, &clean, 0.9);
+        *slot = Some(NaiveBaseline { model, nominal });
+    }
+    slot.as_ref().expect("filled above")
+}
+
+/// The unit's adaptive-model slot. `map` is the fault map the cold walk
+/// would have trained against at the current point — advanced eagerly at
+/// **every** point so reuse decisions (and the `reused_model` provenance
+/// flag) replay the cold run exactly even when earlier points were
+/// cache hits. `model` is materialized only when a miss needs it, and is
+/// always trained against `map`, reproducing the cold run's model bytes.
+struct AdaptiveModel {
+    map: FaultMap,
+    model: Option<Arc<TrainedModel>>,
+}
+
+/// Advances the adaptive slot for a point whose training map is `map`.
+/// Returns `true` when the cold walk would have reused the previously
+/// trained model (the slot keeps its training-time map), `false` when it
+/// would retrain (the slot re-targets `map`, lazily).
+fn advance_adaptive(plan: &SweepPlan, slot: &mut Option<AdaptiveModel>, map: &FaultMap) -> bool {
+    let reuse = plan.reuse == ReusePolicy::SupersetMap
+        && slot.as_ref().is_some_and(|a| map.is_subset_of(&a.map));
+    if !reuse {
+        *slot = Some(AdaptiveModel {
+            map: map.clone(),
+            model: None,
+        });
+    }
+    reuse
+}
+
+/// Trains the slot's model against its recorded map, if a previous miss
+/// has not already done so.
+fn materialize_adaptive<'a>(slot: &'a mut AdaptiveModel, unit: &Unit<'_>) -> &'a TrainedModel {
+    if slot.model.is_none() {
+        slot.model = Some(unit.train(&slot.map));
+    }
+    slot.model.as_ref().expect("filled above")
 }
 
 /// Checkpoint-on-write: persists a freshly computed cell. Best-effort —
@@ -801,51 +875,18 @@ pub(crate) fn store_checkpoint(
     }
 }
 
-/// Replays a cached chip evaluation, or runs [`eval_on_chip`] and fills
-/// the slot. Replay is only valid because the evaluation is a pure
-/// function of (model, fault map) — the caller guarantees the slot was
-/// cleared whenever either changed — and it still programs the rail so
-/// the caller's energy accounting sees the correct operating point.
-fn cached_eval(
-    slot: &mut Option<(f64, NpuStats)>,
-    chip: &mut Chip,
-    model: &TrainedModel,
-    is_classification: bool,
-    test: &[Sample],
-    voltage: f64,
-) -> (f64, NpuStats) {
-    match *slot {
-        Some(cached) => {
-            chip.set_sram_voltage(voltage);
-            cached
-        }
-        None => *slot.insert(eval_on_chip(chip, model, is_classification, test, voltage)),
-    }
-}
-
 /// The full deployment-flow cell: profile → canary selection → MAT with
 /// pinned canaries → upload/arm → runtime controller settles the rail →
 /// evaluate through the NPU at the settled voltage.
-#[allow(clippy::too_many_arguments)]
-fn run_canary_cell(
-    plan: &SweepPlan,
-    scen: &dyn Scenario,
-    chip_idx: usize,
-    chip: &mut Chip,
-    training: &UnitTraining<'_>,
-    split: &Split,
-    voltage: f64,
-    nominal: f64,
-) -> CellRecord {
-    let is_class = scen.is_classification();
+fn run_canary_cell(unit: &Unit<'_>, chip: &mut Chip, voltage: f64, nominal: f64) -> CellRecord {
     let flow = DeploymentFlow {
-        mat: training.trainer.config().clone(),
+        mat: unit.trainer.config().clone(),
         ..DeploymentFlow::new(voltage)
     };
     // Only the pure training step is memoized; canary selection,
     // profiling, upload and arming run on the chip as always.
-    let mut net = chip.deploy_with(&flow, training.trainer.spec(), |faults| {
-        TrainedModel::clone(&training.train(faults))
+    let mut net = chip.deploy_with(&flow, unit.trainer.spec(), |faults| {
+        TrainedModel::clone(&unit.train(faults))
     });
     let settled = chip.poll_canaries(&mut net);
     // Compose the post-disturb contents once at the settled rail and run
@@ -859,21 +900,20 @@ fn run_canary_cell(
         net.program(),
         &weights,
         None,
-        is_class,
-        &split.test,
+        unit.scen.is_classification(),
+        &unit.split.test,
     );
-    let map = net.deployment().fault_map().clone();
-    let mut cell = base_cell(
-        plan,
-        scen,
-        chip_idx,
+    let map = net.deployment().fault_map();
+    let mut cell = new_cell(
+        unit,
         TrainingMode::MatCanary,
         voltage,
         error,
         nominal,
-        &map,
-    )
-    .with_energy(cell_energy(chip, first_npu));
+        map,
+        None,
+    );
+    cell.energy = Some(cell_energy(chip, first_npu));
     cell.settled_voltage = Some(settled);
     cell
 }
@@ -892,7 +932,7 @@ fn eval_injected(
     test: &[Sample],
     faults: &CellFaults,
     geom: &ArrayConfig,
-) -> f64 {
+) -> (f64, NpuStats) {
     let mut array = SramArray::synthesize(geom, 0);
     upload_weights(model, &mut array);
     for b in 0..geom.banks {
@@ -908,7 +948,7 @@ fn eval_injected(
     let npu = Snnac::snnac(model.format());
     let program = Program::compile(model.master().spec(), npu.pe_count());
     let drops = faults.drops.as_ref();
-    eval_composed_set(&npu, &program, &weights, drops, is_classification, test).0
+    eval_composed_set(&npu, &program, &weights, drops, is_classification, test)
 }
 
 /// How many of the layout's weight parameters a drop spec kills, as
@@ -928,179 +968,27 @@ fn dropped_weight_stats(drops: &MacDropSpec, layout: &WeightLayout) -> (usize, f
     (dropped, dropped as f64 / total.max(1) as f64)
 }
 
-/// The sweep unit for synthetic fault models (`needs_silicon() == false`):
-/// fault content is derived from the plan's seeds, MAT trains against the
-/// injected map — or, for kernel-side drops, against the exact stuck-at-0
-/// surrogate (a dropped MAC contributes zero to the integer accumulation,
-/// precisely what a zeroed weight word does) — and every evaluation runs
-/// through the NPU with the faults composed in.
-#[allow(clippy::too_many_arguments)]
-fn run_injected_unit(
-    plan: &SweepPlan,
-    scen: &dyn Scenario,
-    scen_idx: usize,
-    chip_idx: usize,
-    split: &Split,
-    training: &UnitTraining<'_>,
-    points: &[f64],
-    ctx: &ExecContext<'_>,
-) -> UnitOutcome {
-    let is_class = scen.is_classification();
-    let geom = plan.model.geometry();
-    let layout = WeightLayout::new(training.trainer.spec(), geom.banks, geom.bank.words)
-        .expect("scenario topology fits the model's weight memory");
-
-    // The unit-invariant half of every cell key, hashed once.
-    let prefix = ctx
-        .cache
-        .map(|_| UnitKeyPrefix::new(plan, scen_idx, chip_idx));
-    let mut naive: Option<NaiveBaseline> = None;
-    let mut adaptive: Option<AdaptiveModel> = None;
-    let mut cells = Vec::with_capacity(points.len() * plan.modes.len());
-    for (point_idx, &stress) in points.iter().enumerate() {
-        let faults = plan.model.faults_at(&FaultContext {
-            stress,
-            cell_seed: plan.cell_map_seed(chip_idx, scen_idx, point_idx),
-            unit_seed: plan.unit_fault_seed(chip_idx, scen_idx),
-            profiled: None,
-        });
-        // The map MAT trains against — and the content the cell key
-        // fingerprints: the injected map itself for storage faults, the
-        // stuck-at-0 surrogate for kernel-side drops.
-        let train_map = match &faults.drops {
-            Some(drops) => drop_surrogate_map(drops, &layout, geom.bank.word_bits),
-            None => faults.map.clone(),
-        };
-        let drop_stats = faults
-            .drops
-            .as_ref()
-            .map(|d| dropped_weight_stats(d, &layout));
-        // One fault-content digest per point, shared by all modes.
-        let map_fp = prefix.as_ref().map(|_| train_map.fingerprint());
-        let reused = plan.modes.contains(&TrainingMode::Mat)
-            && advance_adaptive(plan, &mut adaptive, &train_map);
-        for &mode in &plan.modes {
-            if ctx.is_cancelled() {
-                return UnitOutcome {
-                    cells,
-                    cancelled: true,
-                };
-            }
-            let key = prefix
-                .as_ref()
-                .map(|p| p.cell(plan, point_idx, mode, map_fp.expect("set with prefix")));
-            let claim = match ctx.resolve(key.as_ref()) {
-                Resolution::Replay(hit, origin) => {
-                    cells.push((*hit, origin));
-                    continue;
-                }
-                Resolution::Compute(claim) => claim,
-            };
-            let cell = match mode {
-                TrainingMode::Naive => {
-                    let baseline =
-                        ensure_naive_injected(&mut naive, training, is_class, split, &geom);
-                    let error =
-                        eval_injected(&baseline.model, is_class, &split.test, &faults, &geom);
-                    base_injected_cell(
-                        plan,
-                        scen,
-                        chip_idx,
-                        mode,
-                        stress,
-                        error,
-                        baseline.nominal,
-                        &train_map,
-                        drop_stats,
-                    )
-                }
-                TrainingMode::Mat => {
-                    let nominal =
-                        ensure_naive_injected(&mut naive, training, is_class, split, &geom).nominal;
-                    let model =
-                        materialize_adaptive(adaptive.as_mut().expect("advanced above"), training);
-                    let error = eval_injected(model, is_class, &split.test, &faults, &geom);
-                    let mut cell = base_injected_cell(
-                        plan, scen, chip_idx, mode, stress, error, nominal, &train_map, drop_stats,
-                    );
-                    cell.reused_model = reused;
-                    cell
-                }
-                TrainingMode::MatCanary => {
-                    unreachable!("plan validation rejects mat-canary on synthetic fault models")
-                }
-            };
-            ctx.finish(claim, key.as_ref(), &cell);
-            cells.push((cell, CellOrigin::Computed));
-        }
-    }
-    UnitOutcome {
-        cells,
-        cancelled: false,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn base_cell(
-    plan: &SweepPlan,
-    scen: &dyn Scenario,
-    chip_idx: usize,
-    mode: TrainingMode,
-    voltage: f64,
-    error: f64,
-    nominal: f64,
-    map: &FaultMap,
-) -> CellRecord {
-    let mut cell = new_cell(plan, scen, chip_idx, mode, error, nominal, map);
-    cell.voltage = Some(voltage);
-    cell
-}
-
-/// A cell of the injected (synthetic-model) path: the stress value lands
-/// in the axis-appropriate column, and for kernel-side drop models the
-/// storage-map statistics — meaningless there — are replaced by the
-/// dropped-MAC population.
-#[allow(clippy::too_many_arguments)]
-fn base_injected_cell(
-    plan: &SweepPlan,
-    scen: &dyn Scenario,
-    chip_idx: usize,
+/// A cell at stress point `stress`: the value lands in the plan axis's
+/// column, and for kernel-side drop models the storage-map statistics —
+/// meaningless there — are replaced by the dropped-weight population.
+fn new_cell(
+    unit: &Unit<'_>,
     mode: TrainingMode,
     stress: f64,
     error: f64,
     nominal: f64,
     map: &FaultMap,
-    drop_stats: Option<(usize, f64)>,
+    drops: Option<(usize, f64)>,
 ) -> CellRecord {
-    let mut cell = new_cell(plan, scen, chip_idx, mode, error, nominal, map);
-    match &plan.axis {
-        StressAxis::Voltage(_) => cell.voltage = Some(stress),
-        StressAxis::BitErrorRate(_) => cell.ber_target = Some(stress),
-        StressAxis::ClockStress(_) => cell.clock_stress = Some(stress),
-    }
-    if let Some((dropped, fraction)) = drop_stats {
-        cell.fault_count = dropped;
-        cell.measured_ber = fraction;
-    }
-    cell
-}
-
-fn new_cell(
-    plan: &SweepPlan,
-    scen: &dyn Scenario,
-    chip_idx: usize,
-    mode: TrainingMode,
-    error: f64,
-    nominal: f64,
-    map: &FaultMap,
-) -> CellRecord {
+    let (plan, scen, chip_idx) = (unit.plan, unit.scen, unit.chip_idx);
     let is_class = scen.is_classification();
     let margin = if is_class {
         plan.fail_margin_percent
     } else {
         plan.fail_margin_mse
     };
-    CellRecord {
+    let (fault_count, measured_ber) = drops.unwrap_or((map.fault_count(), map.ber()));
+    let mut cell = CellRecord {
         scenario: scen.name().to_string(),
         chip_index: chip_idx,
         chip_seed: plan.chip_seed(chip_idx),
@@ -1117,21 +1005,16 @@ fn new_cell(
             "mse".to_string()
         },
         energy: None,
-        measured_ber: map.ber(),
-        fault_count: map.fault_count(),
+        measured_ber,
+        fault_count,
         settled_voltage: None,
         reused_model: false,
         failed: error > nominal + margin,
+    };
+    match &plan.axis {
+        StressAxis::Voltage(_) => cell.voltage = Some(stress),
+        StressAxis::BitErrorRate(_) => cell.ber_target = Some(stress),
+        StressAxis::ClockStress(_) => cell.clock_stress = Some(stress),
     }
-}
-
-trait WithEnergy {
-    fn with_energy(self, energy: CellEnergy) -> Self;
-}
-
-impl WithEnergy for CellRecord {
-    fn with_energy(mut self, energy: CellEnergy) -> Self {
-        self.energy = Some(energy);
-        self
-    }
+    cell
 }

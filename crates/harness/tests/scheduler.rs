@@ -25,19 +25,33 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The same small-but-representative plan the resume tests use: two
-/// chips, a fault-free and a faulty voltage point, all three modes.
-fn plan(chips: usize, threads: usize) -> SweepPlan {
-    SweepPlan::builder()
+/// The stress axis a test plan sweeps.
+#[derive(Debug, Clone, Copy)]
+enum Axis {
+    /// Profiled silicon: a fault-free and a faulty voltage point, all
+    /// three modes.
+    Voltage,
+    /// Injected i.i.d. bit errors at two rates, naive and MAT.
+    Ber,
+    /// Injected MAC timing drops: two points below the drop onset (the
+    /// second reuses the first's model and evaluations) and one above.
+    Clock,
+}
+
+/// The same small-but-representative plan the resume tests use.
+fn plan(axis: Axis, chips: usize, threads: usize) -> SweepPlan {
+    use TrainingMode::{Mat, MatCanary, Naive};
+    let builder = SweepPlan::builder();
+    let (builder, modes): (_, &[TrainingMode]) = match axis {
+        Axis::Voltage => (builder.voltages(&[0.9, 0.52]), &[Naive, Mat, MatCanary]),
+        Axis::Ber => (builder.bit_error_rates(&[0.001, 0.01]), &[Naive, Mat]),
+        Axis::Clock => (builder.clock_stress(&[0.1, 0.2, 0.6]), &[Naive, Mat]),
+    };
+    builder
         .chips(chips)
-        .voltages(&[0.9, 0.52])
         .benchmark("inversek2j")
         .expect("builtin benchmark")
-        .modes(&[
-            TrainingMode::Naive,
-            TrainingMode::Mat,
-            TrainingMode::MatCanary,
-        ])
+        .modes(modes)
         .data_scale(0.1)
         .epoch_scale(0.2)
         .seed(11)
@@ -66,62 +80,77 @@ impl ProgressSink for CancelAfter {
     }
 }
 
+/// Cancels a single-threaded sweep after three cells, on every stress
+/// axis. The cut leaves the first unit partially cached, so the resumed
+/// walk materializes the naive baseline and the adaptive model lazily
+/// after cache hits — on the clock axis right where the cold walk reuses
+/// the previous point's model and evaluations.
 #[test]
 fn cancel_mid_sweep_checkpoints_the_prefix_and_resumes_byte_identical() {
-    let dir = scratch_dir("cancel");
-    let cache = SweepCache::open(&dir).expect("cache opens");
-    let plan1 = plan(2, 1); // one worker: the walk is strictly sequential
-    let total = plan1.cell_count();
+    for axis in [Axis::Voltage, Axis::Ber, Axis::Clock] {
+        let dir = scratch_dir("cancel");
+        let cache = SweepCache::open(&dir).expect("cache opens");
+        let plan1 = plan(axis, 2, 1); // one worker: the walk is strictly sequential
+        let total = plan1.cell_count();
 
-    let token = CancelToken::new();
-    let sink = CancelAfter {
-        token: token.clone(),
-        seen: AtomicUsize::new(0),
-        limit: 5,
-    };
-    let ctx = ExecContext {
-        cache: Some(&cache),
-        inflight: None,
-        cancel: Some(&token),
-        progress: Some(&sink),
-        memo: None,
-    };
-    let cancelled = match run_sweep_observed(&plan1, &ctx) {
-        SweepOutcome::Cancelled(c) => c,
-        SweepOutcome::Complete(_) => panic!("the sweep must stop at the cancellation"),
-    };
-    assert_eq!(
-        cancelled.cells_done, 5,
-        "a single-threaded walk stops exactly at the next cell boundary"
-    );
-    assert_eq!(cancelled.cells_total, total);
-    assert_eq!(
-        cancelled.cache.misses, 5,
-        "every finished cell was computed"
-    );
-    assert_eq!(cancelled.cache.hits, 0);
+        let token = CancelToken::new();
+        let sink = CancelAfter {
+            token: token.clone(),
+            seen: AtomicUsize::new(0),
+            limit: 3,
+        };
+        let ctx = ExecContext {
+            cache: Some(&cache),
+            inflight: None,
+            cancel: Some(&token),
+            progress: Some(&sink),
+            memo: None,
+        };
+        let cancelled = match run_sweep_observed(&plan1, &ctx) {
+            SweepOutcome::Cancelled(c) => c,
+            SweepOutcome::Complete(_) => {
+                panic!("{axis:?}: the sweep must stop at the cancellation")
+            }
+        };
+        assert_eq!(
+            cancelled.cells_done, 3,
+            "{axis:?}: a single-threaded walk stops exactly at the next cell boundary"
+        );
+        assert_eq!(cancelled.cells_total, total);
+        assert_eq!(
+            cancelled.cache.misses, 3,
+            "{axis:?}: every finished cell was computed"
+        );
+        assert_eq!(cancelled.cache.hits, 0);
 
-    // Cancellation must leave the cache consistent: exactly the finished
-    // prefix is checkpointed, nothing partial.
-    assert_eq!(
-        cache.stats().expect("stats").cells,
-        cancelled.cells_done,
-        "each finished cell was checkpointed before the stop"
-    );
+        // Cancellation must leave the cache consistent: exactly the
+        // finished prefix is checkpointed, nothing partial.
+        assert_eq!(
+            cache.stats().expect("stats").cells,
+            cancelled.cells_done,
+            "{axis:?}: each finished cell was checkpointed before the stop"
+        );
 
-    // Resubmitting the plan resumes: the prefix replays, only the rest
-    // computes, and the report matches an uncached cold run byte-for-byte.
-    let resumed = run_sweep_with_cache(&plan1, Some(&cache));
-    assert_eq!(resumed.cache.hits, cancelled.cells_done);
-    assert_eq!(resumed.cache.misses, total - cancelled.cells_done);
-    let baseline = run_sweep_with_cache(&plan(2, 2), None);
-    assert_eq!(
-        report_bytes(&baseline.report),
-        report_bytes(&resumed.report),
-        "a cancel/resume cycle must reproduce the uninterrupted bytes"
-    );
+        // Resubmitting the plan resumes: the prefix replays, only the rest
+        // computes, and the report matches an uncached cold run
+        // byte-for-byte.
+        let resumed = run_sweep_with_cache(&plan1, Some(&cache));
+        assert_eq!(resumed.cache.hits, cancelled.cells_done);
+        assert_eq!(resumed.cache.misses, total - cancelled.cells_done);
+        if let Axis::Clock = axis {
+            // The first cell computed after the cut reuses the model the
+            // cold walk trained at the previous, cached point.
+            assert!(resumed.report.cells[3].reused_model);
+        }
+        let baseline = run_sweep_with_cache(&plan(axis, 2, 2), None);
+        assert_eq!(
+            report_bytes(&baseline.report),
+            report_bytes(&resumed.report),
+            "{axis:?}: a cancel/resume cycle must reproduce the uninterrupted bytes"
+        );
 
-    let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
@@ -129,7 +158,7 @@ fn concurrent_identical_sweeps_compute_each_cell_once() {
     let dir = scratch_dir("concurrent");
     let cache = SweepCache::open(&dir).expect("cache opens");
     let inflight = Inflight::new();
-    let run_plan = plan(2, 2);
+    let run_plan = plan(Axis::Voltage, 2, 2);
     let total = run_plan.cell_count();
 
     // Two fully overlapping jobs race over one cache and one in-flight
@@ -193,8 +222,8 @@ fn concurrent_overlapping_grids_share_the_common_cells() {
     let dir = scratch_dir("overlap");
     let cache = SweepCache::open(&dir).expect("cache opens");
     let inflight = Inflight::new();
-    let small = plan(2, 2);
-    let large = plan(3, 2);
+    let small = plan(Axis::Voltage, 2, 2);
+    let large = plan(Axis::Voltage, 3, 2);
     let overlap = small.cell_count();
     let distinct = large.cell_count(); // small's cells ⊂ large's cells
 

@@ -25,9 +25,25 @@
 //!     --modes naive,mat,mat-canary --scale 0.2 --epochs 0.3 --seed 42 \
 //!     --quiet --out tests/golden/sweep_canary_v3.json
 //! ```
+//!
+//! Two more pin the synthetic fault models, which run without profiled
+//! silicon: i.i.d. bit errors on the BER axis, and MAC timing drops on
+//! the clock-stress axis. The clock grid's two points below the drop
+//! onset inject nothing, so they exercise model reuse and evaluation
+//! replay on a synthetic axis:
+//!
+//! ```text
+//! matic sweep --chips 2 --bers 0.0005,0.002,0.008 --benchmarks all \
+//!     --modes naive,mat --scale 0.2 --epochs 0.3 --seed 42 \
+//!     --quiet --out tests/golden/sweep_ber_v3.json
+//! matic sweep --chips 2 --clock-stress 0.1,0.2,0.5,0.9 --benchmarks all \
+//!     --modes naive,mat --scale 0.2 --epochs 0.3 --seed 42 \
+//!     --quiet --out tests/golden/sweep_clock_v3.json
+//! ```
 
 use matic_harness::{
-    run_sweep, run_sweep_observed, ExecContext, SweepOutcome, SweepPlan, TrainingMemo, TrainingMode,
+    run_sweep, run_sweep_observed, ExecContext, SweepOutcome, SweepPlan, SweepPlanBuilder,
+    TrainingMemo, TrainingMode,
 };
 
 /// Fails with the produced report written next to the golden, so CI
@@ -112,5 +128,38 @@ fn canary_sweep_is_byte_identical_to_golden_and_trains_each_model_once() {
     for threads in [1, 4] {
         let got = run_sweep(&canary_plan(threads)).to_json_pretty();
         assert_golden(&got, golden, "sweep_canary_v3");
+    }
+}
+
+/// The all-benchmark naive/mat grid over a synthetic stress axis, set by
+/// `axis` on the builder.
+fn synthetic_plan(axis: fn(SweepPlanBuilder) -> SweepPlanBuilder, threads: usize) -> SweepPlan {
+    axis(SweepPlan::builder())
+        .chips(2)
+        .all_benchmarks()
+        .modes(&[TrainingMode::Naive, TrainingMode::Mat])
+        .data_scale(0.2)
+        .epoch_scale(0.3)
+        .seed(42)
+        .threads(threads)
+        .build()
+        .expect("plan is valid")
+}
+
+#[test]
+fn ber_sweep_is_byte_identical_to_golden() {
+    let golden = include_str!("golden/sweep_ber_v3.json");
+    for threads in [1, 2, 4] {
+        let plan = synthetic_plan(|b| b.bit_error_rates(&[0.0005, 0.002, 0.008]), threads);
+        assert_golden(&run_sweep(&plan).to_json_pretty(), golden, "sweep_ber_v3");
+    }
+}
+
+#[test]
+fn clock_sweep_is_byte_identical_to_golden() {
+    let golden = include_str!("golden/sweep_clock_v3.json");
+    for threads in [1, 2, 4] {
+        let plan = synthetic_plan(|b| b.clock_stress(&[0.1, 0.2, 0.5, 0.9]), threads);
+        assert_golden(&run_sweep(&plan).to_json_pretty(), golden, "sweep_clock_v3");
     }
 }
