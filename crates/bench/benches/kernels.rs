@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the hot kernels: the fixed-point MAC
 //! inner loop, injection masking, fault-composition, SRAM profiling, NPU
-//! inference (per-MAC reference vs. fault-composed), and the
+//! inference (per-MAC reference vs. fault-composed batches), and the
 //! memory-adaptive training step.
 //!
 //! These do not map to a paper table; they document the simulator's own
@@ -20,7 +20,6 @@ use matic_core::{
 use matic_datasets::Benchmark;
 use matic_fixed::{Accumulator, Fx, QFormat};
 use matic_harness::eval_composed_set;
-use matic_nn::kernel::{fx_dot, fx_dot_with, KernelTier};
 use matic_nn::{MomentumState, Sample, SgdConfig};
 use matic_snnac::microcode::Program;
 use matic_snnac::{Chip, ChipConfig, Snnac};
@@ -42,24 +41,6 @@ fn bench_mac(c: &mut Criterion) {
             }
             black_box(acc.raw())
         })
-    });
-    // The blocked/unrolled scalar-tier kernel over the same operands
-    // (identical sum).
-    let ws_raw: Vec<i32> = ws.iter().map(|w| w.raw()).collect();
-    let xs_raw: Vec<i32> = xs.iter().map(|x| x.raw()).collect();
-    c.bench_function("fx_dot_1024_unrolled", |b| {
-        b.iter(|| {
-            black_box(fx_dot_with(
-                KernelTier::Scalar,
-                black_box(&ws_raw),
-                black_box(&xs_raw),
-            ))
-        })
-    });
-    // The auto-dispatched lane-packed tier (AVX2 where available, still
-    // the exact same i64 sum).
-    c.bench_function("fx_dot_1024_lanes", |b| {
-        b.iter(|| black_box(fx_dot(black_box(&ws_raw), black_box(&xs_raw))))
     });
 }
 
@@ -141,11 +122,7 @@ fn bench_inference(c: &mut Criterion) {
         })
     });
 
-    // The hot path: dense blocked kernel over the composed artifact.
     let weights = FaultedWeights::from_array(model.layout(), model.format(), chip.array_mut());
-    c.bench_function("npu_inference_mnist_composed", |b| {
-        b.iter(|| black_box(npu.execute_composed(&program, &weights, black_box(&input))))
-    });
 
     // Batched inference: one dispatch carries INFERENCE_BATCH sample
     // lanes through the microcode. Timed per dispatch here; the JSON
@@ -204,11 +181,11 @@ fn bench_conv(c: &mut Criterion) {
     let (model, mut chip, npu, program, test) = conv_fixture();
     let input = test[0].input.clone();
 
-    // Whole-layer conv/pool micro-ops over the composed artifact: the
-    // extended-topology inference hot path.
+    // Whole-layer conv/pool micro-ops over the composed artifact, one
+    // sample: the conv lowering's position lanes carry the batch.
     let weights = FaultedWeights::from_array(model.layout(), model.format(), chip.array_mut());
     c.bench_function("npu_inference_conv_composed", |b| {
-        b.iter(|| black_box(npu.execute_composed(&program, &weights, black_box(&input))))
+        b.iter(|| black_box(npu.execute_batch(&program, &weights, &[black_box(input.as_slice())])))
     });
 
     // The chain backward pass (conv/pool gradients via the per-sample

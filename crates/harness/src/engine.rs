@@ -116,7 +116,7 @@ use matic_sram::{ArrayConfig, FaultMap, SramArray};
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The outcome of one sweep run: the deterministic report plus the
 /// run's cache provenance. The provenance lives here — not inside the
@@ -359,59 +359,42 @@ pub fn eval_on_chip(
     eval_composed_set(&npu, &program, &weights, None, is_classification, test)
 }
 
-/// Process-wide override of the eval chunk size (`None` restores the
-/// default resolution: the `MATIC_EVAL_CHUNK` environment variable, then
-/// 32). Exists for differential tests; like the kernel-tier override,
-/// flipping it can never change results — only how the identical
-/// per-sample contributions are grouped into batched NPU calls.
-pub fn set_eval_chunk(chunk: Option<usize>) {
+/// Overrides the eval chunk size (`None` restores the default of 32).
+/// Exists for the determinism proptests: flipping it can never change
+/// results — only how the identical per-sample contributions are grouped
+/// into batched NPU calls.
+#[cfg(test)]
+pub(crate) fn set_eval_chunk(chunk: Option<usize>) {
     // 0 encodes "no override"; an explicit Some(0) is clamped to 1.
-    let encoded = match chunk {
-        Some(c) => c.max(1),
-        None => 0,
-    };
-    EVAL_CHUNK_OVERRIDE.store(encoded, Ordering::Relaxed);
+    EVAL_CHUNK_OVERRIDE.store(chunk.map_or(0, |c| c.max(1)), Ordering::Relaxed);
 }
 
 /// `0` means "no override active".
 static EVAL_CHUNK_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Samples per batched NPU call (and per parallel work item) inside one
-/// cell's evaluation: the [`set_eval_chunk`] override if active, else
-/// `MATIC_EVAL_CHUNK`, else 32 — large enough to amortize each weight-row
+/// cell's evaluation: 32 — large enough to amortize each weight-row
 /// traversal across the lanes, small enough to split a few-hundred-sample
 /// eval set across workers.
 fn eval_chunk() -> usize {
-    let v = EVAL_CHUNK_OVERRIDE.load(Ordering::Relaxed);
-    if v > 0 {
-        return v;
+    match EVAL_CHUNK_OVERRIDE.load(Ordering::Relaxed) {
+        0 => 32,
+        v => v,
     }
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    ENV.get_or_init(|| {
-        std::env::var("MATIC_EVAL_CHUNK").ok().map(|v| {
-            v.parse::<usize>()
-                .unwrap_or_else(|_| {
-                    panic!("MATIC_EVAL_CHUNK must be a positive integer, got {v:?}")
-                })
-                .max(1)
-        })
-    })
-    .unwrap_or(32)
 }
 
 /// Evaluates a composed weight set over the whole test set through the
-/// NPU's batched kernel, with the eval set split into fixed-size chunks
-/// (see [`set_eval_chunk`]) across the worker pool. Returns the
+/// NPU's batched interpreter, with the eval set split into fixed-size
+/// chunks of 32 samples across the worker pool. Returns the
 /// Table I metric and the per-inference cycle counters (identical for
 /// every sample — the NPU schedule is data-independent).
 ///
 /// # Determinism
 ///
-/// The result is bit-identical to the sequential per-sample
-/// `execute_composed_dropped` loop it replaces, and invariant across
-/// worker counts, chunk sizes and kernel tiers, because every stage
-/// either computes exact per-sample values or folds them in a fixed
-/// order:
+/// The result is bit-identical to a sequential loop of one-sample
+/// batches, and invariant across worker counts and chunk sizes, because
+/// every stage either computes exact per-sample values or folds them in
+/// a fixed order:
 ///
 /// 1. each sample's NPU output is bit-identical in every batching (exact
 ///    integer MACs, per-sample lanes);

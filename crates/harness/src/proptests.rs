@@ -2,21 +2,21 @@
 //!
 //! These drive the whole pipeline — training, fault injection, batched
 //! on-chip eval, the chunked intra-cell reduction — under randomly drawn
-//! scheduling knobs (worker-thread count, eval chunk size, kernel tier)
-//! and require the serialized report to stay **byte-identical** to a
-//! single-threaded scalar-tier baseline. This is the load-bearing
-//! invariant behind every golden file in the repo: no observable output
-//! may depend on how the work was scheduled or which MAC kernel ran.
+//! scheduling knobs (worker-thread count, eval chunk size) and require
+//! the serialized report to stay **byte-identical** to a single-threaded,
+//! one-sample-batch baseline. This is the load-bearing invariant behind
+//! every golden file in the repo: no observable output may depend on how
+//! the work was scheduled or how the samples were batched.
 //!
-//! Flipping the kernel tier and eval-chunk overrides mid-process is safe
-//! precisely because of that invariant; the overrides are restored to
-//! auto after every case regardless.
+//! Flipping the eval-chunk override mid-process is safe precisely
+//! because of that invariant; it is restored to the default after every
+//! case regardless.
 
+use crate::engine::set_eval_chunk;
 use crate::{
-    assemble_sharded, run_sweep, run_unit_observed, set_eval_chunk, shard_units, sweep_splits,
-    ExecContext, SweepOutcome, SweepPlan, TrainingMode,
+    assemble_sharded, run_sweep, run_unit_observed, shard_units, sweep_splits, ExecContext,
+    SweepOutcome, SweepPlan, TrainingMode,
 };
-use matic_nn::kernel::{set_kernel_tier, KernelTier};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -37,59 +37,51 @@ fn tiny_plan(threads: usize) -> SweepPlan {
         .expect("plan is valid")
 }
 
-/// The reference report: one worker, scalar kernels, chunk size 1.
+/// The report of `plan` with every NPU call a batch of one.
+fn one_sample_batches(plan: &SweepPlan) -> String {
+    set_eval_chunk(Some(1));
+    let report = run_sweep(plan).to_json_pretty();
+    set_eval_chunk(None);
+    report
+}
+
+/// The reference report: one worker, one-sample batches.
 fn baseline() -> &'static String {
     static BASELINE: OnceLock<String> = OnceLock::new();
-    BASELINE.get_or_init(|| {
-        set_kernel_tier(Some(KernelTier::Scalar));
-        set_eval_chunk(Some(1));
-        let report = run_sweep(&tiny_plan(1)).to_json_pretty();
-        set_kernel_tier(None);
-        set_eval_chunk(None);
-        report
-    })
+    BASELINE.get_or_init(|| one_sample_batches(&tiny_plan(1)))
 }
 
 proptest! {
     // Full sweeps are expensive; a handful of drawn configurations per
-    // run still covers the {threads x chunk x tier} space over time.
+    // run still covers the {threads x chunk} space over time.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Accumulation-order invariance, end to end: the full sweep report
-    /// is byte-identical across worker-thread counts, eval chunk sizes
-    /// (including chunk 1 and chunks larger than the eval set), and
-    /// kernel tiers.
+    /// is byte-identical across worker-thread counts and eval chunk sizes
+    /// (including chunk 1 and chunks larger than the eval set).
     #[test]
     fn sweep_report_invariant_under_scheduling_knobs(
         threads in 1usize..5,
         chunk_pick in 0usize..4,
         raw_chunk in 2usize..8,
-        tier_pick in 0usize..4,
     ) {
         let chunk = [1, raw_chunk, 64, 1024][chunk_pick];
-        let tier = [
-            None,
-            Some(KernelTier::Scalar),
-            Some(KernelTier::Lanes),
-            Some(KernelTier::Simd),
-        ][tier_pick];
         let expected = baseline().clone();
-        set_kernel_tier(tier);
         set_eval_chunk(Some(chunk));
         let got = run_sweep(&tiny_plan(threads)).to_json_pretty();
-        set_kernel_tier(None);
         set_eval_chunk(None);
         prop_assert_eq!(
             got, expected,
-            "report must not depend on threads={} chunk={} tier={:?}",
-            threads, chunk, tier
+            "report must not depend on threads={} chunk={}",
+            threads, chunk
         );
     }
 }
 
 /// A conv-chain plan: the same invariance contract as [`tiny_plan`],
 /// but through the extended-topology pipeline — whole-layer conv/pool
-/// micro-ops, the per-sample batch fallback, and the v4 report schema.
+/// micro-ops lowered onto position × sample lanes, and the v4 report
+/// schema.
 fn conv_plan(threads: usize) -> SweepPlan {
     let topo =
         matic_nn::NetSpec::parse_topology("10x10x1;conv3x2;pool2;dense10").expect("valid chain");
@@ -108,17 +100,10 @@ fn conv_plan(threads: usize) -> SweepPlan {
         .expect("plan is valid")
 }
 
-/// The conv reference report: one worker, scalar kernels, chunk size 1.
+/// The conv reference report: one worker, one-sample batches.
 fn conv_baseline() -> &'static String {
     static BASELINE: OnceLock<String> = OnceLock::new();
-    BASELINE.get_or_init(|| {
-        set_kernel_tier(Some(KernelTier::Scalar));
-        set_eval_chunk(Some(1));
-        let report = run_sweep(&conv_plan(1)).to_json_pretty();
-        set_kernel_tier(None);
-        set_eval_chunk(None);
-        report
-    })
+    BASELINE.get_or_init(|| one_sample_batches(&conv_plan(1)))
 }
 
 proptest! {
@@ -126,30 +111,22 @@ proptest! {
 
     /// The extended-topology pipeline honors the same invariant as the
     /// dense one: a conv-chain sweep report is byte-identical across
-    /// worker-thread counts, eval chunk sizes and kernel tiers.
+    /// worker-thread counts and eval chunk sizes — the batch shape the
+    /// conv kernel's position × sample lanes take.
     #[test]
-    fn conv_report_invariant_under_threads_and_kernel_tier(
+    fn conv_report_invariant_under_threads_and_batch_shape(
         threads in 1usize..4,
         chunk_pick in 0usize..3,
-        tier_pick in 0usize..4,
     ) {
         let chunk = [1, 7, 1024][chunk_pick];
-        let tier = [
-            None,
-            Some(KernelTier::Scalar),
-            Some(KernelTier::Lanes),
-            Some(KernelTier::Simd),
-        ][tier_pick];
         let expected = baseline_conv_checked();
-        set_kernel_tier(tier);
         set_eval_chunk(Some(chunk));
         let got = run_sweep(&conv_plan(threads)).to_json_pretty();
-        set_kernel_tier(None);
         set_eval_chunk(None);
         prop_assert_eq!(
             got, expected,
-            "conv report must not depend on threads={} chunk={} tier={:?}",
-            threads, chunk, tier
+            "conv report must not depend on threads={} chunk={}",
+            threads, chunk
         );
     }
 }

@@ -112,9 +112,10 @@ fn composed_matches_reference_for_every_model() {
                 let weights =
                     FaultedWeights::from_array(trained.layout(), trained.format(), &mut array);
                 let drops = faults.drops.as_ref();
-                for (i, s) in test.iter().enumerate() {
-                    let (fast, fast_stats) =
-                        npu.execute_composed_dropped(&program, &weights, &s.input, drops);
+                let inputs: Vec<&[f64]> = test.iter().map(|s| s.input.as_slice()).collect();
+                let (fast_outs, fast_stats) =
+                    npu.execute_batch_dropped(&program, &weights, &inputs, drops);
+                for (i, (s, fast)) in test.iter().zip(&fast_outs).enumerate() {
                     let (reference, ref_stats) = npu.execute_reference_dropped(
                         &program,
                         trained.layout(),

@@ -1,36 +1,16 @@
-//! Cache-blocked, lane-packed fixed-point inner-product kernels.
+//! The fixed-point MAC kernel: a batched, lane-packed integer matrix
+//! product, plain and with TE-Drop error injection.
 //!
 //! The SNNAC datapath accumulates raw two's-complement products into a
 //! wide register (`sum += w·x` over `i64`), which is *exact* integer
 //! arithmetic — reassociating the additions cannot change the result.
-//! That freedom is what every kernel here exploits, and it comes in
-//! three **tiers** of increasing data parallelism, all bit-identical by
-//! construction:
-//!
-//! * [`KernelTier::Scalar`] — the composed-scalar reference: a four-way
-//!   unrolled loop that breaks the loop-carried dependency so a scalar
-//!   core can retire several MACs per cycle. This is the tier every
-//!   other tier is differentially tested against.
-//! * [`KernelTier::Lanes`] — manual eight-wide lane packing: eight
-//!   independent `i64` partial sums that the compiler can keep in
-//!   vector registers on any architecture, plus batched kernels
-//!   ([`fx_matmul`]) that run many samples through one weight row in
-//!   sample-major lanes.
-//! * [`KernelTier::Simd`] — an explicit `std::arch` AVX2 path
-//!   (`x86_64` only) behind a **runtime** feature gate: widening
-//!   32×32→64 multiplies (`vpmuldq`) into four-lane `i64` accumulators.
-//!   When AVX2 is absent at runtime the dispatch falls back to the lane
-//!   tier, so requesting [`KernelTier::Simd`] is always safe.
-//!
-//! The active tier is resolved by [`kernel_tier`]: a process-wide
-//! programmatic override ([`set_kernel_tier`]) wins, then the
-//! `MATIC_KERNEL` environment variable (`scalar`|`lanes`|`simd`|`auto`),
-//! then auto-detection (AVX2 if the CPU has it, lanes otherwise). The
-//! forced-scalar override exists for differential testing: because
-//! every tier reassociates the same exact integer sum, flipping the
-//! tier — even mid-process — can never change a result, only its speed.
-//! The `*_with` entry points take an explicit tier so parity suites can
-//! compare tiers in one process without touching global state.
+//! The kernel exploits that freedom in one portable, safe
+//! implementation: lanes (samples, or output positions × samples for a
+//! lowered convolution) are walked in register blocks of eight `i64`
+//! accumulators, each weight broadcast across a block, so the
+//! accumulators stay in registers for a row's whole column walk and the
+//! compiler can unroll or vectorize the block on any target. Every
+//! lane's sum equals the sequential `Σ w·x` bit for bit.
 //!
 //! The kernels are deliberately typed on raw `i32`/`i64` slices rather
 //! than on fixed-point wrapper types: callers (the NPU simulator, the
@@ -38,562 +18,90 @@
 //! storage and do format bookkeeping themselves, so the inner loops stay
 //! free of per-element tag checks.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+/// Lanes per register block of [`fx_matmul`]: eight `i64` accumulators
+/// stay in registers across a whole row's column walk.
+const LANES: usize = 8;
 
-/// Rows per block of [`fx_matvec`]: with fan-ins up to a few hundred
-/// `i32`s, 64 rows of operands plus the input vector sit comfortably in a
-/// 32 KiB L1 data cache.
-const ROW_BLOCK: usize = 64;
-
-/// A data-parallelism tier of the integer MAC kernels. All tiers compute
-/// the same exact `i64` sums — integer addition is associative, so the
-/// tiers differ only in how the additions are reassociated and therefore
-/// only in speed, never in bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KernelTier {
-    /// Four-way unrolled scalar loop — the composed-scalar reference
-    /// tier that the parity suites hold the other tiers against.
-    Scalar,
-    /// Manual eight-wide lane packing (portable, safe code).
-    Lanes,
-    /// Explicit AVX2 `std::arch` path. Dispatch falls back to
-    /// [`KernelTier::Lanes`] when the running CPU lacks AVX2 (or the
-    /// build target is not `x86_64`), so selecting it is always safe.
-    Simd,
+/// Checks the [`fx_matmul`] shape contract and returns `cols`.
+fn lane_cols(w: &[i32], x: &[i32], batch: usize, out: &[i64]) -> usize {
+    assert!(batch > 0, "fx_matmul batch must be positive");
+    assert_eq!(x.len() % batch, 0, "fx_matmul input lanes mismatch");
+    assert_eq!(out.len() % batch, 0, "fx_matmul output lanes mismatch");
+    let cols = x.len() / batch;
+    assert_eq!(
+        w.len(),
+        (out.len() / batch) * cols,
+        "fx_matmul shape mismatch"
+    );
+    cols
 }
 
-impl KernelTier {
-    /// The tier's stable name, as accepted by `MATIC_KERNEL`.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelTier::Scalar => "scalar",
-            KernelTier::Lanes => "lanes",
-            KernelTier::Simd => "simd",
-        }
-    }
-}
-
-/// Whether the explicit SIMD tier can actually run on this machine
-/// (compiled for `x86_64` **and** AVX2 detected at runtime).
-#[cfg(target_arch = "x86_64")]
-pub fn simd_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
-/// Whether the explicit SIMD tier can actually run on this machine
-/// (compiled for `x86_64` **and** AVX2 detected at runtime).
-#[cfg(not(target_arch = "x86_64"))]
-pub fn simd_available() -> bool {
-    false
-}
-
-/// `TIER_OVERRIDE` encoding: 0 = no override (fall through to the
-/// environment / auto-detection), 1..=3 = forced tier.
-const TIER_AUTO: u8 = 0;
-
-static TIER_OVERRIDE: AtomicU8 = AtomicU8::new(TIER_AUTO);
-
-fn tier_to_u8(tier: Option<KernelTier>) -> u8 {
-    match tier {
-        None => TIER_AUTO,
-        Some(KernelTier::Scalar) => 1,
-        Some(KernelTier::Lanes) => 2,
-        Some(KernelTier::Simd) => 3,
-    }
-}
-
-fn tier_from_u8(v: u8) -> Option<KernelTier> {
-    match v {
-        1 => Some(KernelTier::Scalar),
-        2 => Some(KernelTier::Lanes),
-        3 => Some(KernelTier::Simd),
-        _ => None,
-    }
-}
-
-/// Forces every tier-dispatched kernel ([`fx_dot`], [`fx_matvec`],
-/// [`fx_matmul`] and the `*_dropped` variants) onto `tier`, process-wide;
-/// `None` restores the default resolution (environment, then
-/// auto-detection).
-///
-/// Safe to flip at any time, even while other threads are inside a
-/// kernel: all tiers produce identical bits, so the override changes
-/// execution speed only. It exists for differential tests and for
-/// harness knobs that pin the tier without touching the environment.
-pub fn set_kernel_tier(tier: Option<KernelTier>) {
-    TIER_OVERRIDE.store(tier_to_u8(tier), Ordering::Relaxed);
-}
-
-/// The tier requested by `MATIC_KERNEL`, read once per process.
-///
-/// # Panics
-///
-/// Panics (on first use) if the variable is set to an unknown value —
-/// a typo in a CI leg must fail loudly, not silently benchmark the
-/// wrong kernel.
-fn env_tier() -> Option<KernelTier> {
-    static ENV: OnceLock<Option<KernelTier>> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("MATIC_KERNEL") {
-        Err(_) => None,
-        Ok(v) => match v.as_str() {
-            "" | "auto" => None,
-            "scalar" => Some(KernelTier::Scalar),
-            "lanes" => Some(KernelTier::Lanes),
-            "simd" => Some(KernelTier::Simd),
-            other => panic!("MATIC_KERNEL must be scalar|lanes|simd|auto, got {other:?}"),
-        },
-    })
-}
-
-/// The tier the dispatched kernels currently run on: the
-/// [`set_kernel_tier`] override if one is active, else the `MATIC_KERNEL`
-/// environment variable, else auto-detection ([`KernelTier::Simd`] when
-/// [`simd_available`], [`KernelTier::Lanes`] otherwise).
-///
-/// A returned [`KernelTier::Simd`] on a machine without AVX2 (possible
-/// when explicitly requested) still executes the lane tier — the
-/// fallback lives in the dispatch, so the request is harmless.
-pub fn kernel_tier() -> KernelTier {
-    if let Some(t) = tier_from_u8(TIER_OVERRIDE.load(Ordering::Relaxed)) {
-        return t;
-    }
-    match env_tier() {
-        Some(t) => t,
-        None => {
-            if simd_available() {
-                KernelTier::Simd
-            } else {
-                KernelTier::Lanes
-            }
-        }
-    }
-}
-
-/// Exact dot product of two raw fixed-point vectors, accumulated in
-/// `i64` on the active [`kernel_tier`].
-///
-/// The result carries `w_frac + x_frac` fraction bits, exactly like
-/// chaining `Accumulator::mac` over the pairs — integer addition is
-/// associative, so every tier's partial-sum reassociation is
-/// bit-identical to the sequential reference.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-///
-/// # Example
-///
-/// ```
-/// use matic_nn::kernel::fx_dot;
-/// assert_eq!(fx_dot(&[1, 2, 3], &[4, 5, 6]), 4 + 10 + 18);
-/// ```
-#[inline]
-pub fn fx_dot(w: &[i32], x: &[i32]) -> i64 {
-    fx_dot_with(kernel_tier(), w, x)
-}
-
-/// [`fx_dot`] on an explicit tier — the differential-test entry point
-/// (compare tiers in one process without global state).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn fx_dot_with(tier: KernelTier, w: &[i32], x: &[i32]) -> i64 {
-    assert_eq!(w.len(), x.len(), "fx_dot length mismatch");
-    match tier {
-        KernelTier::Scalar => dot_scalar(w, x),
-        KernelTier::Lanes => dot_lanes(w, x),
-        KernelTier::Simd => simd_dot(w, x),
-    }
-}
-
-/// The composed-scalar tier: four independent partial sums break the
-/// loop-carried dependency so the scalar core retires several MACs per
-/// cycle.
-fn dot_scalar(w: &[i32], x: &[i32]) -> i64 {
-    let mut s0 = 0i64;
-    let mut s1 = 0i64;
-    let mut s2 = 0i64;
-    let mut s3 = 0i64;
-    let mut wc = w.chunks_exact(4);
-    let mut xc = x.chunks_exact(4);
-    for (wq, xq) in wc.by_ref().zip(xc.by_ref()) {
-        s0 += wq[0] as i64 * xq[0] as i64;
-        s1 += wq[1] as i64 * xq[1] as i64;
-        s2 += wq[2] as i64 * xq[2] as i64;
-        s3 += wq[3] as i64 * xq[3] as i64;
-    }
-    for (wv, xv) in wc.remainder().iter().zip(xc.remainder()) {
-        s0 += *wv as i64 * *xv as i64;
-    }
-    (s0 + s1) + (s2 + s3)
-}
-
-/// The lane tier: eight independent `i64` partial sums the compiler can
-/// keep in vector registers on any architecture; the tail (fewer than
-/// eight elements) folds sequentially into the combined sum.
-fn dot_lanes(w: &[i32], x: &[i32]) -> i64 {
-    let mut lanes = [0i64; 8];
-    let mut wc = w.chunks_exact(8);
-    let mut xc = x.chunks_exact(8);
-    for (wq, xq) in wc.by_ref().zip(xc.by_ref()) {
-        for ((acc, wv), xv) in lanes.iter_mut().zip(wq).zip(xq) {
-            *acc += *wv as i64 * *xv as i64;
-        }
-    }
-    let [s0, s1, s2, s3, s4, s5, s6, s7] = lanes;
-    let mut sum = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7));
-    for (wv, xv) in wc.remainder().iter().zip(xc.remainder()) {
-        sum += *wv as i64 * *xv as i64;
-    }
-    sum
-}
-
-/// Blocked matrix-vector product over raw fixed-point storage:
-/// `out[r] = Σ_c w[r·cols + c] · x[c]`, exact in `i64`, on the active
-/// [`kernel_tier`].
-///
-/// # Contract
-///
-/// `w` is row-major and the shape is **inferred from the operands**:
-/// `rows := out.len()`, `cols := x.len()`, and `w.len()` must equal
-/// `rows · cols` — that assertion is the complete length check. A `w`
-/// that factors *consistently but wrongly* (say the caller swapped two
-/// dimension variables whose product happens to match) is
-/// indistinguishable from a correct call and cannot be detected here;
-/// shape bookkeeping belongs to the caller's tensor types. `cols == 0`
-/// (an empty `x`) is a valid empty sum: `out` is zero-filled.
-///
-/// Rows are processed in L1-sized blocks so the operand vector `x` is
-/// re-read from cache, not memory.
-///
-/// # Panics
-///
-/// Panics if `w.len() != out.len() * x.len()`.
-pub fn fx_matvec(w: &[i32], x: &[i32], out: &mut [i64]) {
-    fx_matvec_with(kernel_tier(), w, x, out);
-}
-
-/// [`fx_matvec`] on an explicit tier — the differential-test entry
-/// point. Same contract and panics as [`fx_matvec`].
-pub fn fx_matvec_with(tier: KernelTier, w: &[i32], x: &[i32], out: &mut [i64]) {
-    let cols = x.len();
-    assert_eq!(w.len(), out.len() * cols, "fx_matvec shape mismatch");
-    if cols == 0 {
-        out.fill(0);
-        return;
-    }
-    for (w_block, out_block) in w.chunks(ROW_BLOCK * cols).zip(out.chunks_mut(ROW_BLOCK)) {
-        for (row, o) in w_block.chunks_exact(cols).zip(out_block.iter_mut()) {
-            debug_assert_eq!(row.len(), cols, "row slice must span exactly one row");
-            *o = fx_dot_with(tier, row, x);
-        }
-    }
-}
-
-/// Batched matrix product over raw fixed-point storage with sample-major
-/// lanes: `out[r·batch + s] = Σ_c w[r·cols + c] · x[c·batch + s]` for
-/// every sample `s` in `0..batch`, exact in `i64`, on the active
-/// [`kernel_tier`].
+/// Batched matrix product over raw fixed-point storage with lane-major
+/// operands: `out[r·batch + s] = Σ_c w[r·cols + c] · x[c·batch + s]` for
+/// every lane `s` in `0..batch`, exact in `i64`.
 ///
 /// `x` holds `batch` input vectors **column-major** (`x[c·batch + s]` is
-/// element `c` of sample `s` — all samples' values for one input sit
+/// element `c` of lane `s` — all lanes' values for one input sit
 /// contiguously), and `out` comes back in the same layout per row. Each
-/// sample's sum is the exact integer [`fx_dot`] of its own column, so
-/// the batched result is bit-identical to `batch` separate
-/// [`fx_matvec`] calls.
+/// lane's sum is the exact integer dot product of its own column, so a
+/// batch of one is a plain matrix-vector product and any batching gives
+/// the same bits.
 ///
 /// # Contract
 ///
 /// `batch` must be positive; `x.len()` and `out.len()` must both be
-/// whole numbers of sample lanes (`cols := x.len() / batch`,
-/// `rows := out.len() / batch`); and `w.len()` must equal `rows · cols`.
-/// As with [`fx_matvec`], a consistently-wrong factorization cannot be
-/// detected. `cols == 0` zero-fills `out`.
+/// whole numbers of lanes (`cols := x.len() / batch`,
+/// `rows := out.len() / batch`); and `w.len()` must equal `rows · cols`
+/// — that assertion is the complete length check. A `w` that factors
+/// *consistently but wrongly* (say the caller swapped two dimension
+/// variables whose product happens to match) is indistinguishable from a
+/// correct call; shape bookkeeping belongs to the caller's tensor types.
+/// `cols == 0` is a valid empty sum: `out` is zero-filled.
 ///
 /// # Panics
 ///
 /// Panics if `batch == 0`, if `x.len()` or `out.len()` is not a
 /// multiple of `batch`, or if `w.len() != rows * cols`.
+///
+/// # Example
+///
+/// ```
+/// use matic_nn::kernel::fx_matmul;
+/// // Two rows, three columns, two lanes: x = [[1, 2, 3], [4, 5, 6]].
+/// let w = [1, 0, 2, -1, 1, 0];
+/// let x = [1, 4, 2, 5, 3, 6];
+/// let mut out = [0i64; 4];
+/// fx_matmul(&w, &x, 2, &mut out);
+/// assert_eq!(out, [1 + 6, 4 + 12, -1 + 2, -4 + 5]);
+/// ```
 pub fn fx_matmul(w: &[i32], x: &[i32], batch: usize, out: &mut [i64]) {
-    fx_matmul_with(kernel_tier(), w, x, batch, out);
-}
-
-/// [`fx_matmul`] on an explicit tier — the differential-test entry
-/// point. Same contract and panics as [`fx_matmul`].
-pub fn fx_matmul_with(tier: KernelTier, w: &[i32], x: &[i32], batch: usize, out: &mut [i64]) {
-    assert!(batch > 0, "fx_matmul batch must be positive");
-    assert_eq!(x.len() % batch, 0, "fx_matmul input lanes mismatch");
-    assert_eq!(out.len() % batch, 0, "fx_matmul output lanes mismatch");
-    let cols = x.len() / batch;
-    let rows = out.len() / batch;
-    assert_eq!(w.len(), rows * cols, "fx_matmul shape mismatch");
+    let cols = lane_cols(w, x, batch, out);
     if cols == 0 {
         out.fill(0);
         return;
     }
-    match tier {
-        KernelTier::Scalar => matmul_scalar(w, x, batch, out),
-        KernelTier::Lanes => matmul_lanes(w, x, batch, out),
-        KernelTier::Simd => simd_matmul(w, x, batch, out),
-    }
-}
-
-/// Scalar batched tier: one sample at a time over its strided column.
-fn matmul_scalar(w: &[i32], x: &[i32], batch: usize, out: &mut [i64]) {
-    let cols = x.len() / batch;
     for (wrow, orow) in w.chunks_exact(cols).zip(out.chunks_exact_mut(batch)) {
-        for (s, o) in orow.iter_mut().enumerate() {
-            let mut sum = 0i64;
-            for (c, &wv) in wrow.iter().enumerate() {
-                sum += wv as i64 * x[c * batch + s] as i64;
-            }
-            *o = sum;
-        }
-    }
-}
-
-/// Lane batched tier: one weight broadcast across all sample lanes per
-/// step; each lane accumulates its own sample's exact sum.
-fn matmul_lanes(w: &[i32], x: &[i32], batch: usize, out: &mut [i64]) {
-    let cols = x.len() / batch;
-    for (wrow, orow) in w.chunks_exact(cols).zip(out.chunks_exact_mut(batch)) {
-        orow.fill(0);
-        for (xcol, &wv) in x.chunks_exact(batch).zip(wrow) {
-            let wv = wv as i64;
-            for (o, &xv) in orow.iter_mut().zip(xcol) {
-                *o += wv * xv as i64;
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn simd_dot(w: &[i32], x: &[i32]) -> i64 {
-    simd::dot(w, x)
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-fn simd_dot(w: &[i32], x: &[i32]) -> i64 {
-    dot_lanes(w, x)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn simd_matmul(w: &[i32], x: &[i32], batch: usize, out: &mut [i64]) {
-    simd::matmul(w, x, batch, out);
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-fn simd_matmul(w: &[i32], x: &[i32], batch: usize, out: &mut [i64]) {
-    matmul_lanes(w, x, batch, out);
-}
-
-/// The explicit AVX2 tier. The only `unsafe` in the workspace lives in
-/// this module: `std::arch` intrinsics behind a **runtime** AVX2 check
-/// (every public function here re-checks and falls back to the safe
-/// lane tier, so callers need no gating of their own) and raw loads
-/// whose bounds are established by the surrounding loop arithmetic.
-///
-/// Exactness: `vpmuldq` (`_mm256_mul_epi32`) multiplies the *signed low
-/// 32 bits* of each 64-bit lane into a full 64-bit product — no
-/// truncation — and `i64` lane additions are exact, so these kernels
-/// compute the same integer sums as the scalar tier, merely
-/// reassociated.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod simd {
-    use std::arch::x86_64::{
-        __m128i, __m256i, _mm256_add_epi64, _mm256_cvtepi32_epi64, _mm256_loadu_si256,
-        _mm256_mul_epi32, _mm256_permute2x128_si256, _mm256_set1_epi64x, _mm256_setzero_si256,
-        _mm256_srli_epi64, _mm256_storeu_si256, _mm256_unpackhi_epi64, _mm256_unpacklo_epi64,
-        _mm_loadu_si128,
-    };
-
-    /// [`fx_dot`](super::fx_dot) via AVX2 when the CPU has it, else the
-    /// safe lane tier. The detection result is cached by the standard
-    /// library, so the check is one relaxed atomic load.
-    #[inline]
-    pub fn dot(w: &[i32], x: &[i32]) -> i64 {
-        if super::simd_available() {
-            // SAFETY: AVX2 support was verified at runtime just above.
-            unsafe { dot_avx2(w, x) }
-        } else {
-            super::dot_lanes(w, x)
-        }
-    }
-
-    /// [`fx_matmul`](super::fx_matmul) via AVX2 when the CPU has it,
-    /// else the safe lane tier.
-    #[inline]
-    pub fn matmul(w: &[i32], x: &[i32], batch: usize, out: &mut [i64]) {
-        if super::simd_available() {
-            // SAFETY: AVX2 support was verified at runtime just above.
-            unsafe { matmul_avx2(w, x, batch, out) }
-        } else {
-            super::matmul_lanes(w, x, batch, out);
-        }
-    }
-
-    /// Eight `i32` products per step: the even 32-bit elements
-    /// multiply-widen directly, the odd ones after a 32-bit lane shift
-    /// (`vpmuldq` reads only the low — signed — half of each 64-bit
-    /// lane), both into four-lane `i64` accumulators; the tail folds
-    /// sequentially.
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot_avx2(w: &[i32], x: &[i32]) -> i64 {
-        let n = w.len();
-        let mut even = _mm256_setzero_si256();
-        let mut odd = _mm256_setzero_si256();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            // SAFETY: i + 8 <= n bounds both 8-element loads.
-            unsafe {
-                let wv = _mm256_loadu_si256(w.as_ptr().add(i) as *const __m256i);
-                let xv = _mm256_loadu_si256(x.as_ptr().add(i) as *const __m256i);
-                even = _mm256_add_epi64(even, _mm256_mul_epi32(wv, xv));
-                odd = _mm256_add_epi64(
-                    odd,
-                    _mm256_mul_epi32(_mm256_srli_epi64(wv, 32), _mm256_srli_epi64(xv, 32)),
-                );
-            }
-            i += 8;
-        }
-        let mut lanes = [0i64; 4];
-        // SAFETY: `lanes` is exactly 32 bytes.
-        unsafe {
-            _mm256_storeu_si256(
-                lanes.as_mut_ptr() as *mut __m256i,
-                _mm256_add_epi64(even, odd),
-            );
-        }
-        let mut sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-        for (wv, xv) in w[i..].iter().zip(&x[i..]) {
-            sum += *wv as i64 * *xv as i64;
-        }
-        sum
-    }
-
-    /// Batched rows with four samples per register: each step broadcasts
-    /// one weight (`_mm256_set1_epi64x` keeps its signed low 32 bits,
-    /// which is all `vpmuldq` reads), sign-extends four sample `i32`s to
-    /// `i64` lanes, and accumulates the exact products; tail samples
-    /// (`batch % 4`) fold sequentially per sample.
-    #[target_feature(enable = "avx2")]
-    unsafe fn matmul_avx2(w: &[i32], x: &[i32], batch: usize, out: &mut [i64]) {
-        let cols = x.len() / batch;
-        for (wrow, orow) in w.chunks_exact(cols).zip(out.chunks_exact_mut(batch)) {
-            let mut s = 0usize;
-            // 32 sample lanes per step: four 256-bit loads carry 32 i32
-            // samples; `vpmuldq` multiplies the even-indexed ones (low
-            // 32 bits of each 64-bit lane) and a 32-bit lane shift
-            // exposes the odd-indexed ones, exactly as in `dot_avx2`.
-            // Eight accumulators stay resident in registers across the
-            // whole column walk, so each weight broadcast is amortized
-            // over 32 MACs. Integer accumulation is exact, so the
-            // even/odd split is just another reassociation of the same
-            // sum.
-            while s + 32 <= batch {
-                let mut acc = [_mm256_setzero_si256(); 8];
-                for (c, &wv) in wrow.iter().enumerate() {
-                    // SAFETY: c < cols and s + 32 <= batch bound the four
-                    // 8-element loads at x[c*batch + s ..].
-                    unsafe {
-                        let wb = _mm256_set1_epi64x(wv as i64);
-                        let base = x.as_ptr().add(c * batch + s);
-                        for (q, lanes) in acc.chunks_exact_mut(2).enumerate() {
-                            let v = _mm256_loadu_si256(base.add(q * 8) as *const __m256i);
-                            lanes[0] = _mm256_add_epi64(lanes[0], _mm256_mul_epi32(wb, v));
-                            lanes[1] = _mm256_add_epi64(
-                                lanes[1],
-                                _mm256_mul_epi32(wb, _mm256_srli_epi64(v, 32)),
-                            );
-                        }
-                    }
+        // Whole blocks of LANES lanes: each weight is broadcast across the
+        // block's accumulators, which never leave registers mid-row.
+        for (block, oblock) in orow.chunks_exact_mut(LANES).enumerate() {
+            let s = block * LANES;
+            let mut acc = [0i64; LANES];
+            for (xcol, &wv) in x.chunks_exact(batch).zip(wrow) {
+                let xs: &[i32; LANES] = xcol[s..s + LANES].try_into().expect("whole block");
+                for (a, &xv) in acc.iter_mut().zip(xs) {
+                    *a += wv as i64 * xv as i64;
                 }
-                for (q, lanes) in acc.chunks_exact(2).enumerate() {
-                    // Restore sample order (see the 8-wide loop below).
-                    let lo = _mm256_unpacklo_epi64(lanes[0], lanes[1]);
-                    let hi = _mm256_unpackhi_epi64(lanes[0], lanes[1]);
-                    // SAFETY: s + 32 <= batch bounds all eight stores.
-                    unsafe {
-                        let dst = orow.as_mut_ptr().add(s + q * 8);
-                        _mm256_storeu_si256(
-                            dst as *mut __m256i,
-                            _mm256_permute2x128_si256(lo, hi, 0x20),
-                        );
-                        _mm256_storeu_si256(
-                            dst.add(4) as *mut __m256i,
-                            _mm256_permute2x128_si256(lo, hi, 0x31),
-                        );
-                    }
-                }
-                s += 32;
             }
-            while s + 8 <= batch {
-                let mut acc_even = _mm256_setzero_si256();
-                let mut acc_odd = _mm256_setzero_si256();
-                for (c, &wv) in wrow.iter().enumerate() {
-                    // SAFETY: c < cols and s + 8 <= batch bound the
-                    // 8-element load at x[c*batch + s ..].
-                    unsafe {
-                        let wb = _mm256_set1_epi64x(wv as i64);
-                        let v = _mm256_loadu_si256(x.as_ptr().add(c * batch + s) as *const __m256i);
-                        acc_even = _mm256_add_epi64(acc_even, _mm256_mul_epi32(wb, v));
-                        acc_odd = _mm256_add_epi64(
-                            acc_odd,
-                            _mm256_mul_epi32(wb, _mm256_srli_epi64(v, 32)),
-                        );
-                    }
-                }
-                // Restore sample order: even lanes hold s+0,2,4,6 and odd
-                // lanes s+1,3,5,7.
-                let lo = _mm256_unpacklo_epi64(acc_even, acc_odd); // s0 s1 s4 s5
-                let hi = _mm256_unpackhi_epi64(acc_even, acc_odd); // s2 s3 s6 s7
-                                                                   // SAFETY: s + 8 <= batch bounds both 4-lane stores.
-                unsafe {
-                    _mm256_storeu_si256(
-                        orow.as_mut_ptr().add(s) as *mut __m256i,
-                        _mm256_permute2x128_si256(lo, hi, 0x20),
-                    );
-                    _mm256_storeu_si256(
-                        orow.as_mut_ptr().add(s + 4) as *mut __m256i,
-                        _mm256_permute2x128_si256(lo, hi, 0x31),
-                    );
-                }
-                s += 8;
-            }
-            while s + 4 <= batch {
-                let mut acc = _mm256_setzero_si256();
-                for (c, &wv) in wrow.iter().enumerate() {
-                    // SAFETY: c < cols and s + 4 <= batch bound the
-                    // 4-element load at x[c*batch + s ..].
-                    unsafe {
-                        let wb = _mm256_set1_epi64x(wv as i64);
-                        let xs = _mm_loadu_si128(x.as_ptr().add(c * batch + s) as *const __m128i);
-                        acc =
-                            _mm256_add_epi64(acc, _mm256_mul_epi32(wb, _mm256_cvtepi32_epi64(xs)));
-                    }
-                }
-                // SAFETY: s + 4 <= batch bounds the 4-lane store.
-                unsafe {
-                    _mm256_storeu_si256(orow.as_mut_ptr().add(s) as *mut __m256i, acc);
-                }
-                s += 4;
-            }
-            while s < batch {
-                let mut sum = 0i64;
-                for (c, &wv) in wrow.iter().enumerate() {
-                    sum += wv as i64 * x[c * batch + s] as i64;
-                }
-                orow[s] = sum;
-                s += 1;
-            }
+            oblock.copy_from_slice(&acc);
+        }
+        // The remaining lanes: one sequential sum each.
+        for s in batch - batch % LANES..batch {
+            orow[s] = x[s..]
+                .iter()
+                .step_by(batch)
+                .zip(wrow)
+                .map(|(&xv, &wv)| wv as i64 * xv as i64)
+                .sum();
         }
     }
 }
@@ -615,7 +123,7 @@ mod simd {
 ///   `t₁ ≤ t₂` is a subset of the drop set at `t₂`, mirroring how a
 ///   shorter clock period can only fail *more* paths;
 /// * **schedule-free** — the verdict never depends on evaluation order,
-///   so blocked and reference executions agree bit-exactly.
+///   so batched and reference executions agree bit-exactly.
 ///
 /// Drops apply to weight MACs only; bias additions ride the short
 /// accumulator path and always meet timing.
@@ -673,110 +181,13 @@ fn mix_coords(seed: u64, a: u64, b: u64, c: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// [`fx_dot`] with TE-Drop error injection: MACs flagged by `drops` at
-/// `(layer, row, col)` contribute zero. Exact `i64` accumulation over the
-/// surviving terms on the active [`kernel_tier`], so any evaluation
-/// order gives identical bits.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn fx_dot_dropped(w: &[i32], x: &[i32], drops: &MacDropSpec, layer: usize, row: usize) -> i64 {
-    fx_dot_dropped_with(kernel_tier(), w, x, drops, layer, row)
-}
-
-/// [`fx_dot_dropped`] on an explicit tier. The drop verdict is a hash
-/// per coordinate, so the SIMD tier shares the lane-packed
-/// implementation (the hash, not the MAC, dominates); both reassociate
-/// the same exact masked sum as the scalar tier.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn fx_dot_dropped_with(
-    tier: KernelTier,
-    w: &[i32],
-    x: &[i32],
-    drops: &MacDropSpec,
-    layer: usize,
-    row: usize,
-) -> i64 {
-    assert_eq!(w.len(), x.len(), "fx_dot length mismatch");
-    match tier {
-        KernelTier::Scalar => {
-            let mut sum = 0i64;
-            for (col, (wv, xv)) in w.iter().zip(x).enumerate() {
-                if !drops.dropped(layer, row, col) {
-                    sum += *wv as i64 * *xv as i64;
-                }
-            }
-            sum
-        }
-        KernelTier::Lanes | KernelTier::Simd => {
-            // Four rotating partial sums keep the surviving products off
-            // one serial dependency chain; exact integer addition makes
-            // the reassociation bit-identical to the sequential mask.
-            let mut lanes = [0i64; 4];
-            for (col, (wv, xv)) in w.iter().zip(x).enumerate() {
-                if !drops.dropped(layer, row, col) {
-                    lanes[col & 3] += *wv as i64 * *xv as i64;
-                }
-            }
-            (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
-        }
-    }
-}
-
-/// [`fx_matvec`] with TE-Drop error injection. `row_base` is the global
-/// row index of `out[0]` so that blocked callers hash the same `(layer,
-/// row, col)` coordinates as an unblocked reference walk. Same shape
-/// contract as [`fx_matvec`].
-///
-/// # Panics
-///
-/// Panics if `w.len() != out.len() * x.len()`.
-pub fn fx_matvec_dropped(
-    w: &[i32],
-    x: &[i32],
-    out: &mut [i64],
-    drops: &MacDropSpec,
-    layer: usize,
-    row_base: usize,
-) {
-    fx_matvec_dropped_with(kernel_tier(), w, x, out, drops, layer, row_base);
-}
-
-/// [`fx_matvec_dropped`] on an explicit tier — the differential-test
-/// entry point. Same contract and panics as [`fx_matvec_dropped`].
-pub fn fx_matvec_dropped_with(
-    tier: KernelTier,
-    w: &[i32],
-    x: &[i32],
-    out: &mut [i64],
-    drops: &MacDropSpec,
-    layer: usize,
-    row_base: usize,
-) {
-    let cols = x.len();
-    assert_eq!(w.len(), out.len() * cols, "fx_matvec shape mismatch");
-    if cols == 0 {
-        out.fill(0);
-        return;
-    }
-    for (local, (row, o)) in w.chunks_exact(cols).zip(out.iter_mut()).enumerate() {
-        *o = fx_dot_dropped_with(tier, row, x, drops, layer, row_base + local);
-    }
-}
-
-/// [`fx_matmul`] with TE-Drop error injection. The drop verdict depends
-/// only on `(layer, row, col)` — never on the sample — so a dropped MAC
-/// squashes that weight's product for **every** sample lane at once and
-/// the kernel skips whole columns. Bit-identical to running
-/// [`fx_matvec_dropped`] per sample. Same shape contract as
-/// [`fx_matmul`]; `row_base` is the global row index of the first output
-/// row, as in [`fx_matvec_dropped`].
+/// [`fx_matmul`] with TE-Drop error injection: MACs flagged by `drops`
+/// at `(layer, row, col)` contribute zero. The verdict depends only on
+/// those coordinates — never on the lane — so a dropped MAC squashes
+/// that weight's product for **every** lane at once. `row_base` is the
+/// global row index of the first output row, so a caller splitting the
+/// rows across calls hashes the same coordinates as one whole-matrix
+/// call. Same shape contract as [`fx_matmul`].
 ///
 /// # Panics
 ///
@@ -790,44 +201,62 @@ pub fn fx_matmul_dropped(
     layer: usize,
     row_base: usize,
 ) {
-    assert!(batch > 0, "fx_matmul batch must be positive");
-    assert_eq!(x.len() % batch, 0, "fx_matmul input lanes mismatch");
-    assert_eq!(out.len() % batch, 0, "fx_matmul output lanes mismatch");
-    let cols = x.len() / batch;
-    let rows = out.len() / batch;
-    assert_eq!(w.len(), rows * cols, "fx_matmul shape mismatch");
-    if cols == 0 {
-        out.fill(0);
-        return;
-    }
-    for (local, (wrow, orow)) in w
-        .chunks_exact(cols)
-        .zip(out.chunks_exact_mut(batch))
+    // `max(1)`: with no columns `w` is empty and nothing is divided.
+    let cols = lane_cols(w, x, batch, out).max(1);
+    // A zero weight contributes an exact zero to every lane, so squashing
+    // the dropped weights and running the plain kernel is the masked sum.
+    let survivors: Vec<i32> = w
+        .iter()
         .enumerate()
-    {
-        let row = row_base + local;
-        orow.fill(0);
-        for (col, (xcol, &wv)) in x.chunks_exact(batch).zip(wrow).enumerate() {
-            if drops.dropped(layer, row, col) {
-                continue;
+        .map(|(i, &wv)| {
+            if drops.dropped(layer, row_base + i / cols, i % cols) {
+                0
+            } else {
+                wv
             }
-            let wv = wv as i64;
-            for (o, &xv) in orow.iter_mut().zip(xcol) {
-                *o += wv * xv as i64;
-            }
-        }
-    }
+        })
+        .collect();
+    fx_matmul(&survivors, x, batch, out);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const ALL_TIERS: [KernelTier; 3] = [KernelTier::Scalar, KernelTier::Lanes, KernelTier::Simd];
-
     /// The sequential reference the hardware model defines.
     fn dot_reference(w: &[i32], x: &[i32]) -> i64 {
         w.iter().zip(x).map(|(&a, &b)| a as i64 * b as i64).sum()
+    }
+
+    /// One-row, one-lane product: a plain dot product.
+    fn dot(w: &[i32], x: &[i32]) -> i64 {
+        let mut out = [0i64];
+        fx_matmul(w, x, 1, &mut out);
+        out[0]
+    }
+
+    /// One-lane product: a plain matrix-vector product.
+    fn matvec(w: &[i32], x: &[i32], rows: usize) -> Vec<i64> {
+        let mut out = vec![0i64; rows];
+        fx_matmul(w, x, 1, &mut out);
+        out
+    }
+
+    fn matvec_dropped(
+        w: &[i32],
+        x: &[i32],
+        rows: usize,
+        d: &MacDropSpec,
+        row_base: usize,
+    ) -> Vec<i64> {
+        let mut out = vec![0i64; rows];
+        fx_matmul_dropped(w, x, 1, &mut out, d, 1, row_base);
+        out
+    }
+
+    /// Lane `s` of a lane-major batch.
+    fn lane<T: Copy>(v: &[T], batch: usize, s: usize) -> Vec<T> {
+        v.iter().skip(s).step_by(batch).copied().collect()
     }
 
     #[test]
@@ -835,11 +264,7 @@ mod tests {
         for n in 0i32..70 {
             let w: Vec<i32> = (0..n).map(|i| i * 7919 % 65537 - 32768).collect();
             let x: Vec<i32> = (0..n).map(|i| i * 104729 % 65537 - 32768).collect();
-            let expect = dot_reference(&w, &x);
-            assert_eq!(fx_dot(&w, &x), expect, "n = {n}");
-            for tier in ALL_TIERS {
-                assert_eq!(fx_dot_with(tier, &w, &x), expect, "n = {n}, tier {tier:?}");
-            }
+            assert_eq!(dot(&w, &x), dot_reference(&w, &x), "n = {n}");
         }
     }
 
@@ -847,27 +272,17 @@ mod tests {
     fn dot_handles_extremes_without_overflow() {
         let w = vec![i32::from(i16::MIN); 1024];
         let x = vec![i32::from(i16::MIN); 1024];
-        let expect = 1024 * (i16::MIN as i64) * (i16::MIN as i64);
-        for tier in ALL_TIERS {
-            assert_eq!(fx_dot_with(tier, &w, &x), expect, "tier {tier:?}");
-        }
+        assert_eq!(dot(&w, &x), 1024 * (i16::MIN as i64) * (i16::MIN as i64));
     }
 
     #[test]
     fn matvec_matches_rowwise_reference_all_tiers() {
-        let (rows, cols) = (200, 37); // spans multiple row blocks
+        let (rows, cols) = (200, 37);
         let w: Vec<i32> = (0..rows * cols).map(|i| (i % 251) as i32 - 125).collect();
         let x: Vec<i32> = (0..cols).map(|i| (i * 3) as i32 - 50).collect();
-        for tier in ALL_TIERS {
-            let mut out = vec![0i64; rows];
-            fx_matvec_with(tier, &w, &x, &mut out);
-            for r in 0..rows {
-                assert_eq!(
-                    out[r],
-                    dot_reference(&w[r * cols..(r + 1) * cols], &x),
-                    "tier {tier:?}"
-                );
-            }
+        let out = matvec(&w, &x, rows);
+        for (r, got) in out.iter().enumerate() {
+            assert_eq!(*got, dot_reference(&w[r * cols..(r + 1) * cols], &x));
         }
     }
 
@@ -875,24 +290,15 @@ mod tests {
     fn matmul_matches_per_sample_matvec() {
         let (rows, cols) = (13, 29);
         let w: Vec<i32> = (0..rows * cols).map(|i| (i % 251) as i32 - 125).collect();
-        for batch in [1usize, 2, 3, 4, 5, 7, 8, 16] {
-            // Column-major batch: x[c*batch + s].
+        for batch in [1usize, 2, 3, 4, 5, 7, 8, 16, 33] {
             let x: Vec<i32> = (0..cols * batch)
                 .map(|i| ((i * 37) % 509) as i32 - 254)
                 .collect();
-            let mut expect = vec![0i64; rows * batch];
+            let mut out = vec![0i64; rows * batch];
+            fx_matmul(&w, &x, batch, &mut out);
             for s in 0..batch {
-                let sample: Vec<i32> = (0..cols).map(|c| x[c * batch + s]).collect();
-                let mut out = vec![0i64; rows];
-                fx_matvec_with(KernelTier::Scalar, &w, &sample, &mut out);
-                for r in 0..rows {
-                    expect[r * batch + s] = out[r];
-                }
-            }
-            for tier in ALL_TIERS {
-                let mut out = vec![0i64; rows * batch];
-                fx_matmul_with(tier, &w, &x, batch, &mut out);
-                assert_eq!(out, expect, "batch {batch}, tier {tier:?}");
+                let single = matvec(&w, &lane(&x, batch, s), rows);
+                assert_eq!(lane(&out, batch, s), single, "batch {batch}");
             }
         }
     }
@@ -902,31 +308,6 @@ mod tests {
         let mut out = vec![7i64; 6];
         fx_matmul(&[], &[], 3, &mut out);
         assert_eq!(out, vec![0i64; 6]);
-    }
-
-    #[test]
-    fn tier_override_wins_until_cleared() {
-        // The only test in this binary that touches the process-wide
-        // override (flipping it cannot perturb concurrent tests' results
-        // — all tiers are bit-identical — but asserting on kernel_tier()
-        // itself must not race another override).
-        set_kernel_tier(Some(KernelTier::Scalar));
-        assert_eq!(kernel_tier(), KernelTier::Scalar);
-        set_kernel_tier(Some(KernelTier::Simd));
-        assert_eq!(kernel_tier(), KernelTier::Simd);
-        set_kernel_tier(None);
-        let auto = kernel_tier();
-        match env_tier() {
-            // A forced-tier environment (the MATIC_KERNEL=scalar CI leg)
-            // is the fallback once the override clears.
-            Some(env) => assert_eq!(auto, env),
-            None => {
-                assert!(auto == KernelTier::Simd || auto == KernelTier::Lanes);
-                if simd_available() {
-                    assert_eq!(auto, KernelTier::Simd);
-                }
-            }
-        }
     }
 
     #[test]
@@ -948,17 +329,10 @@ mod tests {
         let w: Vec<i32> = (0..n).map(|i| (i * 7919) % 65537 - 32768).collect();
         let x: Vec<i32> = (0..n).map(|i| (i * 104729) % 65537 - 32768).collect();
         let expect: i64 = (0..n as usize)
-            .filter(|&c| !drops.dropped(2, 5, c))
+            .filter(|&c| !drops.dropped(1, 5, c))
             .map(|c| w[c] as i64 * x[c] as i64)
             .sum();
-        assert_eq!(fx_dot_dropped(&w, &x, &drops, 2, 5), expect);
-        for tier in ALL_TIERS {
-            assert_eq!(
-                fx_dot_dropped_with(tier, &w, &x, &drops, 2, 5),
-                expect,
-                "tier {tier:?}"
-            );
-        }
+        assert_eq!(matvec_dropped(&w, &x, 1, &drops, 5), vec![expect]);
         assert_ne!(expect, dot_reference(&w, &x), "some MAC must have dropped");
     }
 
@@ -968,13 +342,10 @@ mod tests {
         let (rows, cols) = (10, 17);
         let w: Vec<i32> = (0..rows * cols).map(|i| (i % 251) as i32 - 125).collect();
         let x: Vec<i32> = (0..cols).map(|i| (i * 3) as i32 - 50).collect();
-        let mut whole = vec![0i64; rows];
-        fx_matvec_dropped(&w, &x, &mut whole, &drops, 1, 0);
+        let whole = matvec_dropped(&w, &x, rows, &drops, 0);
         // Split the rows across two calls with the right row_base: same bits.
-        let mut lo = vec![0i64; 4];
-        let mut hi = vec![0i64; rows - 4];
-        fx_matvec_dropped(&w[..4 * cols], &x, &mut lo, &drops, 1, 0);
-        fx_matvec_dropped(&w[4 * cols..], &x, &mut hi, &drops, 1, 4);
+        let lo = matvec_dropped(&w[..4 * cols], &x, 4, &drops, 0);
+        let hi = matvec_dropped(&w[4 * cols..], &x, rows - 4, &drops, 4);
         assert_eq!(&whole[..4], &lo[..]);
         assert_eq!(&whole[4..], &hi[..]);
     }
@@ -990,44 +361,36 @@ mod tests {
         let mut batched = vec![0i64; rows * batch];
         fx_matmul_dropped(&w, &x, batch, &mut batched, &drops, 1, 3);
         for s in 0..batch {
-            let sample: Vec<i32> = (0..cols).map(|c| x[c * batch + s]).collect();
-            let mut out = vec![0i64; rows];
-            fx_matvec_dropped(&w, &sample, &mut out, &drops, 1, 3);
-            for r in 0..rows {
-                assert_eq!(batched[r * batch + s], out[r], "row {r}, sample {s}");
-            }
+            let single = matvec_dropped(&w, &lane(&x, batch, s), rows, &drops, 3);
+            assert_eq!(lane(&batched, batch, s), single, "sample {s}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "length mismatch")]
+    #[should_panic(expected = "shape mismatch")]
     fn dot_checks_lengths() {
-        let _ = fx_dot(&[1], &[1, 2]);
+        let _ = dot(&[1], &[1, 2]);
     }
 
     #[test]
     #[should_panic(expected = "shape mismatch")]
     fn matvec_checks_shape() {
-        let mut out = vec![0i64; 2];
-        fx_matvec(&[1, 2, 3], &[1], &mut out);
+        let _ = matvec(&[1, 2, 3], &[1], 2);
     }
 
     #[test]
     #[should_panic(expected = "shape mismatch")]
     fn matvec_rejects_mismatched_input_length() {
         // x.len() participates in the shape product: a too-long input
-        // vector breaks `w.len() == out.len() * x.len()` and must panic,
-        // not silently dot a prefix.
-        let mut out = vec![0i64; 2];
-        fx_matvec(&[1, 2, 3, 4], &[1, 2, 3], &mut out);
+        // vector breaks `w.len() == rows * x.len()` and must panic, not
+        // silently dot a prefix.
+        let _ = matvec(&[1, 2, 3, 4], &[1, 2, 3], 2);
     }
 
     #[test]
     #[should_panic(expected = "shape mismatch")]
     fn dropped_matvec_checks_shape() {
-        let drops = MacDropSpec::new(1, 0.5);
-        let mut out = vec![0i64; 2];
-        fx_matvec_dropped(&[1, 2, 3], &[1], &mut out, &drops, 0, 0);
+        let _ = matvec_dropped(&[1, 2, 3], &[1], 2, &MacDropSpec::new(1, 0.5), 0);
     }
 
     #[test]

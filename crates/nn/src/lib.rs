@@ -40,10 +40,7 @@
 //! }
 //! ```
 
-// `deny` rather than `forbid`: the one sanctioned exception is the
-// `#[allow(unsafe_code)]` AVX2 module in `kernel`, which wraps
-// `std::arch` intrinsics behind a runtime feature check.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod activation;

@@ -119,86 +119,93 @@ proptest! {
     /// Dropped-kernel variants agree with the plain kernels when nothing
     /// drops, for every seed.
     #[test]
-    fn dropped_kernels_degenerate_to_plain(seed in 0u64..500) {
+    fn dropped_kernels_degenerate_to_plain(seed in 0u64..500, batch in 1usize..4) {
         let never = kernel::MacDropSpec::new(seed, 0.0);
         let w: Vec<i32> = (0..60).map(|i| (i * 37) % 201 - 100).collect();
-        let x: Vec<i32> = (0..20).map(|i| (i * 91) % 201 - 100).collect();
-        let mut plain = vec![0i64; 3];
-        let mut dropped = vec![0i64; 3];
-        kernel::fx_matvec(&w, &x, &mut plain);
-        kernel::fx_matvec_dropped(&w, &x, &mut dropped, &never, 1, 7);
+        let x: Vec<i32> = (0..20 * batch as i32).map(|i| (i * 91) % 201 - 100).collect();
+        let mut plain = vec![0i64; 3 * batch];
+        let mut dropped = vec![0i64; 3 * batch];
+        kernel::fx_matmul(&w, &x, batch, &mut plain);
+        kernel::fx_matmul_dropped(&w, &x, batch, &mut dropped, &never, 1, 7);
         prop_assert_eq!(plain, dropped);
     }
 
-    /// Every kernel tier computes the same exact dot product at every
-    /// tail residue class: for each base length multiple of the widest
-    /// lane width (8) and each residue 0..8, lanes/SIMD agree bit-for-bit
-    /// with the scalar tier on random data.
+    /// The kernel and the sequential `i64` sum agree at every tail
+    /// residue class: for each base length multiple of eight and each
+    /// residue 0..8, a one-row, one-lane product equals the sequential
+    /// dot product on random data.
     #[test]
     fn dot_tiers_agree_at_every_tail_residue(
         base in 0usize..12,
         values in proptest::collection::vec(-32768i32..32768, 96 + 8),
     ) {
-        use kernel::KernelTier;
         for residue in 0..8usize {
             let n = base * 8 + residue;
-            let w = &values[..n];
-            let x = &values[8..8 + n];
-            let scalar = kernel::fx_dot_with(KernelTier::Scalar, w, x);
-            prop_assert_eq!(kernel::fx_dot_with(KernelTier::Lanes, w, x), scalar);
-            prop_assert_eq!(kernel::fx_dot_with(KernelTier::Simd, w, x), scalar);
+            let (w, x) = (&values[..n], &values[8..8 + n]);
+            let mut out = [0i64];
+            kernel::fx_matmul(w, x, 1, &mut out);
+            prop_assert_eq!(&out[..], &sequential(w, x, 1, 1, None)[..]);
         }
     }
 
-    /// The batched kernel is tier- and batch-invariant: for random
-    /// shapes, every (tier, batch) combination produces the exact
-    /// per-sample columns of the scalar per-sample matvec.
+    /// The batched kernel is batch-invariant: for random shapes, every
+    /// lane of the batched product is the sequential sum of its column.
     #[test]
     fn matmul_tiers_agree_for_random_shapes(
         rows in 1usize..10,
         cols in 0usize..24,
-        batch in 1usize..9,
+        batch in 1usize..34,
         seed in 0u64..1000,
     ) {
-        use kernel::KernelTier;
         let val = |i: u64| ((seed.wrapping_mul(31).wrapping_add(i) * 2654435761) % 65537) as i32 - 32768;
         let w: Vec<i32> = (0..rows * cols).map(|i| val(i as u64)).collect();
         let x: Vec<i32> = (0..cols * batch).map(|i| val(1000 + i as u64)).collect();
-        let mut expect = vec![0i64; rows * batch];
-        for s in 0..batch {
-            let sample: Vec<i32> = (0..cols).map(|c| x[c * batch + s]).collect();
-            let mut out = vec![0i64; rows];
-            kernel::fx_matvec_with(KernelTier::Scalar, &w, &sample, &mut out);
-            for r in 0..rows {
-                expect[r * batch + s] = out[r];
-            }
-        }
-        for tier in [KernelTier::Scalar, KernelTier::Lanes, KernelTier::Simd] {
-            let mut out = vec![0i64; rows * batch];
-            kernel::fx_matmul_with(tier, &w, &x, batch, &mut out);
-            prop_assert_eq!(&out, &expect, "tier {:?}", tier);
-        }
+        let mut out = vec![0i64; rows * batch];
+        kernel::fx_matmul(&w, &x, batch, &mut out);
+        prop_assert_eq!(out, sequential(&w, &x, rows, batch, None));
     }
 
-    /// The dropped tiers reassociate the same exact masked sum: all
-    /// tiers and the batched dropped kernel agree with the sequential
-    /// scalar mask for random drop rates and tail lengths.
+    /// The dropped kernel computes the exact masked sum: every lane
+    /// agrees with the sequential masked sum for random drop rates, tail
+    /// lengths and batch sizes.
     #[test]
     fn dropped_tiers_agree(
         n in 0usize..70,
         p in 0.0f64..=1.0,
         seed in 0u64..500,
+        batch in 1usize..10,
     ) {
-        use kernel::KernelTier;
         let drops = kernel::MacDropSpec::new(seed, p);
-        let w: Vec<i32> = (0..n).map(|i| ((i * 7919) % 65537) as i32 - 32768).collect();
-        let x: Vec<i32> = (0..n).map(|i| ((i * 104729) % 65537) as i32 - 32768).collect();
-        let scalar = kernel::fx_dot_dropped_with(KernelTier::Scalar, &w, &x, &drops, 1, 3);
-        prop_assert_eq!(kernel::fx_dot_dropped_with(KernelTier::Lanes, &w, &x, &drops, 1, 3), scalar);
-        prop_assert_eq!(kernel::fx_dot_dropped_with(KernelTier::Simd, &w, &x, &drops, 1, 3), scalar);
-        // One-row batched dropped kernel, batch 1: the same masked sum.
-        let mut out = vec![0i64; 1];
-        kernel::fx_matmul_dropped(&w, &x, 1, &mut out, &drops, 1, 3);
-        prop_assert_eq!(out[0], scalar);
+        let w: Vec<i32> = (0..2 * n).map(|i| ((i * 7919) % 65537) as i32 - 32768).collect();
+        let x: Vec<i32> = (0..n * batch).map(|i| ((i * 104729) % 65537) as i32 - 32768).collect();
+        let mut out = vec![0i64; 2 * batch];
+        kernel::fx_matmul_dropped(&w, &x, batch, &mut out, &drops, 1, 3);
+        prop_assert_eq!(out, sequential(&w, &x, 2, batch, Some((&drops, 1, 3))));
     }
+}
+
+/// The sequential reference the kernels must equal: one `i64` sum per
+/// (row, lane) of a `rows`-row product, columns in order, skipping the MACs `drops` flags at
+/// `(layer, row_base + row, col)`.
+fn sequential(
+    w: &[i32],
+    x: &[i32],
+    rows: usize,
+    batch: usize,
+    drops: Option<(&kernel::MacDropSpec, usize, usize)>,
+) -> Vec<i64> {
+    let cols = x.len() / batch;
+    let mut out = Vec::with_capacity(rows * batch);
+    for r in 0..rows {
+        for s in 0..batch {
+            let mut sum = 0i64;
+            for c in 0..cols {
+                if !drops.is_some_and(|(d, layer, base)| d.dropped(layer, base + r, c)) {
+                    sum += w[r * cols + c] as i64 * x[c * batch + s] as i64;
+                }
+            }
+            out.push(sum);
+        }
+    }
+    out
 }

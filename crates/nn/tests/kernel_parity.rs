@@ -1,26 +1,21 @@
-//! Cross-tier kernel parity: every data-parallel kernel tier must be
-//! **bit-identical** to the scalar reference tier.
+//! Kernel parity: the batched MAC kernels must be **bit-identical** to a
+//! sequential reference tier — a plain `i64` sum over the columns in
+//! order, one sample at a time, defined locally in this suite.
 //!
 //! All MAC kernels accumulate exact `i64` sums of `i32 x i32` products,
-//! so any reassociation — 4-wide unrolling, 8-wide lane packing, AVX2
-//! vectors, sample batching — is provably exact. This suite enforces
-//! that argument empirically across:
+//! so any reassociation — lane packing, sample batching, auto-vectorized
+//! loops — is provably exact. This suite enforces that argument
+//! empirically across:
 //!
-//! * random vector lengths covering every residue class modulo the
-//!   widest lane width (tails are where lane bugs live);
-//! * the plain and TE-Drop (`*_dropped`) kernel families;
-//! * the batched matmul versus a per-sample matvec loop;
-//! * the f64 batched forward pass versus per-sample `Mlp::forward`;
-//! * the global tier dispatch (`set_kernel_tier` override, which wins
-//!   over the `MATIC_KERNEL` environment knob and auto-detection).
+//! * every reduction length residue modulo eight (tails are where lane
+//!   bugs live) and batch sizes 1..=9 and 33;
+//! * the plain and TE-Drop (`fx_matmul_dropped`) kernels;
+//! * the shapes a lowered convolution produces (odd `k²·c` depths,
+//!   filter counts off the 8-grid, lanes = output positions × samples);
+//! * the f64 batched forward pass versus per-sample `Mlp::forward`.
 
-use matic_nn::kernel::{
-    fx_dot, fx_dot_dropped_with, fx_dot_with, fx_matmul_with, fx_matvec_dropped_with,
-    fx_matvec_with, set_kernel_tier, simd_available, KernelTier, MacDropSpec,
-};
+use matic_nn::kernel::{fx_matmul, fx_matmul_dropped, MacDropSpec};
 use matic_nn::{Mlp, NetSpec};
-
-const TIERS: [KernelTier; 3] = [KernelTier::Scalar, KernelTier::Lanes, KernelTier::Simd];
 
 /// SplitMix64: tiny deterministic stream for test data.
 struct Rng(u64);
@@ -44,22 +39,64 @@ impl Rng {
     }
 }
 
+/// The sequential reference tier: `out[r·batch + s]` is the in-order
+/// `i64` sum of row `r` against lane `s`, skipping MACs that `drops`
+/// flags at `(layer 1, row, col)`.
+fn sequential(
+    w: &[i32],
+    x: &[i32],
+    rows: usize,
+    batch: usize,
+    drops: Option<&MacDropSpec>,
+) -> Vec<i64> {
+    let cols = x.len() / batch;
+    let mut out = Vec::with_capacity(rows * batch);
+    for r in 0..rows {
+        for s in 0..batch {
+            let mut sum = 0i64;
+            for c in 0..cols {
+                if !drops.is_some_and(|d| d.dropped(1, r, c)) {
+                    sum += w[r * cols + c] as i64 * x[c * batch + s] as i64;
+                }
+            }
+            out.push(sum);
+        }
+    }
+    out
+}
+
+/// Runs the kernel (`fx_matmul`, or `fx_matmul_dropped` at layer 1,
+/// row base 0) on a `rows`-row product.
+fn kernel(
+    w: &[i32],
+    x: &[i32],
+    rows: usize,
+    batch: usize,
+    drops: Option<&MacDropSpec>,
+) -> Vec<i64> {
+    let mut out = vec![0i64; rows * batch];
+    match drops {
+        None => fx_matmul(w, x, batch, &mut out),
+        Some(d) => fx_matmul_dropped(w, x, batch, &mut out, d, 1, 0),
+    }
+    out
+}
+
+const BATCHES: [usize; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 33];
+
 #[test]
 fn dot_parity_at_every_residue_class() {
     let mut rng = Rng(0xA11CE);
-    // Lengths 0..=67 cover every residue mod 8 (and mod 4) several times,
-    // plus a large length exercising many full lane blocks.
+    // Lengths 0..=67 cover every residue mod 8 several times, plus a
+    // large length exercising many full lane blocks.
     for n in (0..68).chain([1021]) {
         let w = rng.vec(n);
         let x = rng.vec(n);
-        let scalar = fx_dot_with(KernelTier::Scalar, &w, &x);
-        for tier in TIERS {
-            assert_eq!(
-                fx_dot_with(tier, &w, &x),
-                scalar,
-                "fx_dot len {n} tier {tier:?} diverged from scalar"
-            );
-        }
+        assert_eq!(
+            kernel(&w, &x, 1, 1, None),
+            sequential(&w, &x, 1, 1, None),
+            "dot len {n}"
+        );
     }
 }
 
@@ -69,71 +106,52 @@ fn matvec_parity_at_ragged_shapes() {
     for (rows, cols) in [(1, 1), (3, 5), (8, 64), (17, 33), (100, 7), (64, 130)] {
         let w = rng.vec(rows * cols);
         let x = rng.vec(cols);
-        let mut scalar = vec![0i64; rows];
-        fx_matvec_with(KernelTier::Scalar, &w, &x, &mut scalar);
-        for tier in TIERS {
-            let mut out = vec![0i64; rows];
-            fx_matvec_with(tier, &w, &x, &mut out);
-            assert_eq!(out, scalar, "fx_matvec {rows}x{cols} tier {tier:?}");
-        }
+        assert_eq!(
+            kernel(&w, &x, rows, 1, None),
+            sequential(&w, &x, rows, 1, None),
+            "matvec {rows}x{cols}"
+        );
     }
 }
 
 #[test]
 fn dropped_kernel_parity_across_tiers() {
     let mut rng = Rng(0xD0D0);
-    for n in [0, 1, 3, 7, 8, 9, 31, 64, 65, 200] {
-        let w = rng.vec(n);
-        let x = rng.vec(n);
-        for p in [0.0, 0.25, 0.8, 1.0] {
-            let drops = MacDropSpec::new(42, p);
-            let scalar = fx_dot_dropped_with(KernelTier::Scalar, &w, &x, &drops, 2, 11);
-            for tier in TIERS {
+    for cols in 0..17 {
+        for batch in BATCHES {
+            let rows = 5;
+            let w = rng.vec(rows * cols);
+            let x = rng.vec(cols * batch);
+            for p in [0.0, 0.25, 0.8, 1.0] {
+                let drops = MacDropSpec::new(42, p);
                 assert_eq!(
-                    fx_dot_dropped_with(tier, &w, &x, &drops, 2, 11),
-                    scalar,
-                    "fx_dot_dropped len {n} p {p} tier {tier:?}"
+                    kernel(&w, &x, rows, batch, Some(&drops)),
+                    sequential(&w, &x, rows, batch, Some(&drops)),
+                    "dropped {rows}x{cols} batch {batch} p {p}"
                 );
             }
         }
-    }
-    // Dropped matvec: tiers agree on a ragged shape with a mid-rate mask.
-    let (rows, cols) = (19, 37);
-    let w = rng.vec(rows * cols);
-    let x = rng.vec(cols);
-    let drops = MacDropSpec::new(7, 0.4);
-    let mut scalar = vec![0i64; rows];
-    fx_matvec_dropped_with(KernelTier::Scalar, &w, &x, &mut scalar, &drops, 1, 0);
-    for tier in TIERS {
-        let mut out = vec![0i64; rows];
-        fx_matvec_dropped_with(tier, &w, &x, &mut out, &drops, 1, 0);
-        assert_eq!(out, scalar, "fx_matvec_dropped tier {tier:?}");
     }
 }
 
 #[test]
 fn batched_matmul_parity_with_per_sample_loop() {
     let mut rng = Rng(0xBA7C);
-    for (rows, cols, batch) in [(4, 9, 1), (8, 16, 3), (10, 33, 8), (5, 7, 13)] {
-        let w = rng.vec(rows * cols);
-        // Column-major sample lanes: x[c * batch + s].
-        let x = rng.vec(cols * batch);
-        let mut expect = vec![0i64; rows * batch];
-        for s in 0..batch {
-            let sample: Vec<i32> = (0..cols).map(|c| x[c * batch + s]).collect();
-            let mut out = vec![0i64; rows];
-            fx_matvec_with(KernelTier::Scalar, &w, &sample, &mut out);
-            for r in 0..rows {
-                expect[r * batch + s] = out[r];
+    for cols in 0..17 {
+        for batch in BATCHES {
+            let rows = 10;
+            let w = rng.vec(rows * cols);
+            // Column-major sample lanes: x[c * batch + s].
+            let x = rng.vec(cols * batch);
+            let got = kernel(&w, &x, rows, batch, None);
+            assert_eq!(got, sequential(&w, &x, rows, batch, None));
+            // Each lane equals a batch of one over its own column.
+            for s in 0..batch {
+                let sample: Vec<i32> = (0..cols).map(|c| x[c * batch + s]).collect();
+                let single = kernel(&w, &sample, rows, 1, None);
+                let lane: Vec<i64> = got.iter().skip(s).step_by(batch).copied().collect();
+                assert_eq!(lane, single, "{rows}x{cols} batch {batch} lane {s}");
             }
-        }
-        for tier in TIERS {
-            let mut out = vec![0i64; rows * batch];
-            fx_matmul_with(tier, &w, &x, batch, &mut out);
-            assert_eq!(
-                out, expect,
-                "fx_matmul {rows}x{cols} batch {batch} tier {tier:?}"
-            );
         }
     }
 }
@@ -157,77 +175,40 @@ fn forward_batch_parity_with_per_sample_forward() {
             .collect();
         let refs: Vec<&[f64]> = inputs.iter().map(|v| v.as_slice()).collect();
         let expect: Vec<Vec<f64>> = inputs.iter().map(|x| net.forward(x)).collect();
-        for tier in TIERS {
-            set_kernel_tier(Some(tier));
-            let got = net.forward_batch(&refs);
-            set_kernel_tier(None);
-            assert_eq!(got, expect, "forward_batch under tier {tier:?}");
-        }
+        assert_eq!(net.forward_batch(&refs), expect);
     }
 }
 
 #[test]
 fn conv_patch_shapes_parity_across_tiers() {
-    // The NPU lowers a conv layer to fx_matvec over (filters x k²·c)
-    // weight rows against a gathered receptive-field patch. These are
-    // the adversarial shapes that never arise from Table I MLPs: tiny
-    // odd reduction depths (k²·c = 1, 4, 9, 12, 18, 25, 27, 50, 75, …)
-    // crossed with filter counts off the 8-lane grid, plus the dropped
-    // variant at a mid-rate mask.
+    // The NPU lowers a conv layer to one fx_matmul over (filters x k²·c)
+    // weight rows against an im2col patch matrix whose lanes are output
+    // positions x samples. These are the adversarial shapes that never
+    // arise from Table I MLPs: tiny odd reduction depths (k²·c = 1, 4,
+    // 9, 12, 18, 25, 27, 50, 75, …) crossed with filter counts off the
+    // 8-lane grid and lane counts off every power of two, plus the
+    // dropped variant at a mid-rate mask.
     let mut rng = Rng(0xC0A7);
-    for kernel in 1usize..=5 {
+    let drops = MacDropSpec::new(91, 0.35);
+    for kernel_side in 1usize..=5 {
         for in_c in 1usize..=3 {
-            let k2c = kernel * kernel * in_c;
+            let k2c = kernel_side * kernel_side * in_c;
             for filters in [1usize, 3, 7, 8, 9, 17] {
-                let w = rng.vec(filters * k2c);
-                let patch = rng.vec(k2c);
-                let mut scalar = vec![0i64; filters];
-                fx_matvec_with(KernelTier::Scalar, &w, &patch, &mut scalar);
-                for tier in TIERS {
-                    let mut out = vec![0i64; filters];
-                    fx_matvec_with(tier, &w, &patch, &mut out);
-                    assert_eq!(
-                        out, scalar,
-                        "conv patch {filters}x{k2c} (k={kernel}, c={in_c}) tier {tier:?}"
-                    );
-                }
-                let drops = MacDropSpec::new(91, 0.35);
-                let mut scalar = vec![0i64; filters];
-                fx_matvec_dropped_with(KernelTier::Scalar, &w, &patch, &mut scalar, &drops, 1, 0);
-                for tier in TIERS {
-                    let mut out = vec![0i64; filters];
-                    fx_matvec_dropped_with(tier, &w, &patch, &mut out, &drops, 1, 0);
-                    assert_eq!(
-                        out, scalar,
-                        "dropped conv patch {filters}x{k2c} tier {tier:?}"
-                    );
+                for (positions, samples) in [(1, 1), (9, 1), (16, 3), (25, 2)] {
+                    let lanes = positions * samples;
+                    let w = rng.vec(filters * k2c);
+                    let patches = rng.vec(k2c * lanes);
+                    for d in [None, Some(&drops)] {
+                        assert_eq!(
+                            kernel(&w, &patches, filters, lanes, d),
+                            sequential(&w, &patches, filters, lanes, d),
+                            "conv {filters}x{k2c} (k={kernel_side}, c={in_c}) lanes {lanes} \
+                             drops {}",
+                            d.is_some()
+                        );
+                    }
                 }
             }
         }
     }
-}
-
-#[test]
-fn tier_override_controls_dispatch() {
-    // The process-wide override must steer the auto-dispatched entry
-    // points; since all tiers are bit-identical the only observable is
-    // that results stay constant while we flip it — which is exactly the
-    // contract that makes flipping safe mid-process.
-    let mut rng = Rng(0x5EED);
-    let w = rng.vec(133);
-    let x = rng.vec(133);
-    let baseline = fx_dot_with(KernelTier::Scalar, &w, &x);
-    for tier in TIERS {
-        set_kernel_tier(Some(tier));
-        assert_eq!(fx_dot(&w, &x), baseline, "override {tier:?}");
-        set_kernel_tier(None);
-    }
-    assert_eq!(
-        fx_dot(&w, &x),
-        baseline,
-        "auto tier after clearing override"
-    );
-    // Requesting SIMD is always safe: it falls back to lanes when the CPU
-    // lacks AVX2, so parity holds on every host this suite runs on.
-    let _ = simd_available();
 }

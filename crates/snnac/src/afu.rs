@@ -7,7 +7,6 @@
 //! the same structure a synthesized PWL AFU uses.
 
 use matic_fixed::{Fx, QFormat};
-use matic_nn::kernel::{kernel_tier, KernelTier};
 use matic_nn::Activation;
 use serde::{Deserialize, Serialize};
 
@@ -116,26 +115,9 @@ impl Afu {
         let inv_in = self.in_fmt.inv_scale();
         match activation {
             Activation::Sigmoid => {
-                let params = self.sigmoid_lane_params();
                 let start = out.len();
                 out.resize(start + zs.len(), 0);
-                let dst = &mut out[start..];
-                // Same Rust body compiled twice: the AVX2 clone lets the
-                // compiler vectorize the (exact, contraction-free) IEEE
-                // arithmetic; results are bit-identical by construction
-                // and re-checked exhaustively by the parity test below.
-                // Honour the forced-scalar tier so the differential CI
-                // leg really runs baseline code.
-                if kernel_tier() == KernelTier::Simd {
-                    // SAFETY: `KernelTier::Simd` is only ever selected by
-                    // the dispatcher when AVX2 is available at runtime.
-                    #[allow(unsafe_code)]
-                    unsafe {
-                        sigmoid_lane_avx2(&params, zs, dst)
-                    }
-                } else {
-                    sigmoid_lane_baseline(&params, zs, dst);
-                }
+                self.sigmoid_lane(zs, &mut out[start..]);
             }
             Activation::Relu if self.in_fmt == self.out_fmt => {
                 for &z in zs {
@@ -168,7 +150,18 @@ impl Afu {
         }
     }
 
-    fn sigmoid_lane_params(&self) -> SigmoidLane {
+    /// Branch-free sigmoid lane: preactivation signs and saturation are
+    /// data-dependent, so every `if` below is written to lower to a select
+    /// rather than a mispredicted branch. The saturated-input case still
+    /// evaluates the lerp (with the LUT index clamped into range — `pos`
+    /// is finite and at most `2 * in_fmt.max_value()`) and then selects
+    /// the last breakpoint, exactly what the scalar branch produces.
+    ///
+    /// Every floating-point operation here is an exact IEEE operation (no
+    /// fused multiply-add is emitted: Rust never enables floating-point
+    /// contraction), so however the compiler vectorizes the loop, every
+    /// result bit matches the scalar [`Afu::apply`].
+    fn sigmoid_lane(&self, zs: &[i32], out: &mut [i32]) {
         // Breakpoints pre-converted to f64 in a fixed-size stack array:
         // the clamped index proves the accesses in range, so the inner
         // loop carries no bounds checks or int-to-float conversions.
@@ -176,13 +169,35 @@ impl Afu {
         for (dst, &src) in lut.iter_mut().zip(&self.sigmoid_lut) {
             *dst = src as f64;
         }
-        SigmoidLane {
-            inv_in: self.in_fmt.inv_scale(),
-            last: *self.sigmoid_lut.last().unwrap(),
-            out_max: self.out_fmt.raw_max() as i64,
-            out_min: self.out_fmt.raw_min() as i64,
-            one_raw: matic_fixed::quantize(1.0, self.out_fmt) as i64,
-            lut,
+        let inv_in = self.in_fmt.inv_scale();
+        let last = *self.sigmoid_lut.last().expect("SEGMENTS + 1 breakpoints") as i64;
+        let (out_max, out_min) = (self.out_fmt.raw_max() as i64, self.out_fmt.raw_min() as i64);
+        let one_raw = matic_fixed::quantize(1.0, self.out_fmt) as i64;
+        const TWO_52: f64 = 4_503_599_627_370_496.0;
+        for (o, &z) in out.iter_mut().zip(zs) {
+            let xf = z as f64 * inv_in;
+            let negate = xf < 0.0;
+            let mag = xf.abs();
+            let pos = mag * SEGMENTS as f64 / X_MAX;
+            // `pos` is finite and non-negative: the signed cast gives the
+            // same index as `pos as usize`, minus the unsigned conversion
+            // baseline x86-64 has to emulate.
+            let i = (pos as i64).min(SEGMENTS as i64 - 1) as usize;
+            let frac = pos - i as f64;
+            let (y0, y1) = (lut[i], lut[i + 1]);
+            // The lerp lies between two non-negative breakpoints below
+            // 2^31, so `f64::round` is the nearest-even integer (exact:
+            // the ulp at 2^52 is 1.0) with a tie nudged upward — the
+            // non-negative branch of `matic_fixed::round_half_away`.
+            let v = y0 + frac * (y1 - y0);
+            let t = (v + TWO_52) - TWO_52;
+            let lerp = if v - t == 0.5 { t + 1.0 } else { t } as i64;
+            let y_raw = if mag >= X_MAX { last } else { lerp };
+            let y = y_raw.min(out_max);
+            // σ(−x) = 1 − σ(x), with the saturating raw subtraction
+            // `Fx::sub` performs.
+            let negated = (one_raw - y).clamp(out_min, out_max);
+            *o = if negate { negated } else { y } as i32;
         }
     }
 
@@ -229,75 +244,6 @@ impl Default for Afu {
     fn default() -> Self {
         Self::snnac()
     }
-}
-
-/// Constants of the branch-free sigmoid lane loop, hoisted once per
-/// dispatch so both compilations of the body share them.
-struct SigmoidLane {
-    inv_in: f64,
-    last: i32,
-    out_max: i64,
-    out_min: i64,
-    one_raw: i64,
-    /// σ breakpoints as f64, one slot past [`SEGMENTS`] for the lerp's
-    /// upper endpoint.
-    lut: [f64; SEGMENTS + 1],
-}
-
-/// Branch-free sigmoid lane: preactivation signs and saturation are
-/// data-dependent, so every `if` below is written to lower to a select
-/// rather than a mispredicted branch. The saturated-input case still
-/// evaluates the lerp (with the LUT index clamped into range — `pos` is
-/// finite and at most `2 * in_fmt.max_value()`) and then selects the
-/// last breakpoint, exactly what the scalar branch produces.
-///
-/// Every floating-point operation here is an exact IEEE operation (no
-/// fused multiply-add is emitted: Rust never enables floating-point
-/// contraction), so recompiling this body under a wider target feature
-/// cannot change a single result bit.
-#[inline(always)]
-fn sigmoid_lane_body(p: &SigmoidLane, zs: &[i32], out: &mut [i32]) {
-    for (o, &z) in out.iter_mut().zip(zs) {
-        let xf = z as f64 * p.inv_in;
-        let negate = xf < 0.0;
-        let mag = xf.abs();
-        let pos = mag * SEGMENTS as f64 / X_MAX;
-        let i = (pos as usize).min(SEGMENTS - 1);
-        let frac = pos - i as f64;
-        let y0 = p.lut[i];
-        let y1 = p.lut[i + 1];
-        // `round_half_away` is bit-identical to `f64::round` but
-        // inline, keeping the libm call out of the loop.
-        let lerp = matic_fixed::round_half_away(y0 + frac * (y1 - y0)) as i32;
-        let y_raw = if mag >= X_MAX { p.last } else { lerp };
-        let y = (y_raw as i64).min(p.out_max);
-        // σ(−x) = 1 − σ(x), with the saturating raw subtraction
-        // `Fx::sub` performs.
-        let negated = (p.one_raw - y).clamp(p.out_min, p.out_max);
-        *o = if negate { negated } else { y } as i32;
-    }
-}
-
-fn sigmoid_lane_baseline(p: &SigmoidLane, zs: &[i32], out: &mut [i32]) {
-    sigmoid_lane_body(p, zs, out);
-}
-
-/// The same body recompiled with AVX2 enabled, so the autovectorizer can
-/// use 256-bit lanes (and `vgatherqpd` for the LUT reads). Bit-identical
-/// to the baseline compilation — see [`sigmoid_lane_body`].
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-#[target_feature(enable = "avx2")]
-unsafe fn sigmoid_lane_avx2(p: &SigmoidLane, zs: &[i32], out: &mut [i32]) {
-    sigmoid_lane_body(p, zs, out);
-}
-
-/// Non-x86 stand-in: the dispatcher never selects [`KernelTier::Simd`]
-/// here, but the symbol must exist.
-#[cfg(not(target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-unsafe fn sigmoid_lane_avx2(p: &SigmoidLane, zs: &[i32], out: &mut [i32]) {
-    sigmoid_lane_body(p, zs, out);
 }
 
 #[cfg(test)]
@@ -391,18 +337,12 @@ mod tests {
             Activation::Linear,
             Activation::Tanh,
         ] {
-            // Both compilations of the lane body (baseline and the AVX2
-            // retune) must match the scalar oracle bit for bit.
-            for tier in [Some(KernelTier::Scalar), Some(KernelTier::Simd), None] {
-                matic_nn::kernel::set_kernel_tier(tier);
-                let mut lane = Vec::new();
-                afu.apply_lane_raw(act, &raws, &mut lane);
-                for (&z, &got) in raws.iter().zip(&lane) {
-                    let want = afu.apply(act, Fx::from_raw(z, f)).raw();
-                    assert_eq!(got, want, "{act:?} diverges at raw {z} ({tier:?})");
-                }
+            let mut lane = Vec::new();
+            afu.apply_lane_raw(act, &raws, &mut lane);
+            for (&z, &got) in raws.iter().zip(&lane) {
+                let want = afu.apply(act, Fx::from_raw(z, f)).raw();
+                assert_eq!(got, want, "{act:?} diverges at raw {z}");
             }
-            matic_nn::kernel::set_kernel_tier(None);
         }
         // And through a format-preserving AFU, exercising the identity
         // shortcuts for ReLU and Linear.

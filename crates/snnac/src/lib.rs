@@ -44,10 +44,7 @@
 //! assert!(stats.npu.cycles > 0 && stats.energy_pj > 0.0);
 //! ```
 
-// Deny rather than forbid: the single exception is the
-// `#[allow(unsafe_code)]` AVX2-retuned sigmoid lane in `afu`, which
-// recompiles safe Rust under `target_feature(enable = "avx2")`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod afu;

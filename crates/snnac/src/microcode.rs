@@ -165,16 +165,6 @@ impl Program {
         Program { ops }
     }
 
-    /// Whether the program consists purely of dense-layer sequences (no
-    /// conv/pool ops). Dense programs are eligible for the batched
-    /// lane-matmul fast path.
-    pub fn is_dense(&self) -> bool {
-        !self
-            .ops
-            .iter()
-            .any(|op| matches!(op, MicroOp::Conv { .. } | MicroOp::Pool { .. }))
-    }
-
     /// The operation stream.
     pub fn ops(&self) -> &[MicroOp] {
         &self.ops
@@ -248,7 +238,6 @@ mod tests {
     fn conv_chains_compile_to_whole_layer_ops() {
         let spec = NetSpec::parse_topology("10x10x1;conv3x4;pool2;dense10").unwrap();
         let prog = Program::compile(&spec, 8);
-        assert!(!prog.is_dense());
         assert!(matches!(
             prog.ops()[0],
             MicroOp::Conv {
@@ -270,7 +259,5 @@ mod tests {
         // The trailing dense layer keeps the classic bracketed sequence.
         assert!(matches!(prog.ops()[2], MicroOp::SetLayer { layer: 2, .. }));
         assert!(matches!(prog.ops().last(), Some(MicroOp::StoreOutput)));
-        // Dense programs stay dense.
-        assert!(Program::compile(&NetSpec::classifier(&[4, 3, 2]), 8).is_dense());
     }
 }

@@ -12,16 +12,18 @@
 //!
 //! The simulator realizes those fetches in two bit-identical ways: the
 //! per-MAC reference path ([`Snnac::execute_reference`]) reads a word per
-//! multiply, while the default path composes the array's post-disturb
-//! contents into a dense [`FaultedWeights`] artifact once and then runs a
-//! blocked integer kernel ([`Snnac::execute_composed`]) — the fast shape
-//! evaluation loops should use, composing once per operating point.
+//! multiply, while every other entry point composes the array's
+//! post-disturb contents into a dense [`FaultedWeights`] artifact once
+//! and runs the one batched interpreter
+//! ([`Snnac::execute_batch_dropped`]) over it — a single inference is a
+//! batch of one. Evaluation loops should compose once per operating
+//! point and batch the whole test set.
 
 use crate::afu::Afu;
 use crate::microcode::{MicroOp, Program};
 use matic_core::{FaultedWeights, ParamRef, WeightLayout};
 use matic_fixed::{dequantize, narrow_lane, quantize_lane, Accumulator, Fx, QFormat};
-use matic_nn::kernel::{fx_matmul, fx_matmul_dropped, fx_matvec, fx_matvec_dropped, MacDropSpec};
+use matic_nn::kernel::{fx_matmul, fx_matmul_dropped, MacDropSpec};
 use matic_sram::SramArray;
 use serde::{Deserialize, Serialize};
 
@@ -89,11 +91,11 @@ impl Snnac {
     /// Internally this composes the array's current contents into a
     /// [`FaultedWeights`] artifact (one physical read per stored word —
     /// the same reads, in effect, that the per-MAC fetch loop would
-    /// issue) and then runs the blocked integer kernel over the dense
-    /// tensors. Outputs, statistics and the post-disturb array state are
-    /// bit-identical to [`Snnac::execute_reference`]; callers evaluating
-    /// many inputs at one operating point should compose once themselves
-    /// and call [`Snnac::execute_composed`] directly.
+    /// issue) and then runs the input as a batch of one. Outputs,
+    /// statistics and the post-disturb array state are bit-identical to
+    /// [`Snnac::execute_reference`]; callers evaluating many inputs at one
+    /// operating point should compose once themselves and call
+    /// [`Snnac::execute_batch`] directly.
     ///
     /// Returns the output activations (as reals) and cycle statistics.
     ///
@@ -115,271 +117,26 @@ impl Snnac {
             array.bank_count()
         );
         let weights = FaultedWeights::from_array(layout, self.weight_fmt, array);
-        self.execute_composed(program, &weights, input)
+        let (mut outputs, stats) = self.execute_batch(program, &weights, &[input]);
+        (outputs.pop().expect("one output per input"), stats)
     }
 
-    /// Executes a compiled program over fault-composed weight tensors:
-    /// the fast path that never consults a fault map or weight memory
-    /// inside the MAC loop.
+    /// Executes a compiled program over fault-composed weight tensors for
+    /// a whole batch of inputs: the path that never consults a fault map
+    /// or weight memory inside the MAC loop.
     ///
     /// `weights` is the [`FaultedWeights`] artifact of the current
     /// (chip, voltage) operating point; compose it once per operating
     /// point and reuse it across the whole evaluation set. The MAC
-    /// arithmetic is exact integer accumulation, so the blocked/unrolled
-    /// kernel produces bit-identical activations — and identical cycle
-    /// accounting, since the modeled hardware still fetches every word —
-    /// to the per-MAC reference path.
+    /// arithmetic is exact integer accumulation, so each sample's outputs
+    /// are bit-identical to the per-MAC reference path and to any other
+    /// batching of the same inputs.
     ///
-    /// # Panics
-    ///
-    /// Panics if `input` width does not match the program's first layer
-    /// or the artifact's shapes disagree with the program.
-    pub fn execute_composed(
-        &self,
-        program: &Program,
-        weights: &FaultedWeights,
-        input: &[f64],
-    ) -> (Vec<f64>, NpuStats) {
-        self.execute_composed_dropped(program, weights, input, None)
-    }
-
-    /// [`Snnac::execute_composed`] with TE-Drop error injection: MACs
-    /// flagged by `drops` contribute zero to the accumulation (their
-    /// partial product is squashed by the Razor-style error path), while
-    /// cycle and traffic accounting is unchanged — a dropped MAC still
-    /// occupies its issue slot and its weight word is still fetched.
-    /// Bias additions ride the short accumulator path and never drop.
-    ///
-    /// `drops = None` is exactly [`Snnac::execute_composed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Snnac::execute_composed`].
-    pub fn execute_composed_dropped(
-        &self,
-        program: &Program,
-        weights: &FaultedWeights,
-        input: &[f64],
-        drops: Option<&MacDropSpec>,
-    ) -> (Vec<f64>, NpuStats) {
-        let mut stats = NpuStats::default();
-        // The input FIFO holds the current layer's inputs (activation fmt),
-        // mirrored as raw values for the integer kernel.
-        let mut current: Vec<Fx> = input
-            .iter()
-            .map(|&x| Fx::from_f64(x, self.act_fmt))
-            .collect();
-        let mut current_raw: Vec<i32> = current.iter().map(|fx| fx.raw()).collect();
-        let mut next: Vec<Fx> = Vec::new();
-        let mut fan_in = 0usize;
-        let mut layer = 0usize;
-        let mut activation = matic_nn::Activation::Sigmoid;
-        let mut pending: Vec<Fx> = Vec::new(); // accumulator-drained group
-        let mut group_dots = vec![0i64; self.pes];
-        let act_frac = self.act_fmt.frac_bits();
-
-        for op in program.ops() {
-            match *op {
-                MicroOp::SetLayer {
-                    layer: l,
-                    fan_in: fi,
-                    fan_out: fo,
-                    activation: act,
-                } => {
-                    layer = l as usize;
-                    fan_in = fi as usize;
-                    activation = act;
-                    next = Vec::with_capacity(fo as usize);
-                }
-                MicroOp::LoadInput => {
-                    assert_eq!(
-                        current.len(),
-                        fan_in,
-                        "input width mismatch at layer {layer}"
-                    );
-                    // Streaming the input vector costs one cycle per element.
-                    stats.cycles += fan_in as u64;
-                }
-                MicroOp::Macc {
-                    neuron_base,
-                    active,
-                } => {
-                    // All active PEs run in lock-step: fan_in MAC cycles,
-                    // one bias-fetch cycle, plus fill/drain overhead.
-                    stats.cycles += fan_in as u64 + 1 + self.group_overhead;
-                    pending.clear();
-                    let tensor = weights.layer(layer);
-                    let biases = weights.bias(layer);
-                    let base = neuron_base as usize;
-                    let group = active as usize;
-                    // The group's neurons are consecutive tensor rows, so
-                    // the whole lock-step MACC is one blocked matvec over
-                    // the dense storage; exact i64 accumulation makes the
-                    // unrolled kernel equal the sequential MAC chain.
-                    let rows =
-                        &tensor.as_raw()[base * tensor.cols()..(base + group) * tensor.cols()];
-                    let dots = &mut group_dots[..group];
-                    match drops {
-                        None => fx_matvec(rows, &current_raw, dots),
-                        Some(d) => fx_matvec_dropped(rows, &current_raw, dots, d, layer, base),
-                    }
-                    for (pe, &dot) in dots.iter().enumerate() {
-                        let mut acc = Accumulator::new();
-                        acc.add_raw(dot);
-                        acc.add_raw((biases[base + pe] as i64) << act_frac);
-                        stats.sram_reads += fan_in as u64 + 1;
-                        stats.macs += fan_in as u64;
-                        // Narrow the wide accumulator to the AFU input.
-                        pending.push(acc.narrow_from(
-                            self.weight_fmt,
-                            act_frac,
-                            self.afu.input_format(),
-                        ));
-                    }
-                }
-                MicroOp::Activate => {
-                    // The AFU drains one value per cycle.
-                    stats.cycles += pending.len() as u64;
-                    for z in pending.drain(..) {
-                        next.push(self.afu.apply(activation, z));
-                    }
-                }
-                MicroOp::StoreOutput => {
-                    stats.cycles += 1;
-                    current = std::mem::take(&mut next);
-                    current_raw.clear();
-                    current_raw.extend(current.iter().map(|fx| fx.raw()));
-                }
-                MicroOp::Conv {
-                    layer: l,
-                    in_h,
-                    in_w,
-                    in_c,
-                    filters,
-                    kernel,
-                    activation: act,
-                } => {
-                    let layer = l as usize;
-                    let (in_h, in_w, in_c) = (in_h as usize, in_w as usize, in_c as usize);
-                    let (filters, kernel) = (filters as usize, kernel as usize);
-                    let (out_h, out_w) = (in_h + 1 - kernel, in_w + 1 - kernel);
-                    let k2c = kernel * kernel * in_c;
-                    let in_width = in_h * in_w * in_c;
-                    assert_eq!(
-                        current.len(),
-                        in_width,
-                        "input width mismatch at layer {layer}"
-                    );
-                    // Stream the feature map in: one cycle per element.
-                    stats.cycles += in_width as u64;
-                    let tensor = weights.layer(layer);
-                    let biases = weights.bias(layer);
-                    let rows = tensor.as_raw();
-                    // Each output position runs the filter set like one
-                    // dense neuron group, time-multiplexed over the ring.
-                    let groups = filters.div_ceil(self.pes) as u64;
-                    let mut patch = vec![0i32; k2c];
-                    let mut dots = vec![0i64; filters];
-                    let mut out = Vec::with_capacity(out_h * out_w * filters);
-                    for oy in 0..out_h {
-                        for ox in 0..out_w {
-                            // Gather the receptive field in (ky, kx, c)
-                            // order — the weight-column convention.
-                            let mut t = 0;
-                            for ky in 0..kernel {
-                                for kx in 0..kernel {
-                                    let base = ((oy + ky) * in_w + (ox + kx)) * in_c;
-                                    for c in 0..in_c {
-                                        patch[t] = current_raw[base + c];
-                                        t += 1;
-                                    }
-                                }
-                            }
-                            stats.cycles += groups * (k2c as u64 + 1 + self.group_overhead);
-                            match drops {
-                                None => fx_matvec(rows, &patch, &mut dots),
-                                Some(d) => fx_matvec_dropped(rows, &patch, &mut dots, d, layer, 0),
-                            }
-                            for (f, &dot) in dots.iter().enumerate() {
-                                let mut acc = Accumulator::new();
-                                acc.add_raw(dot);
-                                acc.add_raw((biases[f] as i64) << act_frac);
-                                stats.sram_reads += k2c as u64 + 1;
-                                stats.macs += k2c as u64;
-                                let z = acc.narrow_from(
-                                    self.weight_fmt,
-                                    act_frac,
-                                    self.afu.input_format(),
-                                );
-                                out.push(self.afu.apply(act, z));
-                            }
-                        }
-                    }
-                    // AFU drains one value per output element, then the
-                    // feature map commits in one store step.
-                    stats.cycles += (out_h * out_w * filters) as u64 + 1;
-                    current = out;
-                    current_raw.clear();
-                    current_raw.extend(current.iter().map(|fx| fx.raw()));
-                }
-                MicroOp::Pool {
-                    in_h,
-                    in_w,
-                    channels,
-                    window,
-                } => {
-                    let (in_h, in_w) = (in_h as usize, in_w as usize);
-                    let (channels, window) = (channels as usize, window as usize);
-                    let (out_h, out_w) = (in_h / window, in_w / window);
-                    let in_width = in_h * in_w * channels;
-                    assert_eq!(current.len(), in_width, "input width mismatch at pool");
-                    let mut out = Vec::with_capacity(out_h * out_w * channels);
-                    for oy in 0..out_h {
-                        for ox in 0..out_w {
-                            for c in 0..channels {
-                                // Raw fixed-point max IS value max (the
-                                // sign-extended words order monotonically);
-                                // strict `>` keeps the first maximum.
-                                let mut best =
-                                    current[((oy * window) * in_w + ox * window) * channels + c];
-                                for ky in 0..window {
-                                    for kx in 0..window {
-                                        let v = current[((oy * window + ky) * in_w
-                                            + (ox * window + kx))
-                                            * channels
-                                            + c];
-                                        if v.raw() > best.raw() {
-                                            best = v;
-                                        }
-                                    }
-                                }
-                                out.push(best);
-                            }
-                        }
-                    }
-                    // Streaming comparator tree: one cycle per input
-                    // element scanned, one per output drained, one store.
-                    stats.cycles += (in_width + out_h * out_w * channels) as u64 + 1;
-                    current = out;
-                    current_raw.clear();
-                    current_raw.extend(current.iter().map(|fx| fx.raw()));
-                }
-            }
-        }
-        (current.iter().map(|fx| fx.to_f64()).collect(), stats)
-    }
-
-    /// Batched [`Snnac::execute_composed`]: runs every input through the
-    /// program in one pass, re-reading each composed weight row once per
-    /// MACC group instead of once per sample.
-    ///
-    /// Outputs are bit-identical to calling [`Snnac::execute_composed`]
-    /// per input (each sample's lane accumulates the same exact integer
-    /// sum). The returned [`NpuStats`] are **per-inference**: the modeled
+    /// The returned [`NpuStats`] are **per-inference**: the modeled
     /// hardware runs the identical schedule for every sample regardless
-    /// of the data, so each sample's counters are equal and the batch
-    /// reports them once — the same stats any single `execute_composed`
-    /// call would return. An empty batch returns `(vec![], NpuStats::default())`.
+    /// of the data (it still fetches every word), so the batch reports
+    /// the counters every sample shares. An empty batch returns
+    /// `(vec![], NpuStats::default())`.
     ///
     /// # Panics
     ///
@@ -394,11 +151,25 @@ impl Snnac {
         self.execute_batch_dropped(program, weights, inputs, None)
     }
 
-    /// [`Snnac::execute_batch`] with TE-Drop error injection. The drop
-    /// verdict is a pure function of `(layer, row, col)` — never of the
-    /// sample — so a flagged MAC squashes that weight's product in every
-    /// sample lane, exactly as [`Snnac::execute_composed_dropped`] does
-    /// sample by sample.
+    /// [`Snnac::execute_batch`] with TE-Drop error injection: MACs
+    /// flagged by `drops` contribute zero to the accumulation (their
+    /// partial product is squashed by the Razor-style error path), while
+    /// cycle and traffic accounting is unchanged — a dropped MAC still
+    /// occupies its issue slot and its weight word is still fetched.
+    /// Bias additions ride the short accumulator path and never drop.
+    /// The verdict is a pure function of `(layer, row, col)` — never of
+    /// the sample — so a flagged MAC squashes that weight's product in
+    /// every sample lane. `drops = None` is exactly
+    /// [`Snnac::execute_batch`].
+    ///
+    /// This is the simulator's one microcode interpreter. The whole
+    /// pipeline stays in the raw integer domain with formats hoisted:
+    /// activations live in lanes, `lanes[c·n + s]` holding element `c`
+    /// of lane `s` out of `n`. A dense group is one [`fx_matmul`] over
+    /// the sample lanes; a convolution is lowered im2col-style to one
+    /// [`fx_matmul`] whose lanes are output positions × samples, so even
+    /// a one-sample batch fills the lanes; pooling is a max over raw
+    /// lanes (raw fixed-point order is value order).
     ///
     /// # Panics
     ///
@@ -414,49 +185,27 @@ impl Snnac {
         if b == 0 {
             return (Vec::new(), NpuStats::default());
         }
-        if !program.is_dense() {
-            // Conv/pool programs run per sample: the whole-layer ops are
-            // already raw-integer and deterministic, and the per-sample
-            // path is the bit-exactness anchor the batch must match
-            // anyway. Stats are per-inference, so one sample's suffice.
-            let mut outputs = Vec::with_capacity(b);
-            let mut stats = NpuStats::default();
-            for (s, input) in inputs.iter().enumerate() {
-                let (out, st) = self.execute_composed_dropped(program, weights, input, drops);
-                if s == 0 {
-                    stats = st;
-                }
-                outputs.push(out);
-            }
-            return (outputs, stats);
-        }
-        let mut stats = NpuStats::default();
-        // Quantize each input row through the activation format exactly as
-        // the per-sample path quantizes its input FIFO (the lane quantizer
-        // is bit-identical to `Fx::from_f64`), then transpose into
-        // sample-major lanes: current_raw[c*b + s] holds input c of
-        // sample s. The whole batched pipeline stays in the raw integer
-        // domain; formats are hoisted, never carried per value.
+        // Quantize each input row through the activation format (the lane
+        // quantizer is bit-identical to `Fx::from_f64`), then transpose
+        // into sample lanes: current[c*b + s] holds input c of sample s.
         let width0 = inputs[0].len();
         let mut rows_raw: Vec<i32> = Vec::with_capacity(width0 * b);
         for input in inputs {
             assert_eq!(input.len(), width0, "ragged batch input widths");
             quantize_lane(input, self.act_fmt, &mut rows_raw);
         }
-        let mut current_raw = vec![0i32; width0 * b];
+        let mut current = vec![0i32; width0 * b];
         for (s, row) in rows_raw.chunks_exact(width0.max(1)).enumerate() {
             for (c, &v) in row.iter().enumerate() {
-                current_raw[c * b + s] = v;
+                current[c * b + s] = v;
             }
         }
-        let mut next_raw: Vec<i32> = Vec::new();
+        let mut next: Vec<i32> = Vec::new();
         let mut fan_in = 0usize;
         let mut layer = 0usize;
         let mut activation = matic_nn::Activation::Sigmoid;
-        let mut pending_raw: Vec<i32> = Vec::new(); // narrowed group lanes
-        let mut group_dots = vec![0i64; self.pes * b];
-        let act_frac = self.act_fmt.frac_bits();
-        let afu_in = self.afu.input_format();
+        let mut pending: Vec<i32> = Vec::new(); // narrowed group lanes
+        let mut dots: Vec<i64> = Vec::new();
 
         for op in program.ops() {
             match *op {
@@ -469,86 +218,242 @@ impl Snnac {
                     layer = l as usize;
                     fan_in = fi as usize;
                     activation = act;
-                    next_raw = Vec::with_capacity(fo as usize * b);
+                    next = Vec::with_capacity(fo as usize * b);
                 }
                 MicroOp::LoadInput => {
                     assert_eq!(
-                        current_raw.len(),
+                        current.len(),
                         fan_in * b,
                         "input width mismatch at layer {layer}"
                     );
-                    // Streaming the input vector costs one cycle per
-                    // element — per inference, so counted once.
-                    stats.cycles += fan_in as u64;
                 }
                 MicroOp::Macc {
                     neuron_base,
                     active,
                 } => {
-                    // Per-inference schedule cost, identical for every
-                    // sample: counted once.
-                    stats.cycles += fan_in as u64 + 1 + self.group_overhead;
+                    // The group's neurons are consecutive tensor rows, so
+                    // the whole lock-step MACC is one lane matmul.
                     let tensor = weights.layer(layer);
-                    let biases = weights.bias(layer);
-                    let base = neuron_base as usize;
-                    let group = active as usize;
+                    let (base, group) = (neuron_base as usize, active as usize);
                     let rows =
                         &tensor.as_raw()[base * tensor.cols()..(base + group) * tensor.cols()];
-                    let dots = &mut group_dots[..group * b];
+                    dots.resize(group * b, 0);
                     match drops {
-                        None => fx_matmul(rows, &current_raw, b, dots),
-                        Some(d) => fx_matmul_dropped(rows, &current_raw, b, dots, d, layer, base),
+                        None => fx_matmul(rows, &current, b, &mut dots),
+                        Some(d) => fx_matmul_dropped(rows, &current, b, &mut dots, d, layer, base),
                     }
-                    // Fold each PE's bias into its sample lane, then
-                    // narrow the whole group through the hoisted lane
-                    // narrower (bit-identical to the per-value
-                    // `Accumulator::narrow_from` chain).
-                    pending_raw.clear();
-                    for (pe, pe_dots) in dots.chunks_exact_mut(b).enumerate() {
-                        stats.sram_reads += fan_in as u64 + 1;
-                        stats.macs += fan_in as u64;
-                        let bias_raw = (biases[base + pe] as i64) << act_frac;
-                        for dot in pe_dots.iter_mut() {
-                            *dot += bias_raw;
-                        }
-                    }
-                    narrow_lane(dots, self.weight_fmt, act_frac, afu_in, &mut pending_raw);
+                    let biases = &weights.bias(layer)[base..base + group];
+                    self.bias_and_narrow(&mut dots, biases, &mut pending);
                 }
                 MicroOp::Activate => {
-                    // One AFU drain cycle per neuron, per inference.
-                    stats.cycles += (pending_raw.len() / b) as u64;
-                    self.afu
-                        .apply_lane_raw(activation, &pending_raw, &mut next_raw);
-                    pending_raw.clear();
+                    self.afu.apply_lane_raw(activation, &pending, &mut next);
+                    pending.clear();
                 }
                 MicroOp::StoreOutput => {
-                    stats.cycles += 1;
-                    std::mem::swap(&mut current_raw, &mut next_raw);
-                    next_raw.clear();
+                    std::mem::swap(&mut current, &mut next);
+                    next.clear();
                 }
-                MicroOp::Conv { .. } | MicroOp::Pool { .. } => {
-                    unreachable!("non-dense programs take the per-sample fallback above")
+                MicroOp::Conv {
+                    layer: l,
+                    in_h,
+                    in_w,
+                    in_c,
+                    filters,
+                    kernel,
+                    activation: act,
+                } => {
+                    let layer = l as usize;
+                    let (in_h, in_w, in_c) = (in_h as usize, in_w as usize, in_c as usize);
+                    let (filters, kernel) = (filters as usize, kernel as usize);
+                    let (out_h, out_w) = (in_h + 1 - kernel, in_w + 1 - kernel);
+                    let lanes = out_h * out_w * b;
+                    assert_eq!(
+                        current.len(),
+                        in_h * in_w * in_c * b,
+                        "input width mismatch at layer {layer}"
+                    );
+                    // im2col: patch row (ky, kx, c) — the weight-column
+                    // order — holds that tap for every (position, sample)
+                    // lane.
+                    let mut patches = Vec::with_capacity(kernel * kernel * in_c * lanes);
+                    for ky in 0..kernel {
+                        for kx in 0..kernel {
+                            for c in 0..in_c {
+                                for oy in 0..out_h {
+                                    for ox in 0..out_w {
+                                        let src = (((oy + ky) * in_w + ox + kx) * in_c + c) * b;
+                                        patches.extend_from_slice(&current[src..src + b]);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    let rows = weights.layer(layer).as_raw();
+                    dots.resize(filters * lanes, 0);
+                    match drops {
+                        None => fx_matmul(rows, &patches, lanes, &mut dots),
+                        Some(d) => fx_matmul_dropped(rows, &patches, lanes, &mut dots, d, layer, 0),
+                    }
+                    self.bias_and_narrow(&mut dots, weights.bias(layer), &mut pending);
+                    let mut maps = Vec::with_capacity(filters * lanes);
+                    self.afu.apply_lane_raw(act, &pending, &mut maps);
+                    pending.clear();
+                    // Scatter filter-major maps into (position, filter)
+                    // element order.
+                    current.resize(filters * lanes, 0);
+                    for (f, map) in maps.chunks_exact(lanes).enumerate() {
+                        for (p, samples) in map.chunks_exact(b).enumerate() {
+                            let dst = (p * filters + f) * b;
+                            current[dst..dst + b].copy_from_slice(samples);
+                        }
+                    }
+                }
+                MicroOp::Pool {
+                    in_h,
+                    in_w,
+                    channels,
+                    window,
+                } => {
+                    let (in_h, in_w) = (in_h as usize, in_w as usize);
+                    let (channels, window) = (channels as usize, window as usize);
+                    let (out_h, out_w) = (in_h / window, in_w / window);
+                    assert_eq!(
+                        current.len(),
+                        in_h * in_w * channels * b,
+                        "input width mismatch at pool"
+                    );
+                    let mut out = Vec::with_capacity(out_h * out_w * channels * b);
+                    for oy in 0..out_h {
+                        for ox in 0..out_w {
+                            for c in 0..channels {
+                                let at = |ky: usize, kx: usize| {
+                                    (((oy * window + ky) * in_w + ox * window + kx) * channels + c)
+                                        * b
+                                };
+                                // Raw fixed-point max is value max.
+                                let dst = out.len();
+                                out.extend_from_slice(&current[at(0, 0)..at(0, 0) + b]);
+                                for ky in 0..window {
+                                    for kx in 0..window {
+                                        let src = &current[at(ky, kx)..at(ky, kx) + b];
+                                        for (best, &v) in out[dst..].iter_mut().zip(src) {
+                                            *best = (*best).max(v);
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    current = out;
                 }
             }
         }
-        let fan_out = current_raw.len() / b;
+        let fan_out = current.len() / b;
         let outputs = (0..b)
             .map(|s| {
                 (0..fan_out)
-                    .map(|c| dequantize(current_raw[c * b + s], self.act_fmt))
+                    .map(|c| dequantize(current[c * b + s], self.act_fmt))
                     .collect()
             })
             .collect();
-        (outputs, stats)
+        (outputs, self.cost(program))
+    }
+
+    /// Folds each row's bias into its run of `dots` lanes, then narrows
+    /// the wide accumulators to the AFU input format, appending to `out`
+    /// (bit-identical to the per-value `Accumulator::narrow_from` chain).
+    fn bias_and_narrow(&self, dots: &mut [i64], biases: &[i32], out: &mut Vec<i32>) {
+        let act_frac = self.act_fmt.frac_bits();
+        let lanes = dots.len() / biases.len();
+        for (row, &bias) in dots.chunks_exact_mut(lanes).zip(biases) {
+            let bias_raw = (bias as i64) << act_frac;
+            for dot in row {
+                *dot += bias_raw;
+            }
+        }
+        narrow_lane(
+            dots,
+            self.weight_fmt,
+            act_frac,
+            self.afu.input_format(),
+            out,
+        );
+    }
+
+    /// The per-inference cycle and traffic counters of `program`. The
+    /// schedule is static microcode and every weight word is fetched
+    /// whatever the data, so the counters depend on the program alone.
+    fn cost(&self, program: &Program) -> NpuStats {
+        let mut stats = NpuStats::default();
+        let (mut fan_in, mut pending) = (0u64, 0u64);
+        for op in program.ops() {
+            match *op {
+                MicroOp::SetLayer { fan_in: fi, .. } => fan_in = fi as u64,
+                // Streaming the input vector costs one cycle per element.
+                MicroOp::LoadInput => stats.cycles += fan_in,
+                MicroOp::Macc { active, .. } => {
+                    // All active PEs run in lock-step: fan_in MAC cycles,
+                    // one bias-fetch cycle, plus fill/drain overhead; each
+                    // PE fetches its fan_in weights and one bias word.
+                    pending = active as u64;
+                    stats.cycles += fan_in + 1 + self.group_overhead;
+                    stats.macs += pending * fan_in;
+                    stats.sram_reads += pending * (fan_in + 1);
+                }
+                // The AFU drains one value per cycle.
+                MicroOp::Activate => stats.cycles += std::mem::take(&mut pending),
+                MicroOp::StoreOutput => stats.cycles += 1,
+                MicroOp::Conv {
+                    in_h,
+                    in_w,
+                    in_c,
+                    filters,
+                    kernel,
+                    ..
+                } => {
+                    let (in_h, in_w, in_c) = (in_h as u64, in_w as u64, in_c as u64);
+                    let (filters, kernel) = (filters as u64, kernel as u64);
+                    let positions = (in_h + 1 - kernel) * (in_w + 1 - kernel);
+                    let k2c = kernel * kernel * in_c;
+                    // Stream the feature map in; each output position runs
+                    // the filter set like one dense neuron group,
+                    // time-multiplexed over the ring; the AFU drains one
+                    // value per output element, then one store.
+                    let groups = filters.div_ceil(self.pes as u64);
+                    stats.cycles += in_h * in_w * in_c
+                        + positions * groups * (k2c + 1 + self.group_overhead)
+                        + positions * filters
+                        + 1;
+                    stats.macs += positions * filters * k2c;
+                    stats.sram_reads += positions * filters * (k2c + 1);
+                }
+                MicroOp::Pool {
+                    in_h,
+                    in_w,
+                    channels,
+                    window,
+                } => {
+                    let (in_h, in_w, channels) = (in_h as u64, in_w as u64, channels as u64);
+                    let window = window as u64;
+                    // Streaming comparator tree: one cycle per input
+                    // element scanned, one per output drained, one store.
+                    stats.cycles +=
+                        in_h * in_w * channels + (in_h / window) * (in_w / window) * channels + 1;
+                }
+            }
+        }
+        stats
     }
 
     /// The per-MAC reference path: locate, fetch and decode every weight
     /// word inside the MAC loop, one SRAM read per multiply.
     ///
     /// Kept as the **bit-exactness oracle**: parity tests drive this and
-    /// [`Snnac::execute`] over the same inputs and assert identical
-    /// outputs, statistics and post-disturb array state. It is not a hot
-    /// path — use [`Snnac::execute`] or [`Snnac::execute_composed`].
+    /// the batched interpreter over the same inputs and assert identical
+    /// outputs, statistics and post-disturb array state. It counts its
+    /// statistics inline, MAC by MAC, so it also checks the static cost
+    /// model. It is not a hot path — use [`Snnac::execute`] or
+    /// [`Snnac::execute_batch`].
     ///
     /// # Panics
     ///
@@ -564,7 +469,7 @@ impl Snnac {
     }
 
     /// [`Snnac::execute_reference`] with TE-Drop error injection: the
-    /// per-MAC oracle for [`Snnac::execute_composed_dropped`]. A dropped
+    /// per-MAC oracle for [`Snnac::execute_batch_dropped`]. A dropped
     /// MAC still fetches its weight word (the read-disturb side effect
     /// and traffic accounting happen either way) but its product is
     /// squashed before the accumulator.
@@ -876,10 +781,9 @@ mod tests {
         assert_eq!(stats.sram_reads, stats.macs + 32 + 10);
     }
 
-    #[test]
-    fn dropped_paths_agree_and_none_is_identity() {
+    /// Trains a small dense model and uploads it.
+    fn dense_fixture(seed: u64) -> (NetSpec, matic_core::TrainedModel, SramArray) {
         let spec = NetSpec::classifier(&[9, 14, 3]);
-        let input: Vec<f64> = (0..9).map(|i| i as f64 / 9.0 - 0.4).collect();
         let data: Vec<Sample> = (0..16)
             .map(|i| Sample::new(vec![i as f64 / 16.0; 9], vec![0.5; 3]))
             .collect();
@@ -891,73 +795,84 @@ mod tests {
             ..MatConfig::paper()
         };
         let model = train_naive(&spec, &data, &cfg, 8, 576);
-        let npu = Snnac::snnac(model.format());
-        let program = Program::compile(&spec, npu.pe_count());
-        let mut arr = array(8, 576, 13);
+        let mut arr = array(8, 576, seed);
         matic_core::upload_weights(&model, &mut arr);
-
-        let drops = MacDropSpec::new(77, 0.3);
-        let weights = FaultedWeights::from_array(model.layout(), model.format(), &mut arr);
-        let (composed, cstats) =
-            npu.execute_composed_dropped(&program, &weights, &input, Some(&drops));
-        let (reference, rstats) =
-            npu.execute_reference_dropped(&program, model.layout(), &mut arr, &input, Some(&drops));
-        assert_eq!(composed, reference, "dropped paths must agree bit-exactly");
-        assert_eq!(cstats, rstats, "a dropped MAC still occupies its slot");
-
-        // With no drop spec the dropped entry points are the plain paths.
-        let (plain, _) = npu.execute_composed(&program, &weights, &input);
-        let (none, _) = npu.execute_composed_dropped(&program, &weights, &input, None);
-        assert_eq!(plain, none);
-        assert_ne!(plain, composed, "a 30 % drop rate must perturb the output");
+        (spec, model, arr)
     }
 
-    #[test]
-    fn batched_execute_matches_per_sample_outputs_and_stats() {
-        let spec = NetSpec::classifier(&[9, 14, 3]);
-        let data: Vec<Sample> = (0..16)
-            .map(|i| Sample::new(vec![i as f64 / 16.0; 9], vec![0.5; 3]))
-            .collect();
-        let cfg = MatConfig {
-            sgd: SgdConfig {
-                epochs: 3,
-                ..SgdConfig::default()
-            },
-            ..MatConfig::paper()
-        };
-        let model = train_naive(&spec, &data, &cfg, 8, 576);
-        let npu = Snnac::snnac(model.format());
-        let program = Program::compile(&spec, npu.pe_count());
-        let mut arr = array(8, 576, 17);
-        matic_core::upload_weights(&model, &mut arr);
-        let weights = FaultedWeights::from_array(model.layout(), model.format(), &mut arr);
-
-        let inputs: Vec<Vec<f64>> = (0..7)
-            .map(|i| {
-                (0..9)
-                    .map(|c| ((i * 5 + c) % 11) as f64 / 11.0 - 0.3)
+    /// Seven probe inputs of width `n`.
+    fn probes(n: usize) -> Vec<Vec<f64>> {
+        (0..7)
+            .map(|s| {
+                (0..n)
+                    .map(|c| ((s * 17 + c * 5) % 23) as f64 / 23.0 - 0.3)
                     .collect()
             })
-            .collect();
+            .collect()
+    }
+
+    /// The batched interpreter at batch sizes 1, 2, 3 and 7, with and
+    /// without MAC drops, must reproduce the per-MAC oracle's outputs and
+    /// statistics for every sample.
+    fn assert_batches_match_oracle(
+        model: &matic_core::TrainedModel,
+        arr: &mut SramArray,
+        inputs: &[Vec<f64>],
+    ) {
+        let npu = Snnac::snnac(model.format());
+        let program = Program::compile(model.master().spec(), npu.pe_count());
+        let weights = FaultedWeights::from_array(model.layout(), model.format(), arr);
         let refs: Vec<&[f64]> = inputs.iter().map(|v| v.as_slice()).collect();
         let drops = MacDropSpec::new(55, 0.25);
         for d in [None, Some(&drops)] {
             for b in [1usize, 2, 3, 7] {
                 let (batched, bstats) =
                     npu.execute_batch_dropped(&program, &weights, &refs[..b], d);
+                assert_eq!(batched.len(), b);
                 for (input, out) in refs[..b].iter().zip(&batched) {
-                    let (single, sstats) =
-                        npu.execute_composed_dropped(&program, &weights, input, d);
-                    assert_eq!(out, &single, "batch {b} drops {}", d.is_some());
-                    // Stats are data-independent, so the batch reports the
+                    let (oracle, ostats) =
+                        npu.execute_reference_dropped(&program, model.layout(), arr, input, d);
+                    assert_eq!(out, &oracle, "batch {b} drops {}", d.is_some());
+                    // Stats are data-independent: the batch reports the
                     // per-inference counters every sample shares.
-                    assert_eq!(bstats, sstats, "batch {b} drops {}", d.is_some());
+                    assert_eq!(bstats, ostats, "batch {b} drops {}", d.is_some());
                 }
             }
         }
         let (empty, stats) = npu.execute_batch(&program, &weights, &[]);
         assert!(empty.is_empty());
         assert_eq!(stats, NpuStats::default());
+    }
+
+    #[test]
+    fn dropped_paths_agree_and_none_is_identity() {
+        let (spec, model, mut arr) = dense_fixture(13);
+        let input: Vec<f64> = (0..9).map(|i| i as f64 / 9.0 - 0.4).collect();
+        let npu = Snnac::snnac(model.format());
+        let program = Program::compile(&spec, npu.pe_count());
+        let drops = MacDropSpec::new(77, 0.3);
+        let weights = FaultedWeights::from_array(model.layout(), model.format(), &mut arr);
+        let (dropped, dstats) =
+            npu.execute_batch_dropped(&program, &weights, &[&input], Some(&drops));
+        let (reference, rstats) =
+            npu.execute_reference_dropped(&program, model.layout(), &mut arr, &input, Some(&drops));
+        assert_eq!(
+            dropped[0], reference,
+            "dropped paths must agree bit-exactly"
+        );
+        assert_eq!(dstats, rstats, "a dropped MAC still occupies its slot");
+
+        // With no drop spec the dropped entry point is the plain path.
+        let (plain, _) = npu.execute_batch(&program, &weights, &[&input]);
+        let (none, _) = npu.execute_batch_dropped(&program, &weights, &[&input], None);
+        assert_eq!(plain, none);
+        assert_ne!(plain, dropped, "a 30 % drop rate must perturb the output");
+    }
+
+    #[test]
+    fn batched_execute_matches_per_sample_outputs_and_stats() {
+        let (_, model, mut arr) = dense_fixture(17);
+        assert_batches_match_oracle(&model, &mut arr, &probes(9));
     }
 
     #[test]
@@ -1022,7 +937,6 @@ mod tests {
         let (spec, model, mut arr) = conv_fixture(23);
         let npu = Snnac::snnac(model.format());
         let program = Program::compile(&spec, npu.pe_count());
-        assert!(!program.is_dense());
         let weights = FaultedWeights::from_array(model.layout(), model.format(), &mut arr);
         let input: Vec<f64> = (0..36)
             .map(|i| ((i * 7 + 3) % 29) as f64 / 29.0 - 0.35)
@@ -1030,15 +944,15 @@ mod tests {
 
         for drops in [None, Some(MacDropSpec::new(91, 0.2))] {
             let d = drops.as_ref();
-            let (composed, cstats) = npu.execute_composed_dropped(&program, &weights, &input, d);
+            let (batched, bstats) = npu.execute_batch_dropped(&program, &weights, &[&input], d);
             let (reference, rstats) =
                 npu.execute_reference_dropped(&program, model.layout(), &mut arr, &input, d);
-            assert_eq!(composed, reference, "conv composed vs per-MAC oracle");
-            assert_eq!(cstats, rstats, "conv traffic/cycle model must match");
+            assert_eq!(batched[0], reference, "conv batch of one vs per-MAC oracle");
+            assert_eq!(bstats, rstats, "conv traffic/cycle model must match");
         }
 
         // The quantized float model agrees to fixed-point/AFU tolerance.
-        let (out, _) = npu.execute_composed(&program, &weights, &input);
+        let (out, _) = npu.execute(&program, model.layout(), &mut arr, &input);
         let reference = model.quantized().forward(&input);
         assert_eq!(out.len(), 3);
         for (a, b) in out.iter().zip(&reference) {
@@ -1051,9 +965,8 @@ mod tests {
         let (spec, model, mut arr) = conv_fixture(27);
         let npu = Snnac::snnac(model.format());
         let program = Program::compile(&spec, npu.pe_count());
-        let weights = FaultedWeights::from_array(model.layout(), model.format(), &mut arr);
         let input: Vec<f64> = (0..36).map(|i| i as f64 / 36.0).collect();
-        let (_, stats) = npu.execute_composed(&program, &weights, &input);
+        let (_, stats) = npu.execute(&program, model.layout(), &mut arr, &input);
         // Conv 6x6x1 → 4x4x4 with 3x3 taps: load 36, 16 positions × 1
         // group × (9 + 1 + 4), 64 AFU drains, 1 store.
         let conv = 36 + 16 * (9 + 1 + 4) + 64 + 1;
@@ -1070,26 +983,7 @@ mod tests {
 
     #[test]
     fn batched_conv_chain_matches_per_sample() {
-        let (spec, model, mut arr) = conv_fixture(31);
-        let npu = Snnac::snnac(model.format());
-        let program = Program::compile(&spec, npu.pe_count());
-        let weights = FaultedWeights::from_array(model.layout(), model.format(), &mut arr);
-        let inputs: Vec<Vec<f64>> = (0..5)
-            .map(|s| {
-                (0..36)
-                    .map(|c| ((s * 17 + c * 3) % 23) as f64 / 23.0 - 0.2)
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[f64]> = inputs.iter().map(|v| v.as_slice()).collect();
-        let drops = MacDropSpec::new(45, 0.25);
-        for d in [None, Some(&drops)] {
-            let (batched, bstats) = npu.execute_batch_dropped(&program, &weights, &refs, d);
-            for (input, out) in refs.iter().zip(&batched) {
-                let (single, sstats) = npu.execute_composed_dropped(&program, &weights, input, d);
-                assert_eq!(out, &single);
-                assert_eq!(bstats, sstats);
-            }
-        }
+        let (_, model, mut arr) = conv_fixture(31);
+        assert_batches_match_oracle(&model, &mut arr, &probes(36));
     }
 }

@@ -2,8 +2,8 @@
 //! injection.
 //!
 //! The NPU's default execution path composes the array's post-disturb
-//! contents into a dense `FaultedWeights` artifact and runs the blocked
-//! integer kernel; [`Snnac::execute_reference`] keeps the original
+//! contents into a dense `FaultedWeights` artifact and runs the batched
+//! interpreter over it; [`Snnac::execute_reference`] keeps the original
 //! locate-fetch-decode-per-MAC loop as the oracle. This suite drives both
 //! over the four paper topologies, several chip seeds and the full
 //! voltage range, asserting exact equality of outputs, cycle statistics
@@ -65,13 +65,15 @@ fn assert_parity(spec: &NetSpec, name: &str, chip_seed: u64, voltage: f64) {
         chip.set_sram_voltage(voltage);
     }
 
-    // Compose once, evaluate many — the sweep engine's usage pattern.
+    // Compose once, evaluate the whole probe set as one batch — the sweep
+    // engine's usage pattern.
     let weights =
         FaultedWeights::from_array(model.layout(), model.format(), composed_chip.array_mut());
-    for (p, input) in probes.iter().enumerate() {
+    let inputs: Vec<&[f64]> = probes.iter().map(|v| v.as_slice()).collect();
+    let (fast_outs, fast_stats) = npu.execute_batch(&program, &weights, &inputs);
+    for (p, (input, fast_out)) in probes.iter().zip(fast_outs).enumerate() {
         let (ref_out, ref_stats) =
             npu.execute_reference(&program, model.layout(), reference_chip.array_mut(), input);
-        let (fast_out, fast_stats) = npu.execute_composed(&program, &weights, input);
         assert_eq!(
             ref_out, fast_out,
             "{name} seed {chip_seed} @ {voltage} V probe {p}: outputs diverge"

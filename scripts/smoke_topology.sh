@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # The extended-topology contract end-to-end, through the real binary: a
 # conv-chain sweep must produce byte-identical reports cold, warm (from
-# the persistent cache), served out of the daemon, and under the
-# forced-scalar kernel tier — and the report must carry the v4 schema
-# with the topology fingerprint while stock MLP sweeps stay on v3.
+# the persistent cache) and served out of the daemon — and the report
+# must carry the v4 schema with the topology fingerprint while stock MLP
+# sweeps stay on v3.
 set -euo pipefail
 MATIC=${MATIC:-./target/release/matic}
 
@@ -24,11 +24,6 @@ grep -q '"topologies"' topo-cold.json
 cat topo-warm-stderr.txt
 grep -q "cache: 8 hits, 0 misses" topo-warm-stderr.txt
 cmp topo-cold.json topo-warm.json
-# Forced-scalar leg: the kernel tier must not reach the bytes.
-MATIC_KERNEL=scalar "$MATIC" sweep --chips 2 --voltages 0.50,0.90 \
-  --benchmarks mnist --topology "$TOPO" --scale 0.1 --epochs 0.2 \
-  --threads 1 --quiet --out topo-scalar.json
-cmp topo-cold.json topo-scalar.json
 # Served leg: the daemon streams the same bytes for the same spec.
 "$MATIC" serve --listen topo.sock --workers 2 2> topo-serve-stderr.txt &
 SERVE_PID=$!

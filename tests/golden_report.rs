@@ -11,7 +11,7 @@
 //! ```
 //!
 //! This pins two contracts at once: the deterministic pipeline (same
-//! plan → same bytes, whatever the host, thread count or kernel tier),
+//! plan → same bytes, whatever the host, thread count or batch shape),
 //! and the report's serialized layout — all-MLP plans must stay on the
 //! v3 schema with the exact v3 field set, so downstream consumers of
 //! existing reports never see a byte change they didn't opt into by
@@ -40,11 +40,28 @@
 //!     --modes naive,mat --scale 0.2 --epochs 0.3 --seed 42 \
 //!     --quiet --out tests/golden/sweep_clock_v3.json
 //! ```
+//!
+//! The last two pin the extended-topology inference path — convolution
+//! lowered onto position × sample lanes, max pooling over raw lanes, and
+//! the v4 schema — on the voltage axis (with canary deployment) and,
+//! through MAC timing drops, on the clock-stress axis:
+//!
+//! ```text
+//! matic sweep --chips 2 --voltages 0.50,0.90 --benchmarks mnist \
+//!     --topology '10x10x1;conv3x2;pool2;dense10' \
+//!     --modes naive,mat,mat-canary --scale 0.2 --epochs 0.3 --seed 42 \
+//!     --quiet --out tests/golden/sweep_conv_v4.json
+//! matic sweep --chips 2 --clock-stress 0.2,0.9 --benchmarks mnist \
+//!     --topology '10x10x1;conv3x2;pool2;dense10' \
+//!     --modes naive,mat --scale 0.2 --epochs 0.3 --seed 42 \
+//!     --quiet --out tests/golden/sweep_conv_clock_v4.json
+//! ```
 
 use matic_harness::{
     run_sweep, run_sweep_observed, ExecContext, SweepOutcome, SweepPlan, SweepPlanBuilder,
     TrainingMemo, TrainingMode,
 };
+use matic_nn::NetSpec;
 
 /// Fails with the produced report written next to the golden, so CI
 /// artifacts make the diff inspectable (the reports are tens of kB).
@@ -161,5 +178,54 @@ fn clock_sweep_is_byte_identical_to_golden() {
     for threads in [1, 2, 4] {
         let plan = synthetic_plan(|b| b.clock_stress(&[0.1, 0.2, 0.5, 0.9]), threads);
         assert_golden(&run_sweep(&plan).to_json_pretty(), golden, "sweep_clock_v3");
+    }
+}
+
+/// The conv-chain MNIST grid on the axis `axis` sets, in `modes`.
+fn conv_plan(
+    axis: fn(SweepPlanBuilder) -> SweepPlanBuilder,
+    modes: &[TrainingMode],
+    threads: usize,
+) -> SweepPlan {
+    let topo = NetSpec::parse_topology("10x10x1;conv3x2;pool2;dense10").expect("valid chain");
+    axis(SweepPlan::builder())
+        .chips(2)
+        .benchmark("mnist")
+        .expect("mnist is a builtin benchmark")
+        .topology(topo)
+        .modes(modes)
+        .data_scale(0.2)
+        .epoch_scale(0.3)
+        .seed(42)
+        .threads(threads)
+        .build()
+        .expect("plan is valid")
+}
+
+#[test]
+fn conv_sweep_is_byte_identical_to_golden() {
+    let golden = include_str!("golden/sweep_conv_v4.json");
+    let modes = [
+        TrainingMode::Naive,
+        TrainingMode::Mat,
+        TrainingMode::MatCanary,
+    ];
+    for threads in [1, 2, 4] {
+        let plan = conv_plan(|b| b.voltages(&[0.50, 0.90]), &modes, threads);
+        assert_golden(&run_sweep(&plan).to_json_pretty(), golden, "sweep_conv_v4");
+    }
+}
+
+#[test]
+fn conv_clock_sweep_is_byte_identical_to_golden() {
+    let golden = include_str!("golden/sweep_conv_clock_v4.json");
+    let modes = [TrainingMode::Naive, TrainingMode::Mat];
+    for threads in [1, 2, 4] {
+        let plan = conv_plan(|b| b.clock_stress(&[0.2, 0.9]), &modes, threads);
+        assert_golden(
+            &run_sweep(&plan).to_json_pretty(),
+            golden,
+            "sweep_conv_clock_v4",
+        );
     }
 }
