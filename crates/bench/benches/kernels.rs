@@ -188,8 +188,9 @@ fn bench_conv(c: &mut Criterion) {
         b.iter(|| black_box(npu.execute_batch(&program, &weights, &[black_box(input.as_slice())])))
     });
 
-    // The chain backward pass (conv/pool gradients via the per-sample
-    // fallback), per 8-sample batch.
+    // One conv/pool chain gradient step over an 8-sample batch: the
+    // batch moves forward in sample lanes, then each sample runs the
+    // conv/pool backward in turn.
     let master = model.master().clone();
     let batch: Vec<Sample> = test.iter().take(8).cloned().collect();
     c.bench_function("chain_gradients_conv_batch8", |b| {

@@ -1,103 +1,138 @@
 //! Layer modules: the float-side compute behind each [`LayerSpec`] kind.
 //!
-//! Two entry surfaces share one implementation:
+//! Two free functions dispatch on a `LayerSpec` value — a static match,
+//! no allocation — and are what `Mlp`'s chain walk calls per layer:
 //!
-//! * **Free functions** ([`forward_into`], [`accumulate_gradients`])
-//!   dispatch on a `LayerSpec` value — a static match, no allocation —
-//!   and are what `Mlp`'s hot loops call per layer.
-//! * The [`Layer`] **trait** with [`Dense`] / [`Conv2d`] / [`MaxPool`]
-//!   modules wraps the same functions behind an object-safe interface,
-//!   composed by [`build_chain`] for consumers that want a
-//!   `Vec<Box<dyn Layer>>` view of a network (gradcheck drivers,
-//!   external tooling, future layer kinds).
-//!
-//! Contract shared by both surfaces:
-//!
-//! * `forward` computes `act(W·x + b)` for parameterized layers (the
-//!   exact op order of the historical dense path — matvec, then bias
-//!   add, then activation over the whole slice — so plain MLPs stay
-//!   bit-identical through the dispatch), or the pooling reduction.
-//! * `backward` takes `delta` already multiplied by this layer's
-//!   activation derivative, accumulates `grad_w`/`grad_b`, and writes
-//!   `delta_in = Wᵀ·delta` **without** the previous layer's activation
-//!   derivative (the chain walker owns that multiply — it is the
-//!   seam between layers, not part of either one). `delta_in` is fully
-//!   overwritten; callers need not zero it.
+//! * [`forward_lanes`] computes `act(W·x + b)` for parameterized layers,
+//!   or the pooling reduction, for a whole batch held in column-major
+//!   sample lanes (`x[unit·b + s]` is unit `unit` of sample `s`). Each
+//!   lane accumulates its own sum in the layer's reference order —
+//!   columns ascending for dense, taps `(ky, kx, c)` ascending for
+//!   convolution, then the bias, then the activation — so a lane's bits
+//!   never depend on the batch size or on its neighbours.
+//! * [`accumulate_gradients`] is one sample's backward pass. It takes
+//!   `delta` already multiplied by this layer's activation derivative,
+//!   accumulates `grad_w`/`grad_b`, and writes `delta_in = Wᵀ·delta`
+//!   **without** the previous layer's activation derivative (the chain
+//!   walker owns that multiply — it is the seam between layers, not
+//!   part of either one). `delta_in` is fully overwritten; callers need
+//!   not zero it.
 //!
 //! Max-pooling breaks ties by first occurrence in `(ky, kx)` scan
 //! order, which keeps its subgradient — and therefore training —
 //! deterministic.
 
-use crate::activation::Activation;
 use crate::matrix::Matrix;
-use crate::spec::{LayerSpec, NetSpec};
+use crate::spec::LayerSpec;
 
-/// Forward pass for one layer: reads `x` (`spec.in_width()` wide),
-/// writes `out` (`spec.out_width()` wide).
-pub fn forward_into(spec: &LayerSpec, weights: &Matrix, bias: &[f64], x: &[f64], out: &mut [f64]) {
+/// Forward pass for one layer over `b` sample lanes: reads `x`
+/// (`spec.in_width() · b` long), writes `out` (`spec.out_width() · b`
+/// long), both column-major (`[unit · b + sample]`).
+///
+/// # Panics
+///
+/// Panics if `b == 0` or either buffer has the wrong length.
+pub fn forward_lanes(
+    spec: &LayerSpec,
+    weights: &Matrix,
+    bias: &[f64],
+    x: &[f64],
+    b: usize,
+    out: &mut [f64],
+) {
+    assert!(b > 0, "forward_lanes needs at least one lane");
+    assert_eq!(x.len(), spec.in_width() * b, "lane input width");
+    assert_eq!(out.len(), spec.out_width() * b, "lane output width");
     match *spec {
         LayerSpec::Dense { act, .. } => {
-            weights.matvec_into(x, out);
-            for (o, b) in out.iter_mut().zip(bias) {
-                *o += *b;
+            // Full blocks of eight lanes accumulate in registers; the
+            // ragged tail accumulates in place. Both run each lane's
+            // columns in ascending order.
+            let full = b - b % 8;
+            for (r, zrow) in out.chunks_exact_mut(b).enumerate() {
+                let row = weights.row(r);
+                let (blocks, tail) = zrow.split_at_mut(full);
+                for (k, block) in blocks.chunks_exact_mut(8).enumerate() {
+                    let mut acc = [0.0f64; 8];
+                    for (xc, &w) in x.chunks_exact(b).zip(row) {
+                        let xs: &[f64; 8] =
+                            xc[8 * k..8 * k + 8].try_into().expect("an 8-lane slice");
+                        for (a, xv) in acc.iter_mut().zip(xs) {
+                            *a += w * xv;
+                        }
+                    }
+                    for (zv, a) in block.iter_mut().zip(acc) {
+                        *zv = act.apply(a + bias[r]);
+                    }
+                }
+                if !tail.is_empty() {
+                    tail.fill(0.0);
+                    mac_lanes(row, x, b, full, tail);
+                    for zv in tail {
+                        *zv = act.apply(*zv + bias[r]);
+                    }
+                }
             }
-            act.apply_slice(out);
         }
         LayerSpec::Conv2d {
-            in_h,
             in_w,
             in_c,
             filters,
             kernel,
             act,
+            ..
         } => {
-            let (out_h, out_w) = (in_h + 1 - kernel, in_w + 1 - kernel);
-            for oy in 0..out_h {
-                for ox in 0..out_w {
-                    for f in 0..filters {
-                        let taps = weights.row(f);
-                        let mut acc = 0.0;
-                        // Tap order (ky, kx, c) matches the weight-column
-                        // convention col = (ky·kernel + kx)·in_c + c.
-                        for ky in 0..kernel {
-                            for kx in 0..kernel {
-                                for c in 0..in_c {
-                                    let col = (ky * kernel + kx) * in_c + c;
-                                    let xi = ((oy + ky) * in_w + (ox + kx)) * in_c + c;
-                                    acc += taps[col] * x[xi];
-                                }
-                            }
-                        }
-                        out[(oy * out_w + ox) * filters + f] = acc + bias[f];
-                    }
+            let out_w = in_w - kernel + 1;
+            // Weight columns are taps (ky, kx, c), so for a fixed `ky`
+            // the `kernel · in_c` taps and the input units they read
+            // are both contiguous runs.
+            let run = kernel * in_c;
+            for (o, zrow) in out.chunks_exact_mut(b).enumerate() {
+                let (pos, f) = (o / filters, o % filters);
+                let (oy, ox) = (pos / out_w, pos % out_w);
+                zrow.fill(0.0);
+                for (ky, taps) in weights.row(f).chunks_exact(run).enumerate() {
+                    let first = ((oy + ky) * in_w + ox) * in_c;
+                    mac_lanes(taps, &x[first * b..], b, 0, zrow);
+                }
+                for zv in zrow {
+                    *zv = act.apply(*zv + bias[f]);
                 }
             }
-            act.apply_slice(out);
         }
         LayerSpec::MaxPool {
-            in_h,
             in_w,
             channels,
             window,
+            ..
         } => {
-            let (out_h, out_w) = (in_h / window, in_w / window);
-            for oy in 0..out_h {
-                for ox in 0..out_w {
-                    for c in 0..channels {
-                        let mut best = f64::NEG_INFINITY;
-                        for ky in 0..window {
-                            for kx in 0..window {
-                                let xi =
-                                    ((oy * window + ky) * in_w + (ox * window + kx)) * channels + c;
-                                if x[xi] > best {
-                                    best = x[xi];
-                                }
+            let out_w = in_w / window;
+            for (o, zrow) in out.chunks_exact_mut(b).enumerate() {
+                let (pos, c) = (o / channels, o % channels);
+                let (oy, ox) = (pos / out_w, pos % out_w);
+                zrow.fill(f64::NEG_INFINITY);
+                for ky in 0..window {
+                    for kx in 0..window {
+                        let xi = ((oy * window + ky) * in_w + (ox * window + kx)) * channels + c;
+                        for (best, &xv) in zrow.iter_mut().zip(&x[xi * b..(xi + 1) * b]) {
+                            if xv > *best {
+                                *best = xv;
                             }
                         }
-                        out[(oy * out_w + ox) * channels + c] = best;
                     }
                 }
             }
+        }
+    }
+}
+
+/// `acc[s] += Σ_c w[c] · x[c·b + lo + s]` for every lane `s` of `acc`,
+/// columns ascending — one running sum per lane.
+fn mac_lanes(w: &[f64], x: &[f64], b: usize, lo: usize, acc: &mut [f64]) {
+    let n = acc.len();
+    for (xc, &wv) in x.chunks_exact(b).zip(w) {
+        for (a, xv) in acc.iter_mut().zip(&xc[lo..lo + n]) {
+            *a += wv * xv;
         }
     }
 }
@@ -136,7 +171,7 @@ pub fn accumulate_gradients(
             kernel,
             ..
         } => {
-            let (out_h, out_w) = (in_h + 1 - kernel, in_w + 1 - kernel);
+            let (out_h, out_w) = (in_h - kernel + 1, in_w - kernel + 1);
             if let Some(di) = &mut delta_in {
                 di.fill(0.0);
             }
@@ -200,169 +235,20 @@ pub fn accumulate_gradients(
     }
 }
 
-/// An object-safe network stage over shared parameter storage.
-///
-/// Parameters live outside the layer (in `Mlp`'s weight/bias vectors,
-/// in the NPU's composed tensors) so one topology description drives
-/// the float trainer, the quantizer and the silicon model alike; the
-/// layer owns geometry and compute only.
-pub trait Layer: std::fmt::Debug + Send + Sync {
-    /// The resolved geometry of this stage.
-    fn spec(&self) -> LayerSpec;
-
-    /// Flattened input width.
-    fn in_width(&self) -> usize {
-        self.spec().in_width()
-    }
-
-    /// Flattened output width.
-    fn out_width(&self) -> usize {
-        self.spec().out_width()
-    }
-
-    /// Weight extent `(rows, cols)`; `(0, 0)` for parameterless stages.
-    fn weight_extent(&self) -> (usize, usize) {
-        self.spec().weight_extent()
-    }
-
-    /// Forward pass; see [`forward_into`].
-    fn forward(&self, weights: &Matrix, bias: &[f64], x: &[f64], out: &mut [f64]) {
-        forward_into(&self.spec(), weights, bias, x, out);
-    }
-
-    /// Backward pass; see [`accumulate_gradients`].
-    fn backward(
-        &self,
-        weights: &Matrix,
-        x: &[f64],
-        delta: &[f64],
-        grad_w: &mut Matrix,
-        grad_b: &mut [f64],
-        delta_in: Option<&mut [f64]>,
-    ) {
-        accumulate_gradients(&self.spec(), weights, x, delta, grad_w, grad_b, delta_in);
-    }
-}
-
-/// Fully-connected layer module.
-#[derive(Debug, Clone, Copy)]
-pub struct Dense {
-    /// Fan-in.
-    pub inputs: usize,
-    /// Fan-out.
-    pub units: usize,
-    /// Activation.
-    pub act: Activation,
-}
-
-impl Layer for Dense {
-    fn spec(&self) -> LayerSpec {
-        LayerSpec::Dense {
-            inputs: self.inputs,
-            units: self.units,
-            act: self.act,
-        }
-    }
-}
-
-/// Valid-padding stride-1 2-D convolution module.
-#[derive(Debug, Clone, Copy)]
-pub struct Conv2d {
-    /// Input height.
-    pub in_h: usize,
-    /// Input width.
-    pub in_w: usize,
-    /// Input channels.
-    pub in_c: usize,
-    /// Filters (output channels).
-    pub filters: usize,
-    /// Square kernel side.
-    pub kernel: usize,
-    /// Activation.
-    pub act: Activation,
-}
-
-impl Layer for Conv2d {
-    fn spec(&self) -> LayerSpec {
-        LayerSpec::Conv2d {
-            in_h: self.in_h,
-            in_w: self.in_w,
-            in_c: self.in_c,
-            filters: self.filters,
-            kernel: self.kernel,
-            act: self.act,
-        }
-    }
-}
-
-/// Non-overlapping max-pooling module.
-#[derive(Debug, Clone, Copy)]
-pub struct MaxPool {
-    /// Input height.
-    pub in_h: usize,
-    /// Input width.
-    pub in_w: usize,
-    /// Channels.
-    pub channels: usize,
-    /// Square window side.
-    pub window: usize,
-}
-
-impl Layer for MaxPool {
-    fn spec(&self) -> LayerSpec {
-        LayerSpec::MaxPool {
-            in_h: self.in_h,
-            in_w: self.in_w,
-            channels: self.channels,
-            window: self.window,
-        }
-    }
-}
-
-/// Builds the boxed layer chain a [`NetSpec`] describes (plain MLPs
-/// yield all-[`Dense`] chains).
-pub fn build_chain(spec: &NetSpec) -> Vec<Box<dyn Layer>> {
-    (0..spec.depth())
-        .map(|l| -> Box<dyn Layer> {
-            match spec.layer_spec(l) {
-                LayerSpec::Dense { inputs, units, act } => Box::new(Dense { inputs, units, act }),
-                LayerSpec::Conv2d {
-                    in_h,
-                    in_w,
-                    in_c,
-                    filters,
-                    kernel,
-                    act,
-                } => Box::new(Conv2d {
-                    in_h,
-                    in_w,
-                    in_c,
-                    filters,
-                    kernel,
-                    act,
-                }),
-                LayerSpec::MaxPool {
-                    in_h,
-                    in_w,
-                    channels,
-                    window,
-                } => Box::new(MaxPool {
-                    in_h,
-                    in_w,
-                    channels,
-                    window,
-                }),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::Activation;
 
     fn seq(n: usize) -> Vec<f64> {
         (0..n).map(|i| (i as f64) * 0.25 - 1.0).collect()
+    }
+
+    /// One-sample [`forward_lanes`].
+    fn forward_one(spec: &LayerSpec, w: &Matrix, bias: &[f64], x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; spec.out_width()];
+        forward_lanes(spec, w, bias, x, 1, &mut out);
+        out
     }
 
     #[test]
@@ -375,9 +261,10 @@ mod tests {
         let w = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, -1.0, 0.5, 0.0]);
         let bias = [0.5, -0.5];
         let x = [1.0, -2.0, 0.25];
-        let mut out = [0.0; 2];
-        forward_into(&spec, &w, &bias, &x, &mut out);
-        assert_eq!(out, [1.0 - 4.0 + 0.75 + 0.5, -1.0 - 1.0 + 0.0 - 0.5]);
+        assert_eq!(
+            forward_one(&spec, &w, &bias, &x),
+            [1.0 - 4.0 + 0.75 + 0.5, -1.0 - 1.0 + 0.0 - 0.5]
+        );
     }
 
     #[test]
@@ -393,15 +280,16 @@ mod tests {
         };
         let w = Matrix::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]);
         let x = seq(9);
-        let mut out = [0.0; 4];
-        forward_into(&spec, &w, &[0.0], &x, &mut out);
         let patch = |oy: usize, ox: usize| {
             1.0 * x[oy * 3 + ox]
                 + 2.0 * x[oy * 3 + ox + 1]
                 + 3.0 * x[(oy + 1) * 3 + ox]
                 + 4.0 * x[(oy + 1) * 3 + ox + 1]
         };
-        assert_eq!(out, [patch(0, 0), patch(0, 1), patch(1, 0), patch(1, 1)]);
+        assert_eq!(
+            forward_one(&spec, &w, &[0.0], &x),
+            [patch(0, 0), patch(0, 1), patch(1, 0), patch(1, 1)]
+        );
     }
 
     #[test]
@@ -414,9 +302,7 @@ mod tests {
         };
         let w = Matrix::zeros(0, 0);
         let x = [0.25, 0.75, -1.0, 0.75]; // tie between idx 1 and 3
-        let mut out = [0.0];
-        forward_into(&spec, &w, &[], &x, &mut out);
-        assert_eq!(out, [0.75]);
+        assert_eq!(forward_one(&spec, &w, &[], &x), [0.75]);
 
         let mut gw = Matrix::zeros(0, 0);
         let mut gb = [];
@@ -445,15 +331,5 @@ mod tests {
         assert_eq!(gb, [3.0]);
         assert_eq!(gw.as_slice(), [3.0, -3.0, 6.0, 1.5]);
         assert_eq!(delta_in, [3.0, 6.0, 9.0, 12.0]);
-    }
-
-    #[test]
-    fn chain_builder_mirrors_the_spec() {
-        let spec = NetSpec::parse_topology("4x4x1;conv3x2;dense3").unwrap();
-        let chain = build_chain(&spec);
-        assert_eq!(chain.len(), 2);
-        assert_eq!(chain[0].weight_extent(), (2, 9));
-        assert_eq!(chain[0].out_width(), 8);
-        assert_eq!(chain[1].weight_extent(), (3, 8));
     }
 }

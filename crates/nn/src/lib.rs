@@ -1,12 +1,12 @@
-//! A minimal fully-connected neural-network training substrate.
+//! A minimal layer-chain neural-network training substrate.
 //!
 //! The MATIC paper implements its training modifications "in the
 //! open-source FANN and Caffe frameworks" (§III-B). This crate is the
-//! reproduction's FANN: a small, dependency-light multilayer-perceptron
-//! library with plain stochastic gradient descent, built so that the
-//! memory-adaptive training loop of `matic-core` can drive forward and
-//! backward passes over **effective** (quantized + fault-masked) weights
-//! while keeping float master copies.
+//! reproduction's FANN: a small, dependency-light library with plain
+//! stochastic gradient descent, built so that the memory-adaptive
+//! training loop of `matic-core` can drive forward and backward passes
+//! over **effective** (quantized + fault-masked) weights while keeping
+//! float master copies.
 //!
 //! Scope starts from the paper — dense layers (SNNAC is an FC-DNN
 //! accelerator), sigmoid/tanh/ReLU/linear activations (the AFU supports
@@ -14,7 +14,10 @@
 //! momentum — and extends along the topology axis: a [`NetSpec`] may
 //! describe a generic layer chain ([`LayerSpec`]) mixing dense, 2-D
 //! convolution and max-pooling stages, built with [`NetSpec::builder`]
-//! and executed by the same [`Mlp`] substrate.
+//! or parsed with [`NetSpec::parse_topology`]. Every chain runs through
+//! one [`Mlp`] walk: the batch moves forward in sample lanes
+//! ([`layer::forward_lanes`]) and backward one sample at a time
+//! ([`layer::accumulate_gradients`]); a single sample is a batch of one.
 //!
 //! # Example: learn XOR
 //!
@@ -55,10 +58,9 @@ mod spec;
 
 pub use activation::Activation;
 pub use gradcheck::numerical_gradients;
-pub use layer::{build_chain, Layer};
 pub use matrix::Matrix;
 pub use metrics::{classification_error_percent, mean_squared_error, Metric};
-pub use mlp::{BatchScratch, Gradients, Mlp, MomentumState, TrainScratch};
+pub use mlp::{BatchScratch, Gradients, Mlp, MomentumState};
 pub use sample::Sample;
 pub use spec::{LayerSpec, Loss, NetSpec, NetSpecBuilder, SpecError};
 

@@ -82,88 +82,9 @@ impl Matrix {
         &mut self.data
     }
 
-    /// `y = self · x` (matrix-vector product).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.rows];
-        self.matvec_into(x, &mut y);
-        y
-    }
-
-    /// Allocation-free [`Matrix::matvec`] into a caller-owned buffer.
-    /// Accumulation order is identical to `matvec`, so results are
-    /// bit-for-bit the same (training hot loops rely on this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols` or `y.len() != rows`.
-    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
-        assert_eq!(y.len(), self.rows, "matvec output mismatch");
-        for (r, yr) in y.iter_mut().enumerate() {
-            let row = self.row(r);
-            let mut acc = 0.0;
-            for (w, xi) in row.iter().zip(x) {
-                acc += w * xi;
-            }
-            *yr = acc;
-        }
-    }
-
-    /// Batched [`Matrix::matvec_into`] over `batch` sample lanes held
-    /// column-major: `x[c·batch + s]` is input `c` of sample `s`, and
-    /// `y[r·batch + s]` comes back as output `r` of sample `s`.
-    ///
-    /// Each sample's accumulation walks the columns in ascending order —
-    /// exactly the order of [`Matrix::matvec_into`] — so despite the
-    /// float reassociation hazard, every lane is **bit-identical** to a
-    /// per-sample `matvec_into` call (the batched forward pass relies on
-    /// this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0`, `x.len() != cols * batch`, or
-    /// `y.len() != rows * batch`.
-    pub fn matvec_lanes_into(&self, x: &[f64], batch: usize, y: &mut [f64]) {
-        assert!(batch > 0, "matvec_lanes batch must be positive");
-        assert_eq!(x.len(), self.cols * batch, "matvec_lanes input mismatch");
-        assert_eq!(y.len(), self.rows * batch, "matvec_lanes output mismatch");
-        if self.cols == 0 {
-            y.fill(0.0);
-            return;
-        }
-        for (row, yrow) in self
-            .data
-            .chunks_exact(self.cols)
-            .zip(y.chunks_exact_mut(batch))
-        {
-            yrow.fill(0.0);
-            for (xcol, &w) in x.chunks_exact(batch).zip(row) {
-                for (yv, xv) in yrow.iter_mut().zip(xcol) {
-                    *yv += w * xv;
-                }
-            }
-        }
-    }
-
     /// `y = selfᵀ · x` (transposed matrix-vector product, used to
-    /// back-propagate deltas).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != rows`.
-    pub fn t_matvec(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.cols];
-        self.t_matvec_into(x, &mut y);
-        y
-    }
-
-    /// Allocation-free [`Matrix::t_matvec`] into a caller-owned buffer
-    /// (the buffer is overwritten, not accumulated into). Bit-identical
-    /// to `t_matvec`.
+    /// back-propagate deltas) into a caller-owned buffer; the buffer is
+    /// overwritten, not accumulated into.
     ///
     /// # Panics
     ///
@@ -197,19 +118,6 @@ impl Matrix {
         }
     }
 
-    /// `self += scale · other` (elementwise).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_scaled(&mut self, other: &Matrix, scale: f64) {
-        assert_eq!(self.rows, other.rows, "row mismatch");
-        assert_eq!(self.cols, other.cols, "col mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += scale * b;
-        }
-    }
-
     /// Multiplies every element by `scale`.
     pub fn scale(&mut self, scale: f64) {
         for a in &mut self.data {
@@ -228,25 +136,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matvec_identity() {
-        let mut m = Matrix::zeros(3, 3);
-        for i in 0..3 {
-            m.set(i, i, 1.0);
-        }
-        assert_eq!(m.matvec(&[1.0, 2.0, 3.0]), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn matvec_known_values() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(m.matvec(&[1.0, 0.0, -1.0]), vec![-2.0, -2.0]);
-    }
-
-    #[test]
     fn t_matvec_is_transpose() {
         let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        // Mᵀ·[1, -1] = [1-4, 2-5, 3-6]
-        assert_eq!(m.t_matvec(&[1.0, -1.0]), vec![-3.0, -3.0, -3.0]);
+        // Mᵀ·[1, -1] = [1-4, 2-5, 3-6]; stale output is overwritten.
+        let mut y = [9.0; 3];
+        m.t_matvec_into(&[1.0, -1.0], &mut y);
+        assert_eq!(y, [-3.0, -3.0, -3.0]);
     }
 
     #[test]
@@ -260,13 +155,12 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled_and_scale() {
-        let mut a = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-        let b = Matrix::from_vec(1, 2, vec![10.0, 20.0]);
-        a.add_scaled(&b, 0.5);
-        assert_eq!(a.as_slice(), &[6.0, 12.0]);
+    fn scale_and_fill_zero() {
+        let mut a = Matrix::from_vec(1, 2, vec![6.0, 12.0]);
         a.scale(2.0);
         assert_eq!(a.as_slice(), &[12.0, 24.0]);
+        a.fill_zero();
+        assert_eq!(a.as_slice(), &[0.0, 0.0]);
     }
 
     #[test]
@@ -276,9 +170,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "matvec dimension mismatch")]
+    #[should_panic(expected = "t_matvec dimension mismatch")]
     fn matvec_checks_len() {
         let m = Matrix::zeros(2, 2);
-        let _ = m.matvec(&[1.0]);
+        m.t_matvec_into(&[1.0], &mut [0.0; 2]);
     }
 }

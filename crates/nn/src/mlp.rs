@@ -2,9 +2,11 @@
 //!
 //! Historically a two-layer dense MLP; the struct now walks whatever
 //! [`NetSpec`] layer chain it was built with (dense, conv, pooling),
-//! dispatching per layer through [`crate::layer`]. Plain dense MLPs run
-//! the exact historical operations in the exact historical order — the
-//! paper's four benchmarks are bit-identical across the generalization.
+//! dispatching per layer through [`crate::layer`]. There is one walk:
+//! a whole batch moves forward together in column-major sample lanes
+//! ([`layer::forward_lanes`]), and the backward pass visits the samples
+//! in ascending order through [`layer::accumulate_gradients`]. A single
+//! sample is a batch of one.
 
 use crate::layer;
 use crate::matrix::Matrix;
@@ -48,18 +50,6 @@ impl Gradients {
         }
     }
 
-    /// Accumulates `other` into `self`.
-    pub fn accumulate(&mut self, other: &Gradients) {
-        for (a, b) in self.weights.iter_mut().zip(&other.weights) {
-            a.add_scaled(b, 1.0);
-        }
-        for (a, b) in self.biases.iter_mut().zip(&other.biases) {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-        }
-    }
-
     /// Scales all gradients (e.g. 1/batch averaging).
     pub fn scale(&mut self, s: f64) {
         for w in &mut self.weights {
@@ -73,37 +63,15 @@ impl Gradients {
     }
 }
 
-/// Reusable buffers for allocation-free forward/backward passes.
-///
-/// Training loops call [`Mlp::accumulate_sample_gradients`] thousands of
-/// times per epoch; routing every pass through one scratch set removes
-/// all per-sample heap traffic from the hot path while producing
-/// bit-identical numbers (every operation runs in the same order as the
-/// allocating reference).
-#[derive(Debug, Clone, Default)]
-pub struct TrainScratch {
-    /// Per-layer activations (input included), reused across samples.
-    acts: Vec<Vec<f64>>,
-    /// Current backprop delta.
-    delta: Vec<f64>,
-    /// Next (earlier-layer) delta under construction.
-    prev: Vec<f64>,
-}
-
-/// Reusable buffers for the **batched** forward/backward pass of
-/// [`Mlp::gradients_indexed`].
-///
-/// Activations and deltas are stored column-major over the mini-batch
-/// (`[unit * batch + sample]`), which turns every inner loop into
-/// independent per-sample lanes: the compiler vectorizes across samples
-/// while each sample's own floating-point accumulation order — and
-/// therefore its bits — remains exactly that of the sequential
-/// one-sample-at-a-time reference.
+/// Reusable buffers for the batched forward/backward pass of
+/// [`Mlp::gradients_indexed`], so repeated training steps stay
+/// allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
-    /// Per-layer activations, `[unit * batch + sample]` (input included).
+    /// Per-layer activations in sample lanes, `[unit * batch + sample]`
+    /// (input included).
     acts: Vec<Vec<f64>>,
-    /// Per-layer activations transposed to `[sample * width + unit]`,
+    /// The same activations transposed to `[sample * width + unit]`,
     /// feeding the per-sample backward sweep.
     acts_t: Vec<Vec<f64>>,
     /// Current backprop delta of one sample.
@@ -130,21 +98,6 @@ impl MomentumState {
                 .collect(),
             biases: net.biases.iter().map(|b| vec![0.0; b.len()]).collect(),
         }
-    }
-
-    /// Folds new gradients into the velocity: `v ← µ·v + g`; returns a
-    /// reference to the updated velocity for the caller to apply.
-    pub fn update(&mut self, grads: &Gradients, momentum: f64) -> (&[Matrix], &[Vec<f64>]) {
-        for (v, g) in self.weights.iter_mut().zip(&grads.weights) {
-            v.scale(momentum);
-            v.add_scaled(g, 1.0);
-        }
-        for (v, g) in self.biases.iter_mut().zip(&grads.biases) {
-            for (x, y) in v.iter_mut().zip(g) {
-                *x = momentum * *x + y;
-            }
-        }
-        (&self.weights, &self.biases)
     }
 }
 
@@ -273,37 +226,18 @@ impl Mlp {
     /// assert!(out.iter().all(|y| (0.0..=1.0).contains(y)));
     /// ```
     pub fn forward(&self, input: &[f64]) -> Vec<f64> {
-        self.forward_trace(input).pop().unwrap()
-    }
-
-    /// Forward pass retaining every layer's activations (input included),
-    /// as needed by backprop.
-    pub fn forward_trace(&self, input: &[f64]) -> Vec<Vec<f64>> {
-        assert_eq!(input.len(), self.spec.layers[0], "input width mismatch");
-        let mut acts = Vec::with_capacity(self.spec.depth() + 1);
-        acts.push(input.to_vec());
-        for l in 0..self.spec.depth() {
-            let mut z = vec![0.0; self.spec.layers[l + 1]];
-            layer::forward_into(
-                &self.spec.layer_spec(l),
-                &self.weights[l],
-                &self.biases[l],
-                acts.last().unwrap(),
-                &mut z,
-            );
-            acts.push(z);
-        }
-        acts
+        self.forward_batch(&[input])
+            .pop()
+            .expect("one input yields one output")
     }
 
     /// Batched forward pass: one output vector per input, bit-identical
     /// to calling [`Mlp::forward`] on each input separately.
     ///
-    /// The whole batch moves through the network together in column-major
-    /// sample lanes ([`Matrix::matvec_lanes_into`]), amortizing each
-    /// weight-matrix traversal across all samples; every sample's
-    /// floating-point accumulation order is still the per-sample
-    /// reference order, so the equality is exact, not approximate.
+    /// The whole batch moves through the chain together in column-major
+    /// sample lanes, amortizing each weight traversal across all samples;
+    /// every lane keeps its own running sums in the per-sample order, so
+    /// the equality is exact, not approximate.
     ///
     /// # Panics
     ///
@@ -313,36 +247,12 @@ impl Mlp {
         if b == 0 {
             return Vec::new();
         }
-        if !self.spec.is_plain_dense() {
-            // Extended chains take the per-sample reference path; the
-            // contract (bit-identity with `forward`) holds trivially.
-            return inputs.iter().map(|x| self.forward(x)).collect();
-        }
-        let width0 = self.spec.layers[0];
-        // Interleave the inputs into column-major lanes: cur[c*b + s].
-        let mut cur = vec![0.0; width0 * b];
-        for (s, input) in inputs.iter().enumerate() {
-            assert_eq!(input.len(), width0, "input width mismatch");
-            for (c, &x) in input.iter().enumerate() {
-                cur[c * b + s] = x;
-            }
-        }
-        let mut next = Vec::new();
-        for l in 0..self.spec.depth() {
-            let rows = self.weights[l].rows();
-            next.resize(rows * b, 0.0);
-            self.weights[l].matvec_lanes_into(&cur, b, &mut next);
-            let act = self.spec.activation(l);
-            for (zrow, &bias) in next.chunks_exact_mut(b).zip(&self.biases[l]) {
-                for zv in zrow.iter_mut() {
-                    *zv = act.apply(*zv + bias);
-                }
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-        let fan_out = *self.spec.layers.last().unwrap();
+        let mut acts = Vec::new();
+        self.forward_lanes(inputs.iter().copied(), &mut acts);
+        let out = acts.last().expect("the input is always traced");
+        let fan_out = out.len() / b;
         (0..b)
-            .map(|s| (0..fan_out).map(|c| cur[c * b + s]).collect())
+            .map(|s| (0..fan_out).map(|c| out[c * b + s]).collect())
             .collect()
     }
 
@@ -374,23 +284,34 @@ impl Mlp {
         sum / samples.len() as f64
     }
 
-    /// Forward pass into caller-owned activation buffers (the scratch form
-    /// of [`Mlp::forward_trace`]; same operations in the same order).
-    fn forward_trace_scratch(&self, input: &[f64], acts: &mut Vec<Vec<f64>>) {
-        assert_eq!(input.len(), self.spec.layers[0], "input width mismatch");
+    /// The chain walk: interleaves `inputs` into column-major sample
+    /// lanes in `acts[0]` and runs every layer, leaving each layer's
+    /// activations in `acts[l + 1]`.
+    fn forward_lanes<'a>(
+        &self,
+        inputs: impl ExactSizeIterator<Item = &'a [f64]>,
+        acts: &mut Vec<Vec<f64>>,
+    ) {
+        let b = inputs.len();
+        let width0 = self.spec.layers[0];
         acts.resize(self.spec.depth() + 1, Vec::new());
-        acts[0].clear();
-        acts[0].extend_from_slice(input);
+        acts[0].resize(width0 * b, 0.0);
+        for (s, input) in inputs.enumerate() {
+            assert_eq!(input.len(), width0, "input width mismatch");
+            for (c, &x) in input.iter().enumerate() {
+                acts[0][c * b + s] = x;
+            }
+        }
         for l in 0..self.spec.depth() {
             let (head, tail) = acts.split_at_mut(l + 1);
-            let z = &mut tail[0];
-            z.resize(self.spec.layers[l + 1], 0.0);
-            layer::forward_into(
+            tail[0].resize(self.spec.layers[l + 1] * b, 0.0);
+            layer::forward_lanes(
                 &self.spec.layer_spec(l),
                 &self.weights[l],
                 &self.biases[l],
                 &head[l],
-                z,
+                b,
+                &mut tail[0],
             );
         }
     }
@@ -400,98 +321,29 @@ impl Mlp {
     /// the masked/quantized copy so that "the network error propagated in
     /// the backward pass reflects the impact of the bit-errors" (§III-B).
     pub fn sample_gradients(&self, sample: &Sample) -> Gradients {
-        let mut grads = Gradients::zeros_like(self);
-        let mut scratch = TrainScratch::default();
-        self.accumulate_sample_gradients(sample, &mut grads, &mut scratch);
-        grads
-    }
-
-    /// Adds one sample's gradients into `grads` without allocating:
-    /// activations and deltas live in `scratch`, and the per-layer
-    /// contributions are accumulated straight into the batch totals. The
-    /// arithmetic (values and addition order) is exactly that of
-    /// [`Mlp::sample_gradients`] followed by [`Gradients::accumulate`].
-    pub fn accumulate_sample_gradients(
-        &self,
-        sample: &Sample,
-        grads: &mut Gradients,
-        scratch: &mut TrainScratch,
-    ) {
-        self.forward_trace_scratch(&sample.input, &mut scratch.acts);
-        let depth = self.spec.depth();
-
-        // Output delta: dJ/dz for the output layer.
-        let out = &scratch.acts[depth];
-        scratch.delta.clear();
-        match self.spec.loss {
-            Loss::Mse => scratch
-                .delta
-                .extend(out.iter().zip(&sample.target).map(|(y, t)| {
-                    let dact = self.spec.output.derivative_from_output(*y);
-                    (y - t) * dact
-                })),
-            // Sigmoid + cross-entropy cancels the activation derivative.
-            Loss::CrossEntropy => scratch
-                .delta
-                .extend(out.iter().zip(&sample.target).map(|(y, t)| y - t)),
-        }
-
-        for l in (0..depth).rev() {
-            let lspec = self.spec.layer_spec(l);
-            if l > 0 {
-                scratch.prev.resize(self.spec.layers[l], 0.0);
-                layer::accumulate_gradients(
-                    &lspec,
-                    &self.weights[l],
-                    &scratch.acts[l],
-                    &scratch.delta,
-                    &mut grads.weights[l],
-                    &mut grads.biases[l],
-                    Some(&mut scratch.prev),
-                );
-                // Seam between layers: multiply the propagated delta by
-                // the previous layer's activation derivative (exactly 1
-                // for pooling stages, which report Linear).
-                for (p, a) in scratch.prev.iter_mut().zip(&scratch.acts[l]) {
-                    *p *= self.spec.activation(l - 1).derivative_from_output(*a);
-                }
-                std::mem::swap(&mut scratch.delta, &mut scratch.prev);
-            } else {
-                layer::accumulate_gradients(
-                    &lspec,
-                    &self.weights[l],
-                    &scratch.acts[l],
-                    &scratch.delta,
-                    &mut grads.weights[l],
-                    &mut grads.biases[l],
-                    None,
-                );
-            }
-        }
+        self.gradients(std::slice::from_ref(sample))
     }
 
     /// Mean gradients over a mini-batch.
     pub fn gradients(&self, batch: &[Sample]) -> Gradients {
         let mut total = Gradients::zeros_like(self);
-        let mut scratch = TrainScratch::default();
-        for s in batch {
-            self.accumulate_sample_gradients(s, &mut total, &mut scratch);
-        }
-        total.scale(1.0 / batch.len().max(1) as f64);
+        let indices: Vec<usize> = (0..batch.len()).collect();
+        self.gradients_indexed(batch, &indices, &mut total, &mut BatchScratch::default());
         total
     }
 
     /// Mean gradients of the samples selected by `indices`, written into
-    /// the reusable `total`/`scratch` buffers: the batched, allocation-free
-    /// form of [`Mlp::gradients`] that training loops drive with their
-    /// shuffled index order.
+    /// the reusable `total`/`scratch` buffers: the allocation-free form of
+    /// [`Mlp::gradients`] that training loops drive with their shuffled
+    /// index order.
     ///
-    /// The whole mini-batch moves through the network together in
-    /// column-major sample lanes, but every sample's accumulation order is
-    /// the reference order (columns ascending in the forward product, rows
-    /// ascending in the backpropagated delta, samples ascending into the
-    /// gradient totals), so the result is bit-identical to summing
-    /// [`Mlp::sample_gradients`] over the batch.
+    /// The whole mini-batch moves forward together in sample lanes; the
+    /// backward pass then walks the samples in ascending order, each
+    /// through every layer's [`layer::accumulate_gradients`]. Every weight
+    /// gradient is therefore one running sum in (sample, position) order
+    /// — for a dense weight one term per sample, for a convolution tap
+    /// one term per output position of each sample — before the final
+    /// `1/batch` scale.
     pub fn gradients_indexed(
         &self,
         data: &[Sample],
@@ -504,94 +356,29 @@ impl Mlp {
         if b == 0 {
             return;
         }
-        if !self.spec.is_plain_dense() {
-            // Extended chains run the per-sample reference backward; the
-            // contract (bit-identity with summed `sample_gradients`)
-            // holds trivially. Scratch vectors are borrowed from the
-            // batch buffers so repeated steps stay allocation-free.
-            let mut ts = TrainScratch {
-                acts: std::mem::take(&mut scratch.acts),
-                delta: std::mem::take(&mut scratch.delta),
-                prev: std::mem::take(&mut scratch.prev),
-            };
-            for &i in indices {
-                self.accumulate_sample_gradients(&data[i], total, &mut ts);
-            }
-            scratch.acts = ts.acts;
-            scratch.delta = ts.delta;
-            scratch.prev = ts.prev;
-            total.scale(1.0 / b as f64);
-            return;
-        }
-        let depth = self.spec.depth();
-
-        // Forward pass, all samples in lock-step.
-        scratch.acts.resize(depth + 1, Vec::new());
-        let width0 = self.spec.layers[0];
-        let a0 = &mut scratch.acts[0];
-        a0.resize(width0 * b, 0.0);
-        for (s, &i) in indices.iter().enumerate() {
-            let input = &data[i].input;
-            assert_eq!(input.len(), width0, "input width mismatch");
-            for (c, &x) in input.iter().enumerate() {
-                a0[c * b + s] = x;
-            }
-        }
-        for l in 0..depth {
-            let rows = self.weights[l].rows();
-            let act = self.spec.activation(l);
-            let (head, tail) = scratch.acts.split_at_mut(l + 1);
-            let x = &head[l];
-            let z = &mut tail[0];
-            z.resize(rows * b, 0.0);
-            // The full-size mini-batch gets register-resident lane
-            // accumulators; ragged tail batches take the generic path.
-            // Both run the same per-lane operations in the same order.
-            match b {
-                8 => forward_layer_lanes::<8>(&self.weights[l], &self.biases[l], act, x, z),
-                4 => forward_layer_lanes::<4>(&self.weights[l], &self.biases[l], act, x, z),
-                _ => {
-                    for r in 0..rows {
-                        let zrow = &mut z[r * b..(r + 1) * b];
-                        zrow.fill(0.0);
-                        // Per sample: Σ_c w·x with columns ascending — the
-                        // exact accumulation order of `Matrix::matvec`.
-                        for (xc, &w) in x.chunks_exact(b).zip(self.weights[l].row(r)) {
-                            for (zv, xv) in zrow.iter_mut().zip(xc) {
-                                *zv += w * xv;
-                            }
-                        }
-                        let bias = self.biases[l][r];
-                        for zv in zrow.iter_mut() {
-                            *zv = act.apply(*zv + bias);
-                        }
-                    }
-                }
-            }
-        }
+        self.forward_lanes(
+            indices.iter().map(|&i| data[i].input.as_slice()),
+            &mut scratch.acts,
+        );
 
         // Transpose activations to per-sample rows for the backward sweep.
+        let depth = self.spec.depth();
         scratch.acts_t.resize(depth + 1, Vec::new());
-        for l in 0..=depth {
-            let width = self.spec.layers[l];
-            let src = &scratch.acts[l];
-            let dst = &mut scratch.acts_t[l];
-            dst.resize(width * b, 0.0);
-            for c in 0..width {
-                for s in 0..b {
-                    dst[s * width + c] = src[c * b + s];
+        for (lanes, rows) in scratch.acts.iter().zip(&mut scratch.acts_t) {
+            let width = lanes.len() / b;
+            rows.resize(lanes.len(), 0.0);
+            for (c, lane) in lanes.chunks_exact(b).enumerate() {
+                for (s, &v) in lane.iter().enumerate() {
+                    rows[s * width + c] = v;
                 }
             }
         }
 
-        // Backward pass, one sample at a time (samples ascending — the
-        // order the per-sample reference accumulates the batch in; each
-        // inner loop runs over contiguous per-sample slices, exactly like
-        // `sample_gradients`).
         let fan_out = *self.spec.layers.last().unwrap();
         for (s, &i) in indices.iter().enumerate() {
             let target = &data[i].target;
             assert_eq!(target.len(), fan_out, "target width mismatch");
+            // Output delta: dJ/dz for the output layer.
             let out = &scratch.acts_t[depth][s * fan_out..(s + 1) * fan_out];
             scratch.delta.clear();
             match self.spec.loss {
@@ -607,15 +394,29 @@ impl Mlp {
             for l in (0..depth).rev() {
                 let width = self.spec.layers[l];
                 let a_l = &scratch.acts_t[l][s * width..(s + 1) * width];
-                total.weights[l].add_outer(&scratch.delta, a_l, 1.0);
-                for (g, d) in total.biases[l].iter_mut().zip(&scratch.delta) {
-                    *g += d;
-                }
-                if l > 0 {
+                // The first layer's input needs no delta.
+                let delta_in = if l > 0 {
                     scratch.prev.resize(width, 0.0);
-                    self.weights[l].t_matvec_into(&scratch.delta, &mut scratch.prev);
+                    Some(&mut scratch.prev[..])
+                } else {
+                    None
+                };
+                layer::accumulate_gradients(
+                    &self.spec.layer_spec(l),
+                    &self.weights[l],
+                    a_l,
+                    &scratch.delta,
+                    &mut total.weights[l],
+                    &mut total.biases[l],
+                    delta_in,
+                );
+                if l > 0 {
+                    // Seam between layers: multiply the propagated delta
+                    // by the previous layer's activation derivative
+                    // (exactly 1 for pooling stages, which report Linear).
+                    let act = self.spec.activation(l - 1);
                     for (p, a) in scratch.prev.iter_mut().zip(a_l) {
-                        *p *= self.spec.activation(l - 1).derivative_from_output(*a);
+                        *p *= act.derivative_from_output(*a);
                     }
                     std::mem::swap(&mut scratch.delta, &mut scratch.prev);
                 }
@@ -625,12 +426,8 @@ impl Mlp {
     }
 
     /// Applies one SGD step: `θ ← θ − lr · v` where `v` is the momentum
-    /// velocity updated with `grads`.
-    ///
-    /// The velocity update and the weight update run fused in one pass
-    /// (per element `v ← µ·v + g` then `θ ← θ − lr·v`, the exact
-    /// per-element operations [`MomentumState::update`] followed by a
-    /// scaled add would perform — one memory sweep instead of three).
+    /// velocity updated with `grads`, fused into one pass per element
+    /// (`v ← µ·v + g`, then `θ ← θ − lr·v`).
     pub fn apply_update(
         &mut self,
         grads: &Gradients,
@@ -691,31 +488,6 @@ impl Mlp {
     }
 }
 
-/// One layer of the batched forward pass with `B` sample lanes held in
-/// registers: `z[r] = f(Σ_c w[r][c] · x[c] + bias[r])` per lane, columns
-/// ascending — the exact accumulation order of [`Matrix::matvec`], so
-/// each lane's bits match the one-sample-at-a-time reference.
-fn forward_layer_lanes<const B: usize>(
-    weights: &Matrix,
-    biases: &[f64],
-    act: crate::activation::Activation,
-    x: &[f64],
-    z: &mut [f64],
-) {
-    for (r, zrow) in z.chunks_exact_mut(B).enumerate() {
-        let mut acc = [0.0f64; B];
-        for (xc, &w) in x.chunks_exact(B).zip(weights.row(r)) {
-            for (a, xv) in acc.iter_mut().zip(xc) {
-                *a += w * xv;
-            }
-        }
-        let bias = biases[r];
-        for (zv, a) in zrow.iter_mut().zip(acc) {
-            *zv = act.apply(a + bias);
-        }
-    }
-}
-
 /// Loss of one prediction. The constants are chosen so the backprop deltas
 /// are exactly `(y−t)·f'` (MSE) and `y−t` (sigmoid cross-entropy):
 /// MSE = ½·Σ(y−t)², CE = −Σ[t·ln y + (1−t)·ln(1−y)].
@@ -745,6 +517,213 @@ pub(crate) fn loss_value(loss: Loss, out: &[f64], target: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::activation::Activation;
+    use crate::spec::LayerSpec;
+
+    /// The per-sample reference walk the batched chain must reproduce
+    /// bit for bit: each sample runs alone through a scalar per-layer
+    /// forward, then backward through [`layer::accumulate_gradients`]
+    /// straight into the batch totals, samples in order.
+    mod oracle {
+        use super::*;
+
+        /// One layer's forward for one sample, scalar accumulators.
+        fn layer_forward(spec: &LayerSpec, w: &Matrix, bias: &[f64], x: &[f64]) -> Vec<f64> {
+            let mut out = vec![0.0; spec.out_width()];
+            match *spec {
+                LayerSpec::Dense { act, .. } => {
+                    for (r, o) in out.iter_mut().enumerate() {
+                        let mut acc = 0.0;
+                        for (wv, xv) in w.row(r).iter().zip(x) {
+                            acc += wv * xv;
+                        }
+                        *o = act.apply(acc + bias[r]);
+                    }
+                }
+                LayerSpec::Conv2d {
+                    in_h,
+                    in_w,
+                    in_c,
+                    filters,
+                    kernel,
+                    act,
+                } => {
+                    let (out_h, out_w) = (in_h - kernel + 1, in_w - kernel + 1);
+                    for oy in 0..out_h {
+                        for ox in 0..out_w {
+                            for f in 0..filters {
+                                let mut acc = 0.0;
+                                for ky in 0..kernel {
+                                    for kx in 0..kernel {
+                                        for c in 0..in_c {
+                                            let col = (ky * kernel + kx) * in_c + c;
+                                            let xi = ((oy + ky) * in_w + (ox + kx)) * in_c + c;
+                                            acc += w.get(f, col) * x[xi];
+                                        }
+                                    }
+                                }
+                                out[(oy * out_w + ox) * filters + f] = act.apply(acc + bias[f]);
+                            }
+                        }
+                    }
+                }
+                LayerSpec::MaxPool {
+                    in_h,
+                    in_w,
+                    channels,
+                    window,
+                } => {
+                    let (out_h, out_w) = (in_h / window, in_w / window);
+                    for oy in 0..out_h {
+                        for ox in 0..out_w {
+                            for c in 0..channels {
+                                let mut best = f64::NEG_INFINITY;
+                                for ky in 0..window {
+                                    for kx in 0..window {
+                                        let xi = ((oy * window + ky) * in_w + (ox * window + kx))
+                                            * channels
+                                            + c;
+                                        if x[xi] > best {
+                                            best = x[xi];
+                                        }
+                                    }
+                                }
+                                out[(oy * out_w + ox) * channels + c] = best;
+                            }
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        /// Every layer's activations for one sample, input included.
+        pub fn activations(net: &Mlp, input: &[f64]) -> Vec<Vec<f64>> {
+            let mut acts = vec![input.to_vec()];
+            for l in 0..net.spec.depth() {
+                let z = layer_forward(
+                    &net.spec.layer_spec(l),
+                    &net.weights[l],
+                    &net.biases[l],
+                    acts.last().unwrap(),
+                );
+                acts.push(z);
+            }
+            acts
+        }
+
+        /// Mean gradients of `data[indices]`, one sample at a time.
+        pub fn gradients(net: &Mlp, data: &[Sample], indices: &[usize]) -> Gradients {
+            let mut total = Gradients::zeros_like(net);
+            let depth = net.spec.depth();
+            for &i in indices {
+                let acts = activations(net, &data[i].input);
+                let mut delta: Vec<f64> = acts[depth]
+                    .iter()
+                    .zip(&data[i].target)
+                    .map(|(y, t)| match net.spec.loss {
+                        Loss::Mse => (y - t) * net.spec.output.derivative_from_output(*y),
+                        Loss::CrossEntropy => y - t,
+                    })
+                    .collect();
+                for l in (0..depth).rev() {
+                    let mut prev = vec![0.0; net.spec.layers[l]];
+                    layer::accumulate_gradients(
+                        &net.spec.layer_spec(l),
+                        &net.weights[l],
+                        &acts[l],
+                        &delta,
+                        &mut total.weights[l],
+                        &mut total.biases[l],
+                        (l > 0).then_some(&mut prev[..]),
+                    );
+                    if l > 0 {
+                        let act = net.spec.activation(l - 1);
+                        for (p, a) in prev.iter_mut().zip(&acts[l]) {
+                            *p *= act.derivative_from_output(*a);
+                        }
+                        delta = prev;
+                    }
+                }
+            }
+            total.scale(1.0 / indices.len().max(1) as f64);
+            total
+        }
+    }
+
+    /// Dense MLPs plus the conv/pool chains of the gradient checks, each
+    /// under both losses.
+    fn parity_specs() -> Vec<NetSpec> {
+        let chains = [
+            NetSpec::builder()
+                .input_image(4, 4, 1)
+                .conv2d(3, 2, Activation::Sigmoid)
+                .dense(2, Activation::Sigmoid)
+                .build(),
+            NetSpec::builder()
+                .input_image(6, 6, 1)
+                .conv2d(2, 3, Activation::Tanh)
+                .max_pool(2)
+                .dense(3, Activation::Linear)
+                .build(),
+            NetSpec::builder()
+                .input_image(3, 3, 2)
+                .conv2d(2, 2, Activation::Sigmoid)
+                .dense(2, Activation::Linear)
+                .build(),
+            NetSpec::builder()
+                .input_image(8, 8, 1)
+                .max_pool(2)
+                .conv2d(2, 2, Activation::Sigmoid)
+                .dense(2, Activation::Sigmoid)
+                .build(),
+            // Rectangular and multichannel through conv and pool.
+            NetSpec::parse_topology("6x4x2;conv3x2;pool2;dense2"),
+        ];
+        let mut specs = vec![
+            NetSpec::classifier(&[5, 7, 3]),
+            NetSpec::regressor(&[4, 6, 2]),
+            NetSpec::regressor(&[9, 14, 5, 2]),
+        ];
+        specs.extend(chains.into_iter().map(Result::unwrap));
+        specs
+            .into_iter()
+            .flat_map(|s| {
+                [
+                    s.clone().with_loss(Loss::Mse),
+                    s.with_loss(Loss::CrossEntropy),
+                ]
+            })
+            .collect()
+    }
+
+    /// A Glorot-initialized net with nonzero biases, so a bias added in
+    /// the wrong order changes bits.
+    fn biased(spec: NetSpec, seed: u64) -> Mlp {
+        let mut net = Mlp::init(spec, seed);
+        for (l, b) in net.biases_mut().iter_mut().enumerate() {
+            for (r, v) in b.iter_mut().enumerate() {
+                *v = ((l * 5 + r * 3) % 7) as f64 / 7.0 - 0.4;
+            }
+        }
+        net
+    }
+
+    /// `n` deterministic samples shaped for `spec`.
+    fn samples(spec: &NetSpec, n: usize) -> Vec<Sample> {
+        (0..n)
+            .map(|i| {
+                let x: Vec<f64> = (0..spec.layers[0])
+                    .map(|c| ((i * 7 + c * 3) % 17) as f64 / 17.0 - 0.4)
+                    .collect();
+                let t: Vec<f64> = (0..*spec.layers.last().unwrap())
+                    .map(|c| ((i + c) % 5) as f64 / 5.0)
+                    .collect();
+                Sample::new(x, t)
+            })
+            .collect()
+    }
+
+    const BATCHES: [usize; 7] = [1, 2, 3, 7, 8, 9, 13];
 
     fn xor_data() -> Vec<Sample> {
         [(0., 0., 0.), (0., 1., 1.), (1., 0., 1.), (1., 1., 0.)]
@@ -766,9 +745,9 @@ mod tests {
         let net = Mlp::init(NetSpec::classifier(&[5, 7, 3]), 1);
         let out = net.forward(&[0.1; 5]);
         assert_eq!(out.len(), 3);
-        let trace = net.forward_trace(&[0.1; 5]);
-        assert_eq!(trace.len(), 3);
-        assert_eq!(trace[1].len(), 7);
+        let batch = net.forward_batch(&[&[0.1; 5], &[0.2; 5]]);
+        assert_eq!(batch.len(), 2);
+        assert!(batch.iter().all(|o| o.len() == 3));
     }
 
     #[test]
@@ -824,61 +803,74 @@ mod tests {
 
     #[test]
     fn batched_gradients_are_bit_identical_to_per_sample() {
-        // The batched path may vectorize across samples but must keep
-        // every sample's accumulation order — exact f64 equality, not
-        // approximate closeness, across losses and batch sizes.
-        for spec in [
-            NetSpec::classifier(&[5, 7, 3]),
-            NetSpec::regressor(&[4, 6, 2]),
-        ] {
-            let net = Mlp::init(spec.clone(), 11);
-            let data: Vec<Sample> = (0..13)
-                .map(|i| {
-                    let x: Vec<f64> = (0..spec.layers[0])
-                        .map(|c| ((i * 7 + c * 3) % 17) as f64 / 17.0 - 0.4)
-                        .collect();
-                    let t: Vec<f64> = (0..*spec.layers.last().unwrap())
-                        .map(|c| ((i + c) % 5) as f64 / 5.0)
-                        .collect();
-                    Sample::new(x, t)
-                })
-                .collect();
-            for batch in [1usize, 4, 8, 13] {
-                let indices: Vec<usize> = (0..batch).collect();
-                let reference = net.gradients(&data[..batch]);
+        // The batched chain may vectorize across samples but must keep
+        // every sample's accumulation order — exact f64 equality with
+        // the per-sample walk, not approximate closeness, for every
+        // layer kind, both losses and batch sizes around the 8-lane
+        // block.
+        for spec in parity_specs() {
+            let net = biased(spec.clone(), 11);
+            let data = samples(&spec, 13);
+            for batch in BATCHES {
+                // A scattered, descending selection exercises indexing.
+                let indices: Vec<usize> = (0..batch).map(|k| (batch - 1 - k) * 7 % 13).collect();
+                let reference = oracle::gradients(&net, &data, &indices);
                 let mut total = Gradients::zeros_like(&net);
                 let mut scratch = BatchScratch::default();
                 net.gradients_indexed(&data, &indices, &mut total, &mut scratch);
-                assert_eq!(total, reference, "spec {spec:?} batch {batch}");
+                assert_eq!(total, reference, "spec {} batch {batch}", spec.tag());
                 // Reusing the same scratch must not perturb a second run.
                 net.gradients_indexed(&data, &indices, &mut total, &mut scratch);
                 assert_eq!(total, reference);
             }
+            let all: Vec<usize> = (0..13).collect();
+            assert_eq!(net.gradients(&data), oracle::gradients(&net, &data, &all));
+            assert_eq!(
+                net.sample_gradients(&data[4]),
+                oracle::gradients(&net, &data, &[4])
+            );
         }
     }
 
     #[test]
     fn forward_batch_is_bit_identical_to_forward() {
-        for spec in [
-            NetSpec::classifier(&[5, 7, 3]),
-            NetSpec::regressor(&[4, 6, 2]),
-        ] {
-            let net = Mlp::init(spec.clone(), 19);
-            let inputs: Vec<Vec<f64>> = (0..11)
-                .map(|i| {
-                    (0..spec.layers[0])
-                        .map(|c| ((i * 13 + c * 5) % 23) as f64 / 23.0 - 0.5)
-                        .collect()
-                })
-                .collect();
-            for b in [1usize, 2, 5, 11] {
+        for spec in parity_specs() {
+            let net = biased(spec.clone(), 19);
+            let inputs: Vec<Vec<f64>> = samples(&spec, 13).into_iter().map(|s| s.input).collect();
+            for b in BATCHES {
                 let refs: Vec<&[f64]> = inputs[..b].iter().map(|v| v.as_slice()).collect();
                 let batched = net.forward_batch(&refs);
                 for (input, out) in refs.iter().zip(&batched) {
-                    assert_eq!(out, &net.forward(input), "spec {spec:?} batch {b}");
+                    let reference = oracle::activations(&net, input).pop().unwrap();
+                    assert_eq!(out, &reference, "spec {} batch {b}", spec.tag());
+                    assert_eq!(out, &net.forward(input));
                 }
             }
             assert!(net.forward_batch(&[]).is_empty());
+        }
+    }
+
+    #[test]
+    fn one_scratch_serves_full_ragged_and_respecified_batches() {
+        // A full batch of eight, then a ragged tail, then a different
+        // chain: stale lengths in the scratch must never leak.
+        let conv = biased(
+            NetSpec::parse_topology("6x6x1;conv3x2;pool2;dense3").unwrap(),
+            5,
+        );
+        let dense = biased(NetSpec::classifier(&[5, 7, 3]), 5);
+        let conv_data = samples(conv.spec(), 13);
+        let dense_data = samples(dense.spec(), 13);
+        let mut scratch = BatchScratch::default();
+        for (net, data, indices) in [
+            (&conv, &conv_data, (0..8).collect::<Vec<_>>()),
+            (&conv, &conv_data, (8..13).collect()),
+            (&dense, &dense_data, (0..8).collect()),
+            (&conv, &conv_data, vec![12, 0, 6]),
+        ] {
+            let mut total = Gradients::zeros_like(net);
+            net.gradients_indexed(data, &indices, &mut total, &mut scratch);
+            assert_eq!(total, oracle::gradients(net, data, &indices));
         }
     }
 

@@ -184,6 +184,104 @@ proptest! {
     }
 }
 
+proptest! {
+    // Parsing is cheap: fuzz the DSL broadly.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The topology DSL never panics: random token soup over its
+    /// alphabet — separators, `x`, the stage keywords and integers from 0
+    /// up to `usize::MAX` — always parses to `Ok` or a structured `Err`,
+    /// and every accepted spec is self-consistent.
+    #[test]
+    fn parse_topology_never_panics(tokens in proptest::collection::vec((0usize..10, 0usize..12), 1..14)) {
+        let dsl: String = tokens.iter().map(|&(kind, n)| dsl_token(kind, n)).collect();
+        if let Ok(spec) = NetSpec::parse_topology(&dsl) {
+            assert_consistent(&spec, &dsl);
+        }
+    }
+
+    /// Well-formed stage sequences with extreme sizes: the same
+    /// contract where the grammar is satisfied and only the arithmetic
+    /// can fail.
+    #[test]
+    fn parse_topology_handles_extreme_sizes(
+        input in (0usize..2, (0usize..12, 0usize..12, 0usize..12)),
+        stages in proptest::collection::vec((0usize..3, 0usize..12, 0usize..12), 1..5),
+    ) {
+        let (image, (h, w, c)) = input;
+        let mut dsl = if image == 1 {
+            format!("{}x{}x{}", dsl_int(h), dsl_int(w), dsl_int(c))
+        } else {
+            dsl_int(h)
+        };
+        for (kind, a, b) in stages {
+            dsl += &match kind {
+                0 => format!(";dense{}", dsl_int(a)),
+                1 => format!(";conv{}x{}", dsl_int(a), dsl_int(b)),
+                _ => format!(";pool{}", dsl_int(a)),
+            };
+        }
+        if let Ok(spec) = NetSpec::parse_topology(&dsl) {
+            assert_consistent(&spec, &dsl);
+        }
+    }
+}
+
+/// Integers the topology fuzzers draw from: the degenerate 0 and 1,
+/// ordinary sizes, and values whose products overflow `usize`.
+fn dsl_int(n: usize) -> String {
+    const INTS: [usize; 12] = [
+        0,
+        1,
+        2,
+        3,
+        4,
+        10,
+        1 << 31,
+        1 << 32,
+        1 << 58,
+        1 << 61,
+        usize::MAX - 1,
+        usize::MAX,
+    ];
+    INTS[n % INTS.len()].to_string()
+}
+
+/// One token of the topology DSL's alphabet.
+fn dsl_token(kind: usize, n: usize) -> String {
+    match kind {
+        0 | 1 => ";".into(),
+        2 => ",".into(),
+        3 => "x".into(),
+        4 => "conv".into(),
+        5 => "pool".into(),
+        6 => "dense".into(),
+        _ => dsl_int(n),
+    }
+}
+
+/// An accepted spec's stage widths, resolved stages, weight extents and
+/// parameter count agree with each other.
+fn assert_consistent(spec: &NetSpec, dsl: &str) {
+    let depth = spec.depth();
+    let extents = spec.param_extents();
+    assert_eq!(extents.len(), depth, "{dsl}");
+    assert!(spec.layers.iter().all(|&w| w > 0), "{dsl}");
+    let mut total = 0usize;
+    for (l, &(rows, cols)) in extents.iter().enumerate() {
+        let stage = spec.layer_spec(l);
+        assert_eq!(stage.in_width(), spec.layers[l], "{dsl} stage {l}");
+        assert_eq!(stage.out_width(), spec.layers[l + 1], "{dsl} stage {l}");
+        assert_eq!(stage.weight_extent(), (rows, cols), "{dsl} stage {l}");
+        total = cols
+            .checked_add(1)
+            .and_then(|c| rows.checked_mul(c))
+            .and_then(|n| total.checked_add(n))
+            .unwrap_or_else(|| panic!("{dsl}: parameter count overflows"));
+    }
+    assert_eq!(spec.param_count(), total, "{dsl}");
+}
+
 /// The sequential reference the kernels must equal: one `i64` sum per
 /// (row, lane) of a `rows`-row product, columns in order, skipping the MACs `drops` flags at
 /// `(layer, row_base + row, col)`.

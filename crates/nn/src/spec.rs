@@ -110,7 +110,7 @@ impl LayerSpec {
                 filters,
                 kernel,
                 ..
-            } => (in_h + 1 - kernel) * (in_w + 1 - kernel) * filters,
+            } => (in_h - kernel + 1) * (in_w - kernel + 1) * filters,
             LayerSpec::MaxPool {
                 in_h,
                 in_w,
@@ -132,7 +132,7 @@ impl LayerSpec {
                 filters,
                 kernel,
                 ..
-            } => (in_h + 1 - kernel, in_w + 1 - kernel, filters),
+            } => (in_h - kernel + 1, in_w - kernel + 1, filters),
             LayerSpec::MaxPool {
                 in_h,
                 in_w,
@@ -215,8 +215,9 @@ pub enum SpecError {
         /// Output width the spec declares.
         outputs: usize,
     },
-    /// A spatial stage's geometry is impossible (kernel larger than the
-    /// input, window not dividing the extent, spatial op on flat data…).
+    /// A stage's geometry is impossible (kernel larger than the input,
+    /// window not dividing the extent, spatial op on flat data, a size
+    /// or parameter count that overflows `usize`…).
     Geometry {
         /// Chain position of the offending stage (0-based).
         layer: usize,
@@ -293,7 +294,8 @@ impl NetSpec {
     ///
     /// # Panics
     ///
-    /// Panics if fewer than two layers or any zero-width layer is given.
+    /// Panics if fewer than two layers or any zero-width layer is given,
+    /// or if the parameter count overflows `usize`.
     /// Use [`NetSpec::try_new`] for a non-panicking, structured-error
     /// variant.
     pub fn new(layers: &[usize], hidden: Activation, output: Activation) -> Self {
@@ -305,7 +307,7 @@ impl NetSpec {
     }
 
     /// Non-panicking [`NetSpec::new`]: returns a [`SpecError`] instead of
-    /// panicking on too-shallow or zero-width layer lists.
+    /// panicking on too-shallow, zero-width or overflowing layer lists.
     pub fn try_new(
         layers: &[usize],
         hidden: Activation,
@@ -319,6 +321,7 @@ impl NetSpec {
         if let Some(index) = layers.iter().position(|&n| n == 0) {
             return Err(SpecError::ZeroWidth { index });
         }
+        check_param_count(layers.windows(2).map(|w| (w[1], w[0])))?;
         Ok(NetSpec {
             layers: layers.to_vec(),
             hidden,
@@ -401,7 +404,9 @@ impl NetSpec {
     }
 
     /// Total trainable parameters (weights + biases) — the x-axis of the
-    /// paper's topology-selection study (Fig. 9b).
+    /// paper's topology-selection study (Fig. 9b). Specs built by
+    /// [`NetSpec::try_new`] or [`NetSpec::builder`] are checked to keep
+    /// this count within `usize`.
     pub fn param_count(&self) -> usize {
         self.param_extents()
             .iter()
@@ -607,12 +612,30 @@ enum Shape {
 }
 
 impl Shape {
-    fn width(self) -> usize {
+    /// Flattened width; `None` when `h·w·c` overflows `usize`.
+    fn width(self) -> Option<usize> {
         match self {
-            Shape::Flat(n) => n,
-            Shape::Image(h, w, c) => h * w * c,
+            Shape::Flat(n) => Some(n),
+            Shape::Image(h, w, c) => h.checked_mul(w)?.checked_mul(c),
         }
     }
+}
+
+/// Checks that every stage's parameter count `rows·(cols + 1)`, and
+/// their total, fit in `usize`, so [`NetSpec::param_count`] cannot wrap.
+fn check_param_count(extents: impl Iterator<Item = (usize, usize)>) -> Result<(), SpecError> {
+    let mut total = 0usize;
+    for (layer, (rows, cols)) in extents.enumerate() {
+        total = cols
+            .checked_add(1)
+            .and_then(|c| rows.checked_mul(c))
+            .and_then(|n| total.checked_add(n))
+            .ok_or_else(|| SpecError::Geometry {
+                layer,
+                reason: "parameter count overflows usize".into(),
+            })?;
+    }
+    Ok(())
 }
 
 /// Builds a [`NetSpec`] layer chain with structured validation: every
@@ -692,17 +715,24 @@ impl NetSpecBuilder {
 
     /// Declares an `h × w × c` image input (flattened channel-last).
     pub fn input_image(mut self, h: usize, w: usize, c: usize) -> Self {
+        let shape = Shape::Image(h, w, c);
         if h == 0 || w == 0 || c == 0 {
             self.fail(SpecError::ZeroWidth { index: 0 });
+        } else if shape.width().is_none() {
+            self.fail(SpecError::Geometry {
+                layer: 0,
+                reason: format!("the {h}x{w}x{c} input overflows usize"),
+            });
         }
-        self.input = Some(Shape::Image(h, w, c));
+        self.input = Some(shape);
         self.cur = self.input;
         self
     }
 
     /// Appends a dense stage of `units` neurons.
     pub fn dense(mut self, units: usize, act: Activation) -> Self {
-        let Some(cur) = self.cur_or_fail() else {
+        // A shape without a width already recorded its overflow.
+        let Some(inputs) = self.cur_or_fail().and_then(Shape::width) else {
             return self;
         };
         if units == 0 {
@@ -711,11 +741,7 @@ impl NetSpecBuilder {
             });
             return self;
         }
-        self.chain.push(LayerSpec::Dense {
-            inputs: cur.width(),
-            units,
-            act,
-        });
+        self.chain.push(LayerSpec::Dense { inputs, units, act });
         self.cur = Some(Shape::Flat(units));
         self
     }
@@ -745,6 +771,14 @@ impl NetSpecBuilder {
             });
             return self;
         }
+        let out = Shape::Image(h - kernel + 1, w - kernel + 1, filters);
+        if out.width().is_none() {
+            self.fail(SpecError::Geometry {
+                layer,
+                reason: format!("{filters} filters over the {h}x{w} input overflow usize"),
+            });
+            return self;
+        }
         self.chain.push(LayerSpec::Conv2d {
             in_h: h,
             in_w: w,
@@ -753,7 +787,7 @@ impl NetSpecBuilder {
             kernel,
             act,
         });
-        self.cur = Some(Shape::Image(h + 1 - kernel, w + 1 - kernel, filters));
+        self.cur = Some(out);
         self
     }
 
@@ -813,8 +847,9 @@ impl NetSpecBuilder {
         if self.chain.is_empty() {
             return Err(SpecError::TooShallow { stages: 1 });
         }
+        check_param_count(self.chain.iter().map(LayerSpec::weight_extent))?;
         let mut layers = Vec::with_capacity(self.chain.len() + 1);
-        layers.push(input.width());
+        layers.push(input.width().expect("input width was checked"));
         for stage in &self.chain {
             layers.push(stage.out_width());
         }
@@ -968,6 +1003,29 @@ mod tests {
         // Pool window not dividing.
         assert!(matches!(
             NetSpec::builder().input_image(5, 5, 1).max_pool(2).build(),
+            Err(SpecError::Geometry { layer: 0, .. })
+        ));
+        // Sizes that overflow usize are structured errors: parameter
+        // counts, flattened image inputs and conv outputs.
+        for (topology, layer) in [
+            ("18446744073709551615;dense2", 0),
+            ("2;18446744073709551615;dense2", 0),
+            ("10x10x1;conv3x288230376151711744;dense10", 0),
+            ("10x10x1;conv3x2;dense2305843009213693952;dense10", 1),
+            ("4294967296x4294967296x1;dense2", 0),
+            ("18446744073709551615x1x1;conv1x1;dense2", 1),
+        ] {
+            assert!(
+                matches!(
+                    NetSpec::parse_topology(topology),
+                    Err(SpecError::Geometry { layer: l, .. }) if l == layer
+                ),
+                "{topology}: {:?}",
+                NetSpec::parse_topology(topology)
+            );
+        }
+        assert!(matches!(
+            NetSpec::try_new(&[usize::MAX, 2], Activation::Sigmoid, Activation::Sigmoid),
             Err(SpecError::Geometry { layer: 0, .. })
         ));
     }

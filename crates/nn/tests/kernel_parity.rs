@@ -12,7 +12,8 @@
 //! * the plain and TE-Drop (`fx_matmul_dropped`) kernels;
 //! * the shapes a lowered convolution produces (odd `k²·c` depths,
 //!   filter counts off the 8-grid, lanes = output positions × samples);
-//! * the f64 batched forward pass versus per-sample `Mlp::forward`.
+//! * the f64 batched forward pass versus per-sample `Mlp::forward`, for
+//!   dense, conv and pool chains.
 
 use matic_nn::kernel::{fx_matmul, fx_matmul_dropped, MacDropSpec};
 use matic_nn::{Mlp, NetSpec};
@@ -158,24 +159,40 @@ fn batched_matmul_parity_with_per_sample_loop() {
 
 #[test]
 fn forward_batch_parity_with_per_sample_forward() {
-    // f64 forward: the batched path replays each sample's accumulation
-    // order exactly, so equality is exact, not approximate.
-    for (spec, seed) in [
-        (NetSpec::classifier(&[9, 14, 5]), 3u64),
-        (NetSpec::regressor(&[4, 8, 8, 2]), 9u64),
+    // f64 forward: every lane keeps its own running sums in the
+    // per-sample order, so a batch equals its samples run one at a time
+    // exactly, not approximately — for dense, conv and pool stages, at
+    // batch sizes on both sides of the eight-lane block.
+    for (dsl, seed) in [
+        ("9;14;5", 3u64),
+        ("4;8;8;2", 9),
+        ("4x4x1;conv3x2;dense2", 23),
+        ("6x6x1;conv2x3;dense3", 29),
+        ("6x6x1;conv3x2;pool2;dense3", 29),
+        ("3x3x2;conv2x2;dense2", 31),
+        ("8x8x1;pool2;conv2x2;dense2", 37),
+        ("6x4x2;conv3x2;pool2;dense2", 41),
     ] {
-        let net = Mlp::init(spec.clone(), seed);
-        let fan_in = spec.layers[0];
-        let inputs: Vec<Vec<f64>> = (0..11)
+        let mut net = Mlp::init(NetSpec::parse_topology(dsl).unwrap(), seed);
+        // Nonzero biases, so a bias added out of order changes bits.
+        for b in net.biases_mut() {
+            for (r, v) in b.iter_mut().enumerate() {
+                *v = (r % 3) as f64 * 0.3 - 0.25;
+            }
+        }
+        let fan_in = net.spec().layers[0];
+        let inputs: Vec<Vec<f64>> = (0..13)
             .map(|i| {
                 (0..fan_in)
                     .map(|c| ((i * 31 + c * 17) % 101) as f64 / 101.0 - 0.4)
                     .collect()
             })
             .collect();
-        let refs: Vec<&[f64]> = inputs.iter().map(|v| v.as_slice()).collect();
         let expect: Vec<Vec<f64>> = inputs.iter().map(|x| net.forward(x)).collect();
-        assert_eq!(net.forward_batch(&refs), expect);
+        for b in [1usize, 2, 3, 7, 8, 9, 13] {
+            let refs: Vec<&[f64]> = inputs[..b].iter().map(|v| v.as_slice()).collect();
+            assert_eq!(net.forward_batch(&refs), expect[..b], "{dsl} batch {b}");
+        }
     }
 }
 
