@@ -48,8 +48,8 @@ fn main() {
     let mut prev_v = f64::NAN;
     for (step, &temp) in profile.iter().enumerate() {
         chip.set_temperature(temp);
-        // The µC wakes between inferences and runs Algorithm 1.
-        let v = chip.poll_canaries_via_uc(&mut net);
+        // Between inferences the canary controller runs Algorithm 1.
+        let v = chip.poll_canaries(&mut net);
         let action = if prev_v.is_nan() || (v - prev_v).abs() < 1e-9 {
             "hold"
         } else if v > prev_v {

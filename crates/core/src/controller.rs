@@ -48,10 +48,10 @@ pub enum PollOutcome {
 /// the rail when the chamber cools): if canaries fail at the current
 /// setting, the rail walks up until they hold again.
 ///
-/// On the test chip this loop runs on the integrated OpenMSP430 between
-/// inferences; `matic-snnac` runs the same routine as machine code on its
-/// MSP430-style core, while this pure-Rust implementation is used for
-/// fast sweeps.
+/// On the test chip this loop runs on the integrated runtime
+/// microcontroller between inferences. This is the reproduction's only
+/// implementation of it: `matic-snnac`'s `Chip::poll_canaries` and the
+/// sweep harness both call [`CanaryController::poll`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CanaryController {
     canaries: CanarySet,

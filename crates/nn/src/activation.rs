@@ -46,13 +46,6 @@ impl Activation {
             Activation::Linear => 1.0,
         }
     }
-
-    /// Applies the function to a slice in place.
-    pub fn apply_slice(self, xs: &mut [f64]) {
-        for x in xs {
-            *x = self.apply(*x);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -94,13 +87,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn apply_slice_matches_scalar() {
-        let mut v = vec![-1.0, 0.0, 2.0];
-        Activation::Sigmoid.apply_slice(&mut v);
-        assert_eq!(v[1], 0.5);
-        assert_eq!(v[0], Activation::Sigmoid.apply(-1.0));
     }
 }

@@ -155,7 +155,7 @@ pub fn accumulate_gradients(
 ) {
     match *spec {
         LayerSpec::Dense { .. } => {
-            grad_w.add_outer(delta, x, 1.0);
+            grad_w.add_outer(delta, x);
             for (g, d) in grad_b.iter_mut().zip(delta) {
                 *g += *d;
             }

@@ -101,16 +101,15 @@ impl Matrix {
         }
     }
 
-    /// Rank-1 update `self += scale · a·bᵀ` (gradient accumulation).
+    /// Rank-1 update `self += a·bᵀ` (gradient accumulation).
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != rows` or `b.len() != cols`.
-    pub fn add_outer(&mut self, a: &[f64], b: &[f64], scale: f64) {
+    pub fn add_outer(&mut self, a: &[f64], b: &[f64]) {
         assert_eq!(a.len(), self.rows, "outer rows mismatch");
         assert_eq!(b.len(), self.cols, "outer cols mismatch");
-        for (r, &av) in a.iter().enumerate() {
-            let ar = av * scale;
+        for (r, &ar) in a.iter().enumerate() {
             let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
             for (w, bc) in row.iter_mut().zip(b) {
                 *w += ar * bc;
@@ -147,10 +146,10 @@ mod tests {
     #[test]
     fn add_outer_accumulates() {
         let mut m = Matrix::zeros(2, 2);
-        m.add_outer(&[1.0, 2.0], &[3.0, 4.0], 1.0);
+        m.add_outer(&[1.0, 2.0], &[3.0, 4.0]);
         assert_eq!(m.get(0, 0), 3.0);
         assert_eq!(m.get(1, 1), 8.0);
-        m.add_outer(&[1.0, 1.0], &[1.0, 1.0], -1.0);
+        m.add_outer(&[-1.0, -1.0], &[1.0, 1.0]);
         assert_eq!(m.get(0, 0), 2.0);
     }
 

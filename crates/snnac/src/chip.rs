@@ -1,11 +1,10 @@
-//! The full SNNAC test chip: NPU + weight SRAMs + regulator + runtime µC +
-//! energy accounting.
+//! The full SNNAC test chip: NPU + weight SRAMs + SRAM-rail regulator +
+//! the runtime canary loop + energy accounting.
 
 use crate::microcode::Program;
-use crate::msp430::{assemble, canary_map, canary_program, Mmio, Msp430};
 use crate::npu::{NpuStats, Snnac};
 use crate::regulator::VoltageRegulator;
-use matic_core::{CanarySet, DeployedModel, DeploymentFlow, FaultedWeights, TrainedModel};
+use matic_core::{DeployedModel, DeploymentFlow, FaultedWeights, TrainedModel};
 use matic_energy::{EnergyModel, OperatingPoint};
 use matic_fixed::QFormat;
 use matic_nn::{NetSpec, Sample};
@@ -331,8 +330,9 @@ impl Chip {
         (outputs, self.account_inference(npu_stats))
     }
 
-    /// Polls the in-situ canaries with the pure-Rust controller
-    /// (fast path) and syncs the regulator to the settled voltage.
+    /// Runs the deployment's canary controller (Algorithm 1) against the
+    /// weight SRAM and syncs the regulator to the settled voltage, which
+    /// it returns.
     pub fn poll_canaries(&mut self, net: &mut DeployedNetwork) -> f64 {
         net.model.controller_mut().poll(&mut self.array);
         let v = net.model.controller().voltage();
@@ -340,77 +340,6 @@ impl Chip {
         self.array
             .set_operating_point(self.regulator.volts(), self.temp_c);
         self.regulator.volts()
-    }
-
-    /// Runs Algorithm 1 **as machine code on the integrated MSP430-style
-    /// µC**, with the regulator and canary logic memory-mapped into its
-    /// address space. Returns the settled voltage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the control routine fails to assemble or exceeds its step
-    /// budget (neither can happen with the shipped program).
-    pub fn poll_canaries_via_uc(&mut self, net: &mut DeployedNetwork) -> f64 {
-        let start_mv = self.regulator.millivolts() as u16;
-        let step_mv = self.regulator.lsb_mv() as u16;
-        let src = canary_program(step_mv, 900, 400, start_mv);
-        let program = assemble(&src).expect("canary routine assembles");
-        let mut cpu = Msp430::new(256);
-        let canaries = net.model.controller().canaries().clone();
-        let mut bus = CanaryBus {
-            array: &mut self.array,
-            regulator: &mut self.regulator,
-            canaries: &canaries,
-            temp_c: self.temp_c,
-            status: 0,
-            result_mv: 0,
-        };
-        cpu.run(&program, &mut bus, 100_000)
-            .expect("canary routine halts");
-        let settled = bus.result_mv;
-        self.regulator.set_mv(settled as u32);
-        self.array
-            .set_operating_point(self.regulator.volts(), self.temp_c);
-        self.regulator.volts()
-    }
-}
-
-/// Memory-mapped bridge between the µC and the chip's voltage/canary
-/// machinery.
-struct CanaryBus<'a> {
-    array: &'a mut SramArray,
-    regulator: &'a mut VoltageRegulator,
-    canaries: &'a CanarySet,
-    temp_c: f64,
-    status: u16,
-    result_mv: u16,
-}
-
-impl Mmio for CanaryBus<'_> {
-    fn read(&mut self, addr: u16) -> u16 {
-        match addr {
-            canary_map::VREG_MV => self.regulator.millivolts() as u16,
-            canary_map::CANARY_STATUS => self.status,
-            canary_map::RESULT_MV => self.result_mv,
-            _ => 0,
-        }
-    }
-
-    fn write(&mut self, addr: u16, value: u16) {
-        match addr {
-            canary_map::VREG_MV => {
-                self.regulator.set_mv(value as u32);
-                self.array
-                    .set_operating_point(self.regulator.volts(), self.temp_c);
-            }
-            canary_map::CANARY_CTRL => match value {
-                1 => self.canaries.restore(self.array),
-                2 => self.status = self.canaries.any_failed(self.array) as u16,
-                _ => {}
-            },
-            canary_map::RESULT_MV => self.result_mv = value,
-            _ => {}
-        }
     }
 }
 
@@ -521,30 +450,13 @@ mod tests {
     }
 
     #[test]
-    fn uc_and_rust_controllers_settle_identically() {
-        let spec = NetSpec::regressor(&[1, 4, 1]);
-        // Two identical dice (same seed) — one polled by the Rust
-        // controller, one by the MSP430 routine.
-        let mut chip_a = small_chip(7);
-        let mut net_a = chip_a.deploy(&quick_flow(0.50), &spec, &toy_data());
-        let v_rust = chip_a.poll_canaries(&mut net_a);
-
-        let mut chip_b = small_chip(7);
-        let mut net_b = chip_b.deploy(&quick_flow(0.50), &spec, &toy_data());
-        let v_uc = chip_b.poll_canaries_via_uc(&mut net_b);
-
-        assert!((v_rust - v_uc).abs() < 1e-9, "rust {v_rust} vs µC {v_uc}");
-        assert!(v_uc < 0.55, "no overscaling from µC: {v_uc}");
-    }
-
-    #[test]
     fn uc_controller_raises_voltage_when_cold() {
         let spec = NetSpec::regressor(&[1, 4, 1]);
         let mut chip = small_chip(9);
         let mut net = chip.deploy(&quick_flow(0.50), &spec, &toy_data());
-        let v_warm = chip.poll_canaries_via_uc(&mut net);
+        let v_warm = chip.poll_canaries(&mut net);
         chip.set_temperature(-15.0);
-        let v_cold = chip.poll_canaries_via_uc(&mut net);
+        let v_cold = chip.poll_canaries(&mut net);
         assert!(v_cold > v_warm, "cold {v_cold} vs warm {v_warm}");
     }
 

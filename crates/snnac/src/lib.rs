@@ -1,18 +1,17 @@
 //! Cycle-level simulator of **SNNAC** (Systolic Neural Network AsiC), the
 //! 65 nm low-power FC-DNN accelerator the MATIC paper fabricates (§IV).
 //!
-//! Architectural inventory (Fig. 8 of the paper → modules here):
+//! Architectural inventory (Fig. 8 of the paper → modules and items here):
 //!
-//! | silicon block                           | module        |
+//! | silicon block                           | where         |
 //! |-----------------------------------------|---------------|
 //! | 8 MAC processing elements, 1-D systolic ring | [`npu`]  |
 //! | per-PE voltage-scalable weight SRAM banks    | `matic-sram` via [`Chip`] |
 //! | activation-function unit (piecewise-linear sigmoid/ReLU) | [`afu`] |
 //! | accumulator for time-multiplexed wide layers | [`npu`]  |
 //! | statically compiled microcode control        | [`microcode`] |
-//! | sleep-enabled OpenMSP430 runtime µC          | [`msp430`] |
-//! | memory-mapped NPU I/O buffers + shared DMEM  | [`soc`] |
-//! | digitally-programmable voltage regulators    | [`regulator`] |
+//! | digitally-programmable SRAM-rail regulator   | [`Chip`] |
+//! | runtime canary loop (Algorithm 1)            | [`Chip::poll_canaries`] |
 //!
 //! The datapath is **bit-exact fixed point**: weights are read from the
 //! simulated SRAM banks word-by-word on every inference, so voltage
@@ -50,15 +49,12 @@
 pub mod afu;
 mod chip;
 pub mod microcode;
-pub mod msp430;
 pub mod npu;
-pub mod regulator;
-pub mod soc;
+mod regulator;
 
 pub use afu::Afu;
 pub use chip::{Chip, ChipConfig, DeployedNetwork, InferenceStats};
 pub use npu::Snnac;
-pub use regulator::VoltageRegulator;
 
 #[cfg(test)]
 mod proptests;

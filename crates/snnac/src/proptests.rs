@@ -2,7 +2,6 @@
 
 use crate::afu::Afu;
 use crate::microcode::{MicroOp, Program};
-use crate::msp430::{assemble, Instr, Msp430, NullMmio, Operand};
 use crate::regulator::VoltageRegulator;
 use matic_fixed::Fx;
 use matic_nn::{Activation, NetSpec};
@@ -61,66 +60,15 @@ proptest! {
         prop_assert!(covered.iter().all(|l| l.iter().all(|&c| c)));
     }
 
-    /// Regulator set-points always land on the LSB grid inside the range,
-    /// and stepping is inverse-consistent.
+    /// Regulator set-points always land on the 5 mV grid inside the
+    /// 0.40–0.90 V range, as close to the request as the range allows.
     #[test]
     fn regulator_grid_invariants(mv in 0u32..2000) {
         let mut r = VoltageRegulator::snnac_sram_rail();
         let set = r.set_mv(mv);
-        prop_assert_eq!(set % r.lsb_mv(), 0);
+        prop_assert_eq!(set % 5, 0);
         prop_assert!((400..=900).contains(&set));
-        let down = r.step_down();
-        if down > 400 {
-            prop_assert_eq!(r.step_up(), set.max(405));
-        }
-    }
-
-    /// MSP430 ADD/SUB are inverse operations and flags reflect zero/sign.
-    #[test]
-    fn msp430_add_sub_roundtrip(a in 0u16..=u16::MAX, b in 0u16..=u16::MAX) {
-        let prog = vec![
-            Instr::Mov(Operand::Imm(a), Operand::Reg(4)),
-            Instr::Add(Operand::Imm(b), Operand::Reg(4)),
-            Instr::Sub(Operand::Imm(b), Operand::Reg(4)),
-            Instr::Cmp(Operand::Imm(a), Operand::Reg(4)),
-            Instr::Halt,
-        ];
-        let mut cpu = Msp430::new(16);
-        cpu.run(&prog, &mut NullMmio, 10).unwrap();
-        prop_assert_eq!(cpu.reg(4), a);
-        prop_assert!(cpu.flags().z, "CMP of equal values must set Z");
-    }
-
-    /// Signed comparison through JL/JGE agrees with i16 ordering.
-    #[test]
-    fn msp430_signed_compare(a in i16::MIN..=i16::MAX, b in i16::MIN..=i16::MAX) {
-        let src = format!(
-            "MOV #{}, r4\n\
-             CMP #{}, r4\n\
-             JL less\n\
-             MOV #0, r6\n\
-             JMP end\n\
-             less:\n\
-             MOV #1, r6\n\
-             end:\n\
-             HALT",
-            a as u16, b as u16
-        );
-        let prog = assemble(&src).unwrap();
-        let mut cpu = Msp430::new(16);
-        cpu.run(&prog, &mut NullMmio, 20).unwrap();
-        prop_assert_eq!(cpu.reg(6) == 1, a < b, "a = {}, b = {}", a, b);
-    }
-
-    /// The assembler round-trips every register/immediate/absolute operand
-    /// form it prints.
-    #[test]
-    fn assembler_operand_forms(reg in 0u8..16, imm in 0u16..=u16::MAX, addr in 0u16..0xFF00) {
-        let src = format!("MOV #{imm}, r{reg}\nMOV r{reg}, &{addr}\nHALT");
-        let prog = assemble(&src).unwrap();
-        prop_assert_eq!(prog.len(), 3);
-        let mut cpu = Msp430::new(0x10000);
-        cpu.run(&prog, &mut NullMmio, 10).unwrap();
-        prop_assert_eq!(cpu.reg(reg), imm);
+        prop_assert!(set.abs_diff(mv.clamp(400, 900)) <= 2);
+        prop_assert_eq!(r.volts(), set as f64 / 1000.0);
     }
 }

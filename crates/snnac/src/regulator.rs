@@ -1,52 +1,28 @@
 //! The digitally-programmable voltage regulator model.
 //!
 //! The test chip's SRAM rail is driven by external digitally-programmable
-//! regulators commanded by the host/µC (§III-A, §V-C). The model exposes
-//! the same contract: millivolt set-points snapped to an LSB, clamped to a
-//! safe range.
+//! regulators commanded by the runtime canary controller (§III-A, §V-C).
+//! The model exposes the same contract: millivolt set-points snapped to an
+//! LSB, clamped to a safe range.
 
-use serde::{Deserialize, Serialize};
+/// Set-point resolution, mV.
+const LSB_MV: u32 = 5;
+/// Lowest programmable set-point, mV.
+const MIN_MV: u32 = 400;
+/// Highest programmable (safe) set-point, mV.
+const MAX_MV: u32 = 900;
 
 /// A programmable supply-rail regulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct VoltageRegulator {
     mv: u32,
-    lsb_mv: u32,
-    min_mv: u32,
-    max_mv: u32,
 }
 
 impl VoltageRegulator {
     /// A regulator with 5 mV resolution spanning 0.40–0.90 V, initialized
     /// at the maximum (safe) setting.
     pub fn snnac_sram_rail() -> Self {
-        VoltageRegulator {
-            mv: 900,
-            lsb_mv: 5,
-            min_mv: 400,
-            max_mv: 900,
-        }
-    }
-
-    /// Builds a regulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `min_mv ≤ max_mv`, `lsb_mv > 0`, and both bounds are
-    /// multiples of the LSB.
-    pub fn new(lsb_mv: u32, min_mv: u32, max_mv: u32) -> Self {
-        assert!(lsb_mv > 0, "LSB must be positive");
-        assert!(min_mv <= max_mv, "inverted range");
-        assert!(
-            min_mv.is_multiple_of(lsb_mv) && max_mv.is_multiple_of(lsb_mv),
-            "bounds must be LSB-aligned"
-        );
-        VoltageRegulator {
-            mv: max_mv,
-            lsb_mv,
-            min_mv,
-            max_mv,
-        }
+        VoltageRegulator { mv: MAX_MV }
     }
 
     /// Current setting in volts.
@@ -54,41 +30,13 @@ impl VoltageRegulator {
         self.mv as f64 / 1000.0
     }
 
-    /// Current setting in millivolts.
-    pub fn millivolts(&self) -> u32 {
-        self.mv
-    }
-
-    /// The step size in millivolts.
-    pub fn lsb_mv(&self) -> u32 {
-        self.lsb_mv
-    }
-
     /// Programs a set-point in millivolts; snaps to the LSB grid
     /// (round-to-nearest) and clamps to the range. Returns the actual
     /// setting.
     pub fn set_mv(&mut self, mv: u32) -> u32 {
-        let snapped = (mv + self.lsb_mv / 2) / self.lsb_mv * self.lsb_mv;
-        self.mv = snapped.clamp(self.min_mv, self.max_mv);
+        let snapped = (mv + LSB_MV / 2) / LSB_MV * LSB_MV;
+        self.mv = snapped.clamp(MIN_MV, MAX_MV);
         self.mv
-    }
-
-    /// Steps one LSB down; saturates at the minimum. Returns the setting.
-    pub fn step_down(&mut self) -> u32 {
-        self.mv = self.mv.saturating_sub(self.lsb_mv).max(self.min_mv);
-        self.mv
-    }
-
-    /// Steps one LSB up; saturates at the maximum. Returns the setting.
-    pub fn step_up(&mut self) -> u32 {
-        self.mv = (self.mv + self.lsb_mv).min(self.max_mv);
-        self.mv
-    }
-}
-
-impl Default for VoltageRegulator {
-    fn default() -> Self {
-        Self::snnac_sram_rail()
     }
 }
 
@@ -103,23 +51,5 @@ mod tests {
         assert_eq!(r.set_mv(502), 500);
         assert_eq!(r.set_mv(2000), 900);
         assert_eq!(r.set_mv(100), 400);
-    }
-
-    #[test]
-    fn stepping_saturates() {
-        let mut r = VoltageRegulator::new(5, 400, 410);
-        assert_eq!(r.volts(), 0.41);
-        assert_eq!(r.step_down(), 405);
-        assert_eq!(r.step_down(), 400);
-        assert_eq!(r.step_down(), 400);
-        assert_eq!(r.step_up(), 405);
-        assert_eq!(r.step_up(), 410);
-        assert_eq!(r.step_up(), 410);
-    }
-
-    #[test]
-    #[should_panic(expected = "LSB-aligned")]
-    fn misaligned_bounds_rejected() {
-        VoltageRegulator::new(5, 402, 900);
     }
 }

@@ -1,6 +1,6 @@
 //! Closed-loop canary voltage control under a temperature ramp — the
-//! Fig. 12 experiment as a runnable demo, with the control routine
-//! executing on the chip's MSP430-style microcontroller.
+//! Fig. 12 experiment as a runnable demo, with the canary controller
+//! (Algorithm 1) re-run at every chamber step.
 //!
 //! Run with: `cargo run --release --example canary_runtime`
 
@@ -31,10 +31,10 @@ fn main() {
     );
 
     println!(
-        "\n{:>10} | {:>12} | {:>12} | {:>8}",
-        "T (degC)", "V_sram (V)", "test MSE", "uC runs"
+        "\n{:>10} | {:>12} | {:>12}",
+        "T (degC)", "V_sram (V)", "test MSE"
     );
-    println!("{:-<10}-+-{:-<12}-+-{:-<12}-+-{:-<8}", "", "", "", "");
+    println!("{:-<10}-+-{:-<12}-+-{:-<12}", "", "", "");
 
     // Chamber profile: 25 -> -15 -> 90 degC in 15 degC steps.
     let mut temps = vec![25.0];
@@ -50,9 +50,8 @@ fn main() {
 
     for temp in temps {
         chip.set_temperature(temp);
-        // Between inferences, the sleep-enabled uC wakes and runs
-        // Algorithm 1 as machine code.
-        let v = chip.poll_canaries_via_uc(&mut net);
+        // Between inferences, the canary controller re-runs Algorithm 1.
+        let v = chip.poll_canaries(&mut net);
         // Spot-check accuracy at the settled point.
         let mut mse = 0.0;
         for s in split.test.iter().take(40) {
@@ -65,7 +64,7 @@ fn main() {
                 / out.len() as f64;
         }
         mse /= 40.0;
-        println!("{temp:>10.0} | {v:>12.3} | {mse:>12.4} | {:>8}", 1);
+        println!("{temp:>10.0} | {v:>12.3} | {mse:>12.4}");
     }
 
     println!("\nThe rail climbs as the die cools (higher Vmin below the");

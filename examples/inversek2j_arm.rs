@@ -22,7 +22,7 @@ fn main() {
         ..DeploymentFlow::new(0.50)
     };
     let mut net = chip.deploy(&flow, &Benchmark::InverseK2j.topology(), &split.train);
-    let v = chip.poll_canaries_via_uc(&mut net);
+    let v = chip.poll_canaries(&mut net);
     println!("deployed at {v:.3} V SRAM (28 % of bit-cells past their Vmin)\n");
 
     // Track a quarter-circle arc through the reachable workspace.

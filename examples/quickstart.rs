@@ -38,8 +38,8 @@ fn main() {
         100.0 * map.ber()
     );
 
-    // Runtime: Algorithm 1 on the integrated microcontroller.
-    let settled = chip.poll_canaries_via_uc(&mut net);
+    // Runtime: the canary controller runs Algorithm 1.
+    let settled = chip.poll_canaries(&mut net);
     println!("canary controller settled the SRAM rail at {settled:.3} V\n");
 
     // Evaluate through the NPU at the settled voltage.

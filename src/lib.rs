@@ -16,7 +16,7 @@
 //! * [`core`] — the paper's contribution: memory-adaptive training (MAT)
 //!   and in-situ synaptic canaries (Algorithm 1).
 //! * [`snnac`] — a cycle-level simulator of the SNNAC 8-PE systolic
-//!   accelerator, including an MSP430-inspired runtime microcontroller.
+//!   accelerator, with the canary controller driving its SRAM rail.
 //! * [`harness`] — the parallel chip-population sweep engine behind the
 //!   `matic` CLI: grids of {chips × voltages × benchmarks × training
 //!   modes} with deterministic JSON/CSV reports.

@@ -49,7 +49,7 @@ fn voltage_tracks_temperature_ramp_with_stable_accuracy() {
     ];
     for &t in &temps {
         chip.set_temperature(t);
-        let v = chip.poll_canaries_via_uc(&mut net);
+        let v = chip.poll_canaries(&mut net);
         let e = mse(&mut chip, &net, &test);
         assert!(e < 0.1, "MSE {e} at {t} °C / {v} V");
         voltages.push(v);
@@ -68,14 +68,42 @@ fn voltage_tracks_temperature_ramp_with_stable_accuracy() {
     );
 }
 
+/// Algorithm 1's settled rail over the Fig. 12 chamber profile
+/// (25 → −15 → 90 °C in 15 °C steps, then a repeat of the last point),
+/// pinned to the millivolt: cold raises the rail, heat lowers it, and a
+/// repeated operating point holds.
+#[test]
+fn settled_voltage_trajectory_is_pinned_over_the_chamber_profile() {
+    let (mut chip, mut net, _) = deploy(0xF12);
+    let profile = [
+        (25.0, 500),
+        (10.0, 505),
+        (-5.0, 510),
+        (-15.0, 510),
+        (0.0, 510),
+        (15.0, 505),
+        (30.0, 500),
+        (45.0, 500),
+        (60.0, 495),
+        (75.0, 490),
+        (90.0, 485),
+        (90.0, 485),
+    ];
+    for (t, want_mv) in profile {
+        chip.set_temperature(t);
+        let v = chip.poll_canaries(&mut net);
+        assert_eq!((v * 1000.0).round() as u32, want_mv, "at {t} °C");
+    }
+}
+
 /// Repolling at a constant operating point is a fixed point: the voltage
 /// settles once and stays.
 #[test]
 fn controller_is_idempotent_at_fixed_conditions() {
     let (mut chip, mut net, _) = deploy(0xF13);
-    let v1 = chip.poll_canaries_via_uc(&mut net);
+    let v1 = chip.poll_canaries(&mut net);
     for _ in 0..4 {
-        assert_eq!(chip.poll_canaries_via_uc(&mut net), v1);
+        assert_eq!(chip.poll_canaries(&mut net), v1);
     }
 }
 
@@ -85,7 +113,7 @@ fn controller_is_idempotent_at_fixed_conditions() {
 #[test]
 fn canary_margin_is_tight_not_static() {
     let (mut chip, mut net, _) = deploy(0xF14);
-    let settled = chip.poll_canaries_via_uc(&mut net);
+    let settled = chip.poll_canaries(&mut net);
     // Trained for 0.50 V; canaries were chosen as the most marginal cells
     // just below it. A conventional design would sit at 0.9 V nominal or
     // apply a fixed worst-case margin; the canary system lands within

@@ -155,7 +155,7 @@ fn deployment_flow_overscales_every_benchmark() {
             ..DeploymentFlow::new(0.50)
         };
         let mut net = chip.deploy(&flow, &bench.topology(), &split.train);
-        let settled = chip.poll_canaries_via_uc(&mut net);
+        let settled = chip.poll_canaries(&mut net);
         assert!(
             settled < 0.53,
             "[{bench}] canary controller failed to overscale: {settled} V"

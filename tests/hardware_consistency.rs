@@ -105,35 +105,6 @@ fn deployed_words_satisfy_masks() {
     }
 }
 
-/// The µC-executed Algorithm 1 and the pure-Rust controller agree on two
-/// identical dice across a temperature excursion.
-#[test]
-fn uc_and_rust_controllers_track_identically_over_temperature() {
-    let bench = Benchmark::InverseK2j;
-    let split = bench.generate_scaled(4, 0.15);
-    let make = || {
-        let mut chip = Chip::synthesize(ChipConfig::snnac(), 55);
-        let flow = DeploymentFlow {
-            mat: quick_cfg(bench),
-            ..DeploymentFlow::new(0.50)
-        };
-        let net = chip.deploy(&flow, &bench.topology(), &split.train);
-        (chip, net)
-    };
-    let (mut chip_a, mut net_a) = make();
-    let (mut chip_b, mut net_b) = make();
-    for temp in [25.0, -5.0, 40.0, 90.0, 10.0] {
-        chip_a.set_temperature(temp);
-        chip_b.set_temperature(temp);
-        let v_rust = chip_a.poll_canaries(&mut net_a);
-        let v_uc = chip_b.poll_canaries_via_uc(&mut net_b);
-        assert!(
-            (v_rust - v_uc).abs() < 1e-9,
-            "at {temp} C: rust {v_rust} vs uC {v_uc}"
-        );
-    }
-}
-
 /// A fault map profiled on one chip does not transfer to another die:
 /// MATIC models are chip-specific (the paper's flow profiles each chip).
 #[test]
