@@ -9,6 +9,7 @@
 use matic_bench::header;
 use matic_core::{CanaryController, CanarySet, ControllerConfig};
 use matic_snnac::{Chip, ChipConfig};
+use matic_sram::profile_array;
 
 fn main() {
     header(
@@ -33,7 +34,8 @@ fn main() {
         // Fresh identical die each time (selection profiling is
         // destructive and the experiment must be independent).
         let mut chip = Chip::synthesize(ChipConfig::snnac(), 4242);
-        let set = CanarySet::select(chip.array_mut(), target, 25.0, per_bank, step);
+        let (at_target, _) = profile_array(chip.array_mut().banks_mut(), target, 25.0);
+        let set = CanarySet::select(chip.array_mut(), &at_target, per_bank, step);
         chip.set_sram_voltage(0.9);
         set.arm(chip.array_mut());
         let mut ctl = CanaryController::new(

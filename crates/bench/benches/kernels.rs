@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks of the hot kernels: the fixed-point MAC
-//! inner loop, injection masking, fault-composition, SRAM profiling, NPU
+//! inner loop, injection masking, fault-composition, SRAM profiling,
+//! canary selection and the runtime controller's first poll, NPU
 //! inference (per-MAC reference vs. fault-composed batches), and the
 //! memory-adaptive training step.
 //!
@@ -14,8 +15,8 @@
 
 use criterion::{black_box, Criterion};
 use matic_core::{
-    train_naive, upload_weights, ComposedQuantizer, FaultedWeights, MaskedQuantizer, MatConfig,
-    MatTrainer, ParamRef, TrainedModel, WeightLayout,
+    train_naive, upload_weights, CanaryController, CanarySet, ComposedQuantizer, ControllerConfig,
+    FaultedWeights, MaskedQuantizer, MatConfig, MatTrainer, ParamRef, TrainedModel, WeightLayout,
 };
 use matic_datasets::Benchmark;
 use matic_fixed::{Accumulator, Fx, QFormat};
@@ -23,7 +24,7 @@ use matic_harness::eval_composed_set;
 use matic_nn::{MomentumState, Sample, SgdConfig};
 use matic_snnac::microcode::Program;
 use matic_snnac::{Chip, ChipConfig, Snnac};
-use matic_sram::{inject::bernoulli_fault_map, profile_bank, SramBank, SramConfig};
+use matic_sram::{inject::bernoulli_fault_map, profile_array, profile_bank, SramBank, SramConfig};
 
 fn bench_mac(c: &mut Criterion) {
     let q = QFormat::snnac_weight();
@@ -64,6 +65,30 @@ fn bench_profiling(c: &mut Criterion) {
         b.iter_with_setup(
             || SramBank::synthesize(&SramConfig::snnac_bank(), 3),
             |mut bank| black_box(profile_bank(&mut bank, 0.50, 25.0)),
+        )
+    });
+}
+
+/// Canary deployment on a stock SNNAC die: profile the 0.50 V target,
+/// select eight canaries per bank below it, arm them at the safe rail,
+/// then the runtime controller's first poll walks the rail down from
+/// `v_safe` in 5 mV steps. Each rail step reads only the 64 canary words,
+/// so the operating-point changes themselves must stay O(1).
+fn bench_canary(c: &mut Criterion) {
+    let cfg = ControllerConfig::default();
+    c.bench_function("canary_select_and_poll_snnac", |b| {
+        b.iter_with_setup(
+            || Chip::synthesize(ChipConfig::snnac(), 3),
+            |mut chip| {
+                let array = chip.array_mut();
+                let (at_target, _) = profile_array(array.banks_mut(), 0.50, 25.0);
+                let set = CanarySet::select(array, &at_target, 8, cfg.step_v);
+                array.set_operating_point(cfg.v_safe, 25.0);
+                set.arm(array);
+                let mut ctl = CanaryController::new(set, cfg);
+                black_box(ctl.poll(array));
+                black_box(ctl.voltage())
+            },
         )
     });
 }
@@ -266,6 +291,7 @@ fn main() {
     bench_mac(&mut c);
     bench_masking(&mut c);
     bench_profiling(&mut c);
+    bench_canary(&mut c);
     bench_inference(&mut c);
     bench_conv(&mut c);
     bench_quantizer(&mut c);

@@ -35,9 +35,11 @@ pub struct CanarySet {
 
 impl CanarySet {
     /// Selects `per_bank` canaries per weight SRAM (the paper uses eight)
-    /// by profiling at the target voltage and then at descending voltages
-    /// in steps of `step_v`, harvesting the first cells to fail below
-    /// target in each bank.
+    /// by profiling at descending voltages in steps of `step_v` below the
+    /// target, harvesting the first cells to fail in each bank that are
+    /// still correct in `at_target` — the array's fault map profiled at
+    /// the target operating point, whose voltage and temperature the
+    /// sweep inherits.
     ///
     /// Profiling is destructive; run selection before weights are loaded
     /// (the deployment flow in Fig. 3 orders it that way).
@@ -56,15 +58,14 @@ impl CanarySet {
     /// marginal cells — physically implausible.
     pub fn select(
         array: &mut SramArray,
-        target_voltage: f64,
-        temp_c: f64,
+        at_target: &FaultMap,
         per_bank: usize,
         step_v: f64,
     ) -> Self {
         assert!(per_bank > 0, "need at least one canary per bank");
         assert!(step_v > 0.0, "sweep step must be positive");
+        let (target_voltage, temp_c) = (at_target.voltage, at_target.temp_c);
         let banks = array.bank_count();
-        let (at_target, _) = profile_array(array.banks_mut(), target_voltage, temp_c);
         let mut cells: Vec<Vec<CanaryCell>> = vec![Vec::new(); banks];
         // No cell's Vmin exceeds the distribution's safe voltage (shifted
         // for temperature), so sweeping from above it would only run
@@ -160,13 +161,6 @@ impl CanarySet {
     pub fn restore(&self, array: &mut SramArray) {
         self.arm(array);
     }
-
-    /// The fault map of the deployment target (needed to validate that
-    /// canary words do not collide with weight words holding trained
-    /// values — see `DeploymentFlow`).
-    pub fn profile_at_target(array: &mut SramArray, target_voltage: f64, temp_c: f64) -> FaultMap {
-        profile_array(array.banks_mut(), target_voltage, temp_c).0
-    }
 }
 
 #[cfg(test)]
@@ -188,10 +182,16 @@ mod tests {
         )
     }
 
+    /// Profiles `array` at `target` (25 °C) and selects against that map.
+    fn select(array: &mut SramArray, target: f64, per_bank: usize, step_v: f64) -> CanarySet {
+        let (at_target, _) = profile_array(array.banks_mut(), target, 25.0);
+        CanarySet::select(array, &at_target, per_bank, step_v)
+    }
+
     #[test]
     fn selects_requested_count_per_bank() {
         let mut array = small_array(1);
-        let set = CanarySet::select(&mut array, 0.50, 25.0, 8, 0.005);
+        let set = select(&mut array, 0.50, 8, 0.005);
         assert_eq!(set.cells().len(), 4 * 8);
         for bank in 0..4 {
             assert_eq!(set.cells().iter().filter(|c| c.bank == bank).count(), 8);
@@ -202,7 +202,7 @@ mod tests {
     fn canaries_are_not_faulty_at_target() {
         let mut array = small_array(2);
         let target = 0.50;
-        let set = CanarySet::select(&mut array, target, 25.0, 8, 0.005);
+        let set = select(&mut array, target, 8, 0.005);
         for c in set.cells() {
             let vmin = array.bank(c.bank).cell_vmin(c.word, c.bit);
             assert!(
@@ -220,7 +220,7 @@ mod tests {
         let mut array = small_array(3);
         let target = 0.50;
         let step = 0.005;
-        let set = CanarySet::select(&mut array, target, 25.0, 4, step);
+        let set = select(&mut array, target, 4, step);
         // Oracle check: within each bank, every non-canary cell that is
         // correct at target must fail no sooner than `step` above the
         // least marginal canary (profiling quantizes Vmin to the sweep).
@@ -252,7 +252,7 @@ mod tests {
     #[test]
     fn armed_canaries_fail_below_their_voltage_and_restore() {
         let mut array = small_array(4);
-        let set = CanarySet::select(&mut array, 0.50, 25.0, 8, 0.005);
+        let set = select(&mut array, 0.50, 8, 0.005);
         array.set_operating_point(0.9, 25.0);
         set.arm(&mut array);
         assert!(!set.any_failed(&mut array), "no failure at safe voltage");
@@ -269,8 +269,8 @@ mod tests {
     fn selection_is_deterministic() {
         let mut a = small_array(5);
         let mut b = small_array(5);
-        let sa = CanarySet::select(&mut a, 0.50, 25.0, 4, 0.005);
-        let sb = CanarySet::select(&mut b, 0.50, 25.0, 4, 0.005);
+        let sa = select(&mut a, 0.50, 4, 0.005);
+        let sb = select(&mut b, 0.50, 4, 0.005);
         assert_eq!(sa, sb);
     }
 
@@ -278,6 +278,6 @@ mod tests {
     #[should_panic(expected = "at least one canary")]
     fn zero_per_bank_rejected() {
         let mut array = small_array(6);
-        let _ = CanarySet::select(&mut array, 0.50, 25.0, 0, 0.005);
+        let _ = select(&mut array, 0.50, 0, 0.005);
     }
 }

@@ -124,7 +124,7 @@ impl CanaryController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use matic_sram::{ArrayConfig, SramArray, SramConfig, VminDistribution};
+    use matic_sram::{profile_array, ArrayConfig, SramArray, SramConfig, VminDistribution};
 
     fn array(seed: u64) -> SramArray {
         SramArray::synthesize(
@@ -141,7 +141,8 @@ mod tests {
     }
 
     fn controller(array: &mut SramArray, target: f64) -> CanaryController {
-        let set = CanarySet::select(array, target, 25.0, 8, 0.005);
+        let (at_target, _) = profile_array(array.banks_mut(), target, 25.0);
+        let set = CanarySet::select(array, &at_target, 8, 0.005);
         array.set_operating_point(0.9, 25.0);
         set.arm(array);
         CanaryController::new(set, ControllerConfig::default())
@@ -236,7 +237,8 @@ mod tests {
         // first by construction.
         let mut arr = array(5);
         let target = 0.50;
-        let set = CanarySet::select(&mut arr, target, 25.0, 8, 0.005);
+        let (at_target, _) = profile_array(arr.banks_mut(), target, 25.0);
+        let set = CanarySet::select(&mut arr, &at_target, 8, 0.005);
         arr.set_operating_point(0.9, 25.0);
         // Fill all words with a known pattern (stand-in for weights).
         for bank in 0..arr.bank_count() {

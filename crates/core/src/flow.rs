@@ -40,8 +40,8 @@ impl DeploymentFlow {
 
     /// Runs the full Fig. 3 flow against a chip's weight memories:
     ///
-    /// 1. select in-situ canaries (multi-voltage profiling);
-    /// 2. profile the read-stability fault map at the target voltage;
+    /// 1. profile the read-stability fault map at the target voltage;
+    /// 2. select in-situ canaries (multi-voltage profiling below it);
     /// 3. pin canary bits in the map (their state belongs to the runtime
     ///    controller, so training treats them as stuck at the armed value);
     /// 4. memory-adaptive training;
@@ -74,17 +74,16 @@ impl DeploymentFlow {
         array: &mut SramArray,
         train: impl FnOnce(&FaultMap) -> TrainedModel,
     ) -> DeployedModel {
-        // (1) Canary selection — destructive profiling, so it precedes
-        // weight upload.
+        // (1) Fault map at the target operating point.
+        let (mut faults, _) = profile_array(array.banks_mut(), self.target_voltage, self.temp_c);
+        // (2) Canary selection against that map — destructive profiling
+        // below the target, so it precedes weight upload.
         let canaries = CanarySet::select(
             array,
-            self.target_voltage,
-            self.temp_c,
+            &faults,
             self.canaries_per_bank,
             self.controller.step_v,
         );
-        // (2) Fault map at the target operating point.
-        let (mut faults, _) = profile_array(array.banks_mut(), self.target_voltage, self.temp_c);
         // (3) Canary bits are runtime-owned: pin them at the armed
         // (anti-preferred) value so training routes around them too.
         for c in canaries.cells() {

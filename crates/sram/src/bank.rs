@@ -37,9 +37,19 @@ pub struct SramBank {
     /// `Vmin,read` per cell at the reference temperature, row-major
     /// `word * word_bits + bit`.
     vmin: Vec<f32>,
-    /// Cached mask per word of cells that fail at the current operating
-    /// point (supply below the cell's effective Vmin).
+    /// Per word, the cells that fail at the operating point of epoch
+    /// `mask_epoch[word]` (supply below the cell's effective Vmin).
+    /// Derived on the word's first read at each operating point.
     fail_mask: Vec<u32>,
+    /// The `epoch` at which each word's `fail_mask` was derived; a word
+    /// whose stamp differs from `epoch` has a stale mask.
+    mask_epoch: Vec<u64>,
+    /// Bumped by every operating-point change. A `u64` never wraps in
+    /// practice, so a stale stamp can never alias the current epoch.
+    epoch: u64,
+    /// The temperature-adjusted query voltage: a cell fails when this is
+    /// below its reference-temperature Vmin.
+    v_query: f32,
     voltage: f64,
     temp_c: f64,
 }
@@ -71,10 +81,13 @@ impl SramBank {
             preferred,
             vmin,
             fail_mask: vec![0u32; words],
-            voltage: 0.9,
-            temp_c: 25.0,
+            mask_epoch: vec![0u64; words],
+            epoch: 0,
+            v_query: 0.0,
+            voltage: 0.0,
+            temp_c: 0.0,
         };
-        bank.rebuild_fail_masks();
+        bank.set_operating_point(0.9, 25.0);
         bank
     }
 
@@ -93,31 +106,23 @@ impl SramBank {
         self.temp_c
     }
 
-    /// Changes the supply voltage and temperature. Re-derives which cells
-    /// are past their read-stability limit. Stored values are untouched —
-    /// state only changes when a *read* disturbs a marginal cell.
+    /// Changes the supply voltage and temperature in O(1). Stored values
+    /// are untouched — state only changes when a *read* disturbs a
+    /// marginal cell — and each word's set of failing cells is derived
+    /// lazily, on its first read at the new operating point.
     pub fn set_operating_point(&mut self, voltage: f64, temp_c: f64) {
         self.voltage = voltage;
         self.temp_c = temp_c;
-        self.rebuild_fail_masks();
+        self.v_query = self.query_voltage(voltage, temp_c);
+        self.epoch += 1;
     }
 
-    fn rebuild_fail_masks(&mut self) {
-        let bits = self.cfg.word_bits as usize;
-        // A cell fails when supply < effective Vmin(T); equivalently when
-        // the temperature-adjusted query voltage is below the reference
-        // Vmin stored per cell.
-        let dt = self.temp_c - self.cfg.dist.ref_temp_c();
-        let v_query = (self.voltage - self.cfg.dist.temp_coeff() * dt) as f32;
-        for w in 0..self.cfg.words {
-            let mut mask = 0u32;
-            for b in 0..bits {
-                if v_query < self.vmin[w * bits + b] {
-                    mask |= 1 << b;
-                }
-            }
-            self.fail_mask[w] = mask;
-        }
+    /// A cell fails when supply < effective Vmin(T); equivalently when the
+    /// temperature-adjusted query voltage is below the reference Vmin
+    /// stored per cell.
+    fn query_voltage(&self, voltage: f64, temp_c: f64) -> f32 {
+        let dt = temp_c - self.cfg.dist.ref_temp_c();
+        (voltage - self.cfg.dist.temp_coeff() * dt) as f32
     }
 
     /// Writes a word (always succeeds; see type-level docs).
@@ -146,6 +151,15 @@ impl SramBank {
     /// Panics if `addr` is out of range.
     pub fn read(&mut self, addr: usize) -> u32 {
         assert!(addr < self.cfg.words, "address {addr} out of range");
+        if self.mask_epoch[addr] != self.epoch {
+            let bits = self.cfg.word_bits as usize;
+            let vmin = &self.vmin[addr * bits..(addr + 1) * bits];
+            self.fail_mask[addr] = vmin
+                .iter()
+                .enumerate()
+                .fold(0, |mask, (b, &vm)| mask | ((self.v_query < vm) as u32) << b);
+            self.mask_epoch[addr] = self.epoch;
+        }
         let flips = (self.stored[addr] ^ self.preferred[addr]) & self.fail_mask[addr];
         self.stored[addr] ^= flips;
         self.stored[addr]
@@ -160,8 +174,7 @@ impl SramBank {
     /// Oracle: the fraction of cells that would fail at `(voltage, temp_c)`.
     /// Used to validate profiling against ground truth.
     pub fn fail_fraction_at(&self, voltage: f64, temp_c: f64) -> f64 {
-        let dt = temp_c - self.cfg.dist.ref_temp_c();
-        let v_query = (voltage - self.cfg.dist.temp_coeff() * dt) as f32;
+        let v_query = self.query_voltage(voltage, temp_c);
         let bits = self.cfg.word_bits as usize;
         let failing = self.vmin.iter().filter(|&&vm| v_query < vm).count();
         failing as f64 / (self.cfg.words * bits) as f64

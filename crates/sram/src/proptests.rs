@@ -11,8 +11,135 @@ fn small_cfg(words: usize) -> SramConfig {
     }
 }
 
+/// The eager bank model that lazy fail-mask derivation replaced: every
+/// operating-point change rescans every cell. Built from a synthesized
+/// bank's oracle view (its Vmins and preferred states), so both models
+/// describe the same silicon.
+struct ReferenceBank {
+    cfg: SramConfig,
+    stored: Vec<u32>,
+    preferred: Vec<u32>,
+    vmin: Vec<f32>,
+    fail_mask: Vec<u32>,
+}
+
+impl ReferenceBank {
+    fn of(bank: &SramBank) -> Self {
+        let cfg = bank.config().clone();
+        let bits = cfg.word_bits;
+        let preferred = (0..cfg.words)
+            .map(|w| {
+                (0..bits)
+                    .filter(|&b| bank.cell_preferred(w, b))
+                    .fold(0u32, |m, b| m | 1 << b)
+            })
+            .collect();
+        let vmin = (0..cfg.words)
+            .flat_map(|w| (0..bits).map(move |b| bank.cell_vmin(w, b) as f32))
+            .collect();
+        let mut reference = ReferenceBank {
+            stored: (0..cfg.words).map(|w| bank.peek(w)).collect(),
+            fail_mask: vec![0; cfg.words],
+            cfg,
+            preferred,
+            vmin,
+        };
+        reference.set_operating_point(bank.voltage(), bank.temperature());
+        reference
+    }
+
+    fn set_operating_point(&mut self, voltage: f64, temp_c: f64) {
+        let bits = self.cfg.word_bits as usize;
+        let dt = temp_c - self.cfg.dist.ref_temp_c();
+        let v_query = (voltage - self.cfg.dist.temp_coeff() * dt) as f32;
+        for w in 0..self.cfg.words {
+            let mut mask = 0u32;
+            for b in 0..bits {
+                if v_query < self.vmin[w * bits + b] {
+                    mask |= 1 << b;
+                }
+            }
+            self.fail_mask[w] = mask;
+        }
+    }
+
+    fn write(&mut self, addr: usize, word: u32) {
+        self.stored[addr] = word;
+    }
+
+    fn read(&mut self, addr: usize) -> u32 {
+        let flips = (self.stored[addr] ^ self.preferred[addr]) & self.fail_mask[addr];
+        self.stored[addr] ^= flips;
+        self.stored[addr]
+    }
+}
+
+/// One step of a bank interleaving: an operating point (indices into
+/// small voltage and temperature pools, so points repeat and can change
+/// in one coordinate only), a write or a read.
+#[derive(Debug)]
+enum BankOp {
+    Point(usize, usize),
+    Write(usize, u32),
+    Read(usize),
+}
+
+const ORACLE_WORDS: usize = 24;
+
+/// Ops weighted 1 : 2 : 4 over operating points, writes and reads.
+fn bank_op(pool: usize) -> impl Strategy<Value = BankOp> {
+    (0u8..7, (0..pool, 0..pool), 0..ORACLE_WORDS, 0u32..=u32::MAX).prop_map(
+        |(kind, (vi, ti), addr, word)| match kind {
+            0 => BankOp::Point(vi, ti),
+            1 | 2 => BankOp::Write(addr, word),
+            _ => BankOp::Read(addr),
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Lazily derived fail masks read exactly what the eager whole-bank
+    /// rescan reads, bit for bit, over random interleavings of
+    /// operating-point changes (repeated points included), writes and
+    /// reads, at every supported word width.
+    #[test]
+    fn lazy_masks_match_eager_rescan(
+        seed in 0u64..1000,
+        word_bits in (0usize..4).prop_map(|i| [8u8, 16, 22, 32][i]),
+        voltages in proptest::collection::vec(0.38f64..0.95, 1..4),
+        temps in proptest::collection::vec(-20.0f64..100.0, 1..4),
+        ops in proptest::collection::vec(bank_op(3), 1..300),
+    ) {
+        let cfg = SramConfig {
+            words: ORACLE_WORDS,
+            word_bits,
+            dist: VminDistribution::date2018(),
+        };
+        let mut bank = SramBank::synthesize(&cfg, seed);
+        let mut reference = ReferenceBank::of(&bank);
+        for op in ops {
+            match op {
+                BankOp::Point(vi, ti) => {
+                    let (v, t) = (voltages[vi % voltages.len()], temps[ti % temps.len()]);
+                    bank.set_operating_point(v, t);
+                    reference.set_operating_point(v, t);
+                }
+                BankOp::Write(addr, word) => {
+                    let word = word & cfg.word_mask();
+                    bank.write(addr, word);
+                    reference.write(addr, word);
+                }
+                BankOp::Read(addr) => {
+                    prop_assert_eq!(bank.read(addr), reference.read(addr));
+                }
+            }
+        }
+        for addr in 0..ORACLE_WORDS {
+            prop_assert_eq!(bank.peek(addr), reference.stored[addr]);
+        }
+    }
 
     /// Reads at any operating point only ever move cells *towards* their
     /// preferred state, and repeated reads are stable.
