@@ -131,24 +131,15 @@ pub struct SweepRun {
     pub cache: CacheUsage,
 }
 
-/// Runs the full sweep described by `plan` and aggregates the report.
+/// Runs the full sweep described by `plan`, without a cache, and
+/// aggregates the report.
 ///
 /// Uses every worker rayon gives the process unless the plan pins
-/// [`threads`](SweepPlan::threads), and attaches the persistent cell
-/// cache when the plan names a [`cache_dir`](SweepPlan::cache_dir). The
-/// returned report serializes byte-identically for any thread count and
-/// any cache hit/miss mix.
-///
-/// # Panics
-///
-/// Panics if the plan's cache directory cannot be created or opened;
-/// use [`run_sweep_with_cache`] to handle cache I/O errors yourself.
+/// [`threads`](SweepPlan::threads). The returned report serializes
+/// byte-identically for any thread count; [`run_sweep_with_cache`]
+/// attaches a persistent cell cache.
 pub fn run_sweep(plan: &SweepPlan) -> SweepReport {
-    let cache = plan.cache_dir.as_ref().map(|dir| {
-        SweepCache::open(dir)
-            .unwrap_or_else(|e| panic!("opening sweep cache at {}: {e}", dir.display()))
-    });
-    run_sweep_with_cache(plan, cache.as_ref()).report
+    run_sweep_with_cache(plan, None).report
 }
 
 /// Runs the sweep with an explicitly managed cache (or none), returning

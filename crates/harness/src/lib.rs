@@ -26,7 +26,7 @@
 //! (see [`seeds`]), never from scheduling.
 //!
 //! Sweeps are **resumable**: attach a persistent content-addressed cell
-//! cache ([`cache`], [`SweepPlanBuilder::cache_dir`]) and every
+//! cache ([`cache`], [`run_sweep_with_cache`]) and every
 //! completed cell is checkpointed atomically the moment it finishes; a
 //! re-run (after a crash, a kill, or on a grown grid) replays cache-hit
 //! cells without training or evaluating anything, and still emits

@@ -213,9 +213,10 @@ impl EnergyReport {
 /// Why an energy report could not be derived from a sweep report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EnergyReportError {
-    /// The sweep ran on the synthetic BER axis — no silicon, no rails,
-    /// no energy records.
-    BerAxis,
+    /// The sweep ran on a synthetic stress axis (the report's
+    /// `stress_kind`, e.g. `ber` or `clock`) — no SRAM rail to meter,
+    /// so no energy records.
+    NotVoltageAxis(String),
     /// The sweep has no cells with energy records at all.
     NoEnergyRecords,
 }
@@ -223,9 +224,10 @@ pub enum EnergyReportError {
 impl fmt::Display for EnergyReportError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EnergyReportError::BerAxis => f.write_str(
-                "energy analysis needs a voltage-axis sweep (the BER axis is synthetic \
-                 and carries no energy records)",
+            EnergyReportError::NotVoltageAxis(kind) => write!(
+                f,
+                "energy analysis needs a voltage-axis sweep (this report's `{kind}` axis \
+                 is synthetic and carries no energy records)"
             ),
             EnergyReportError::NoEnergyRecords => {
                 f.write_str("the sweep report contains no per-cell energy records")
@@ -260,7 +262,9 @@ pub fn energy_report(
     budget: AccuracyBudget,
 ) -> Result<EnergyReport, EnergyReportError> {
     if report.plan.stress_kind != "voltage" {
-        return Err(EnergyReportError::BerAxis);
+        return Err(EnergyReportError::NotVoltageAxis(
+            report.plan.stress_kind.clone(),
+        ));
     }
     if report.cells.iter().all(|c| c.energy.is_none()) {
         return Err(EnergyReportError::NoEnergyRecords);
@@ -491,8 +495,21 @@ mod tests {
         report.plan.stress_kind = "ber".into();
         assert_eq!(
             energy_report(&report, AccuracyBudget::default()),
-            Err(EnergyReportError::BerAxis)
+            Err(EnergyReportError::NotVoltageAxis("ber".into()))
         );
+    }
+
+    #[test]
+    fn clock_axis_is_rejected_by_name() {
+        let mut report = synthetic_report(&[0.01, 0.01, 0.01]);
+        report.plan.fault_model = "timing-error".into();
+        report.plan.stress_kind = "clock".into();
+        let err = energy_report(&report, AccuracyBudget::default()).unwrap_err();
+        assert_eq!(err, EnergyReportError::NotVoltageAxis("clock".into()));
+        // The message names the axis the report actually swept.
+        let msg = err.to_string();
+        assert!(msg.contains("`clock` axis"), "{msg}");
+        assert!(!msg.contains("BER"), "{msg}");
     }
 
     #[test]

@@ -5,7 +5,6 @@ use matic_core::{fitted_array_config, FaultModel, MatConfig, RandomBer, SramVolt
 use matic_nn::NetSpec;
 use matic_sram::ArrayConfig;
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// How the deployed model was trained for a sweep cell.
@@ -169,13 +168,6 @@ pub struct SweepPlan {
     /// A regression cell counts as failed when its MSE exceeds nominal by
     /// this much.
     pub fail_margin_mse: f64,
-    /// Directory of the persistent sweep cache, if one is attached:
-    /// [`run_sweep`](crate::run_sweep) replays cache-hit cells and
-    /// checkpoints fresh ones here. `None` disables caching. Like
-    /// [`threads`](SweepPlan::threads), this is an execution detail — it
-    /// never affects the report's bytes and is excluded from
-    /// [`SweepPlan::fingerprint`].
-    pub cache_dir: Option<PathBuf>,
 }
 
 impl fmt::Debug for SweepPlan {
@@ -198,7 +190,6 @@ impl fmt::Debug for SweepPlan {
             .field("base_seed", &self.base_seed)
             .field("threads", &self.threads)
             .field("reuse", &self.reuse)
-            .field("cache_dir", &self.cache_dir)
             .finish_non_exhaustive()
     }
 }
@@ -327,7 +318,6 @@ pub struct SweepPlanBuilder {
     reuse: ReusePolicy,
     fail_margin_percent: f64,
     fail_margin_mse: f64,
-    cache_dir: Option<PathBuf>,
 }
 
 impl Default for SweepPlanBuilder {
@@ -346,7 +336,6 @@ impl Default for SweepPlanBuilder {
             reuse: ReusePolicy::SupersetMap,
             fail_margin_percent: 10.0,
             fail_margin_mse: 0.05,
-            cache_dir: None,
         }
     }
 }
@@ -492,17 +481,6 @@ impl SweepPlanBuilder {
     /// Model-reuse policy (default [`ReusePolicy::SupersetMap`]).
     pub fn reuse(mut self, policy: ReusePolicy) -> Self {
         self.reuse = policy;
-        self
-    }
-
-    /// Attaches a persistent sweep cache rooted at `dir` (default:
-    /// no cache). [`run_sweep`](crate::run_sweep) will replay every
-    /// cache-hit cell without training or evaluating, and checkpoint
-    /// every freshly computed cell the moment it completes — which is
-    /// what makes interrupted sweeps resumable. The report's bytes are
-    /// unaffected.
-    pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache_dir = Some(dir.into());
         self
     }
 
@@ -652,7 +630,6 @@ impl SweepPlanBuilder {
             reuse: self.reuse,
             fail_margin_percent: self.fail_margin_percent,
             fail_margin_mse: self.fail_margin_mse,
-            cache_dir: self.cache_dir,
         })
     }
 }
@@ -851,13 +828,8 @@ mod tests {
         let reference = base().build().unwrap().fingerprint();
         assert_eq!(
             reference,
-            base()
-                .threads(7)
-                .cache_dir("/tmp/somewhere")
-                .build()
-                .unwrap()
-                .fingerprint(),
-            "threads and cache dir are execution details"
+            base().threads(7).build().unwrap().fingerprint(),
+            "threads are an execution detail"
         );
         assert_ne!(
             reference,

@@ -2,7 +2,7 @@
 //! request, stream the events back.
 
 use crate::protocol::{Event, JobSpec, Request};
-use crate::transport::{Endpoint, Transport};
+use crate::transport::Endpoint;
 
 /// Sends one request and returns the single event it answers with
 /// (`Status`, `Cancel`, `Shutdown`).

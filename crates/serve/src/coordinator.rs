@@ -26,12 +26,11 @@
 //! (armed against the daemon's idle heartbeats) catches hung daemons,
 //! not just dead ones.
 
-use crate::job::build_plan;
+use crate::job::{build_plan, report_text};
 use crate::protocol::{Event, JobKind, JobSpec, Request, ShardUnit};
-use crate::transport::{Endpoint, Transport};
+use crate::transport::Endpoint;
 use matic_harness::{
-    assemble_sharded, energy_report, shard_chip_ranges, AccuracyBudget, CellOrigin, SweepOutcome,
-    SweepRun, UnitOutcome,
+    assemble_sharded, shard_chip_ranges, CellOrigin, SweepOutcome, SweepRun, UnitOutcome,
 };
 use std::time::Duration;
 
@@ -139,19 +138,16 @@ pub fn shard_sweep(
     if cfg.endpoints.is_empty() {
         return Err("shard-sweep needs at least one daemon endpoint".into());
     }
-    // Validate once, coordinator-side, with the batch CLI's surface —
-    // and learn the chip count to cut ranges from. Shards go out as
-    // Sweep jobs even for Energy specs: the energy analysis is a pure
-    // function of the merged sweep report, derived locally below.
+    // Validate once, coordinator-side (energy checks included, so they
+    // fail now, not post-merge), and learn the chip count to cut ranges
+    // from. Shards go out as Sweep
+    // jobs even for Energy specs: the energy analysis is a pure function
+    // of the merged sweep report, derived locally below.
+    let plan = build_plan(spec)?;
     let sweep_spec = JobSpec {
         kind: JobKind::Sweep,
         ..spec.clone()
     };
-    let plan = build_plan(&sweep_spec)?;
-    if spec.kind == JobKind::Energy {
-        // Surface energy-specific validation errors now, not post-merge.
-        build_plan(spec)?;
-    }
     let shards = cfg.shards.unwrap_or(cfg.endpoints.len()).max(1);
     let ranges = shard_chip_ranges(plan.chips, shards);
 
@@ -211,18 +207,7 @@ pub fn shard_sweep(
         SweepOutcome::Complete(run) => run,
         SweepOutcome::Cancelled(_) => unreachable!("shard parts never arrive cancelled"),
     };
-    let report = match spec.kind {
-        JobKind::Sweep => run.report.to_json_pretty(),
-        JobKind::Energy => {
-            let budget = AccuracyBudget {
-                percent: spec.budget_percent,
-                mse: spec.budget_mse,
-            };
-            energy_report(&run.report, budget)
-                .map_err(|e| e.to_string())?
-                .to_json_pretty()
-        }
-    };
+    let report = report_text(spec, &run.report)?;
     Ok(ShardOutcome {
         run,
         report,
@@ -268,8 +253,8 @@ fn run_shard(
                 let next = &cfg.endpoints[(shard_idx + attempt + 1) % cfg.endpoints.len()];
                 on_progress(ShardProgress::Failover {
                     shard: shard_idx,
-                    from: endpoint.describe(),
-                    to: next.describe(),
+                    from: endpoint.to_string(),
+                    to: next.to_string(),
                     reason,
                     delay,
                 });
@@ -288,7 +273,7 @@ fn attempt_shard(
     timeout: Option<Duration>,
     on_progress: &(dyn Fn(ShardProgress<'_>) + Sync),
 ) -> Result<(Vec<ShardUnit>, [usize; 3]), AttemptError> {
-    let where_ = endpoint.describe();
+    let where_ = endpoint.to_string();
     let mut stream = endpoint
         .open(&Request::Submit(shard_spec.clone()))
         .map_err(AttemptError::Retry)?;

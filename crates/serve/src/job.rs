@@ -12,28 +12,35 @@ use crate::protocol::{JobKind, JobSpec, JobStatusInfo, ShardUnit};
 use matic_datasets::Split;
 use matic_harness::{
     assemble_sweep, energy_report, run_unit_observed, AccuracyBudget, CancelToken, CellOrigin,
-    ExecContext, MemoEviction, ProgressSink, ReusePolicy, SweepOutcome, SweepPlan, TrainingMemo,
-    TrainingMode, UnitOutcome,
+    EnergyReport, ExecContext, MemoEviction, ProgressSink, ReusePolicy, SweepOutcome, SweepPlan,
+    SweepReport, TrainingMemo, TrainingMode, UnitOutcome,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// Builds the sweep plan a spec describes, with the same validation
-/// surface as the batch CLI (so a bad spec is refused at admission, not
-/// discovered mid-run).
+/// Builds the sweep plan a spec describes. This is the one validation
+/// surface for every sweep: the CLI commands parse their flags into a
+/// spec and call it, and the daemon calls it at admission (so a bad
+/// spec is refused up front, not discovered mid-run). Execution knobs
+/// are not part of a spec; callers set `plan.threads` themselves.
 pub fn build_plan(spec: &JobSpec) -> Result<SweepPlan, String> {
     let axes_named = [&spec.voltages, &spec.bers, &spec.clock]
         .iter()
         .filter(|a| a.is_some())
         .count();
     if axes_named > 1 {
-        return Err("voltages, bers and clock are mutually exclusive".into());
+        return Err(
+            "voltages, bers and clock (--voltages/--bers/--clock-stress) are mutually exclusive"
+                .into(),
+        );
     }
     if spec.kind == JobKind::Energy && (spec.bers.is_some() || spec.clock.is_some()) {
-        return Err("energy jobs need a voltage-axis sweep; the synthetic axes \
-             have no silicon to meter"
-            .into());
+        return Err(
+            "energy jobs need a voltage-axis sweep; the synthetic bers/clock \
+             axes (--bers/--clock-stress) have no silicon to meter"
+                .into(),
+        );
     }
     if !spec.budget_percent.is_finite() || !spec.budget_mse.is_finite() {
         return Err("accuracy budgets must be finite numbers".into());
@@ -82,6 +89,25 @@ pub fn build_plan(spec: &JobSpec) -> Result<SweepPlan, String> {
         builder = builder.topology(topo);
     }
     builder.build().map_err(|e| e.to_string())
+}
+
+/// The accuracy–energy analysis of a finished sweep `report` under the
+/// spec's accuracy budgets.
+pub fn energy_analysis(spec: &JobSpec, report: &SweepReport) -> Result<EnergyReport, String> {
+    let budget = AccuracyBudget {
+        percent: spec.budget_percent,
+        mse: spec.budget_mse,
+    };
+    energy_report(report, budget).map_err(|e| e.to_string())
+}
+
+/// The report text a finished job answers with: the sweep report, or
+/// its [`energy_analysis`] for [`JobKind::Energy`] specs.
+pub fn report_text(spec: &JobSpec, report: &SweepReport) -> Result<String, String> {
+    match spec.kind {
+        JobKind::Sweep => Ok(report.to_json_pretty()),
+        JobKind::Energy => energy_analysis(spec, report).map(|e| e.to_json_pretty()),
+    }
 }
 
 /// Cumulative per-cell counters, updated lock-free from worker threads
@@ -347,27 +373,15 @@ impl Job {
             SweepOutcome::Cancelled(c) => JobPhase::Cancelled {
                 cells_done: c.cells_done,
             },
-            SweepOutcome::Complete(run) => {
-                let report = match self.spec.kind {
-                    JobKind::Sweep => run.report.to_json_pretty(),
-                    JobKind::Energy => {
-                        let budget = AccuracyBudget {
-                            percent: self.spec.budget_percent,
-                            mse: self.spec.budget_mse,
-                        };
-                        match energy_report(&run.report, budget) {
-                            Ok(energy) => energy.to_json_pretty(),
-                            Err(e) => return JobPhase::Failed(e.to_string()),
-                        }
-                    }
-                };
-                JobPhase::Done {
+            SweepOutcome::Complete(run) => match report_text(&self.spec, &run.report) {
+                Ok(report) => JobPhase::Done {
                     report,
                     hits: run.cache.hits,
                     deduped: run.cache.deduped,
                     misses: run.cache.misses,
-                }
-            }
+                },
+                Err(e) => JobPhase::Failed(e),
+            },
         }
     }
 

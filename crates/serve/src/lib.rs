@@ -52,4 +52,4 @@ pub use coordinator::{shard_sweep, ShardOutcome, ShardProgress, ShardSweepConfig
 pub use daemon::{serve, ServeConfig};
 pub use job::{Job, JobPhase};
 pub use protocol::{Event, JobKind, JobSpec, JobStatusInfo, Request, ShardUnit, SERVE_SCHEMA};
-pub use transport::{Endpoint, EventStream, HttpTransport, Transport, UnixTransport};
+pub use transport::{Endpoint, EventStream};

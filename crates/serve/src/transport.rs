@@ -1,21 +1,20 @@
-//! Pluggable client transports: how a request reaches a daemon and how
-//! its event stream comes back.
+//! Client transports: how a request reaches a daemon and how its event
+//! stream comes back.
 //!
 //! The protocol itself ([`protocol`](crate::protocol)) is
-//! transport-agnostic JSON lines; a [`Transport`] only has to deliver
-//! one [`Request`] and hand back a readable stream of [`Event`] lines.
-//! Two implementations exist:
+//! transport-agnostic JSON lines; a transport only has to deliver one
+//! [`Request`] and hand back a readable stream of [`Event`] lines.
+//! [`Endpoint`] is the parsed form of a user-supplied daemon address,
+//! one variant per transport:
 //!
-//! - [`UnixTransport`] — the original local path: a Unix-domain socket,
-//!   request line out, event lines back on the same stream.
-//! - [`HttpTransport`] — the remote path: one `POST` against the
+//! - [`Endpoint::Unix`] — the local path: a Unix-domain socket, request
+//!   line out, event lines back on the same stream.
+//! - [`Endpoint::Http`] — the remote path: one `POST` against the
 //!   vendored HTTP/1.1 shim (`crate::http`), events streamed back as
 //!   the chunked response body.
 //!
-//! [`Endpoint`] is the parsed form of a user-supplied daemon address
-//! (`http://host:port` vs. a socket path) and dispatches to the right
-//! transport, so client code — `matic submit`, the shard-sweep
-//! coordinator — never cares which wire it is on.
+//! Client code — `matic submit`, the shard-sweep coordinator — calls
+//! [`Endpoint::open`] and never cares which wire it is on.
 
 use crate::http::{read_head, ChunkReader, PROTOCOL_PATH};
 use crate::protocol::{read_message, write_message, Event, Request};
@@ -24,133 +23,6 @@ use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-
-/// A way to reach a daemon: delivers one request, returns the event
-/// stream the daemon answers with.
-pub trait Transport {
-    /// Opens a fresh connection, sends `request`, and returns the
-    /// stream of answer events.
-    fn open(&self, request: &Request) -> Result<EventStream, String>;
-
-    /// The address, the way a user would write it.
-    fn describe(&self) -> String;
-}
-
-/// The local transport: JSON lines over a Unix-domain socket.
-pub struct UnixTransport(pub PathBuf);
-
-/// The remote transport: the request POSTed over the vendored HTTP/1.1
-/// shim, events streamed back as a chunked `application/x-ndjson` body.
-pub struct HttpTransport(pub String);
-
-impl Transport for UnixTransport {
-    fn open(&self, request: &Request) -> Result<EventStream, String> {
-        let path = &self.0;
-        let stream = match UnixStream::connect(path) {
-            Ok(stream) => stream,
-            Err(e) if e.kind() == ErrorKind::ConnectionRefused && path.exists() => {
-                // A socket file nobody answers on is a daemon that died
-                // without cleanup. Remove the leftover so the next
-                // `matic serve` binds cleanly, and fail like a daemon
-                // refusing the request — not with a raw io error.
-                let removed = std::fs::remove_file(path).is_ok();
-                return Err(format!(
-                    "rejected: stale socket {path} — its daemon is gone{cleanup}; \
-                     start one with `matic serve --listen {path}` and resubmit",
-                    path = path.display(),
-                    cleanup = if removed {
-                        " (removed the leftover file)"
-                    } else {
-                        ""
-                    },
-                ));
-            }
-            Err(e) => {
-                return Err(format!(
-                    "connecting to {} ({e}); is `matic serve --listen {}` running?",
-                    path.display(),
-                    path.display()
-                ))
-            }
-        };
-        let mut writer = stream
-            .try_clone()
-            .map_err(|e| format!("cloning the connection: {e}"))?;
-        write_message(&mut writer, request).map_err(|e| format!("sending the request: {e}"))?;
-        Ok(EventStream {
-            reader: Box::new(BufReader::new(
-                stream
-                    .try_clone()
-                    .map_err(|e| format!("cloning the connection: {e}"))?,
-            )),
-            handle: StreamHandle::Unix(stream),
-        })
-    }
-
-    fn describe(&self) -> String {
-        self.0.display().to_string()
-    }
-}
-
-impl Transport for HttpTransport {
-    fn open(&self, request: &Request) -> Result<EventStream, String> {
-        let addr = &self.0;
-        let stream = TcpStream::connect(addr)
-            .map_err(|e| format!("connecting to http://{addr} ({e}); is the daemon up?"))?;
-        let body = {
-            let mut line =
-                serde_json::to_string(request).map_err(|e| format!("encoding request: {e}"))?;
-            line.push('\n');
-            line
-        };
-        let mut writer = stream
-            .try_clone()
-            .map_err(|e| format!("cloning the connection: {e}"))?;
-        write!(
-            writer,
-            "POST {PROTOCOL_PATH} HTTP/1.1\r\n\
-             Host: {addr}\r\n\
-             Content-Type: application/json\r\n\
-             Content-Length: {}\r\n\
-             Connection: close\r\n\r\n{body}",
-            body.len()
-        )
-        .and_then(|_| writer.flush())
-        .map_err(|e| format!("sending the request to http://{addr}: {e}"))?;
-
-        let mut reader = BufReader::new(
-            stream
-                .try_clone()
-                .map_err(|e| format!("cloning the connection: {e}"))?,
-        );
-        let head =
-            read_head(&mut reader).map_err(|e| format!("reading http://{addr} response: {e}"))?;
-        let status_ok = head
-            .line
-            .split_whitespace()
-            .nth(1)
-            .is_some_and(|code| code == "200");
-        if !status_ok {
-            return Err(format!("http://{addr} answered `{}`", head.line));
-        }
-        let chunked = head
-            .header("transfer-encoding")
-            .is_some_and(|te| te.eq_ignore_ascii_case("chunked"));
-        if !chunked {
-            return Err(format!(
-                "http://{addr} answered without chunked framing; not a matic daemon?"
-            ));
-        }
-        Ok(EventStream {
-            reader: Box::new(BufReader::new(ChunkReader::new(reader))),
-            handle: StreamHandle::Tcp(stream),
-        })
-    }
-
-    fn describe(&self) -> String {
-        format!("http://{}", self.0)
-    }
-}
 
 /// A parsed daemon address: `http://host:port` selects the HTTP
 /// transport, anything else is a Unix socket path.
@@ -175,28 +47,123 @@ impl Endpoint {
     pub fn unix(path: impl AsRef<Path>) -> Endpoint {
         Endpoint::Unix(path.as_ref().to_path_buf())
     }
-}
 
-impl Transport for Endpoint {
-    fn open(&self, request: &Request) -> Result<EventStream, String> {
+    /// Opens a fresh connection, sends `request`, and returns the
+    /// stream of answer events.
+    pub fn open(&self, request: &Request) -> Result<EventStream, String> {
         match self {
-            Endpoint::Unix(path) => UnixTransport(path.clone()).open(request),
-            Endpoint::Http(authority) => HttpTransport(authority.clone()).open(request),
-        }
-    }
-
-    fn describe(&self) -> String {
-        match self {
-            Endpoint::Unix(path) => UnixTransport(path.clone()).describe(),
-            Endpoint::Http(authority) => HttpTransport(authority.clone()).describe(),
+            Endpoint::Unix(path) => open_unix(path, request),
+            Endpoint::Http(authority) => open_http(authority, request),
         }
     }
 }
 
 impl std::fmt::Display for Endpoint {
+    /// The address, the way a user would write it.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.describe())
+        match self {
+            Endpoint::Unix(path) => write!(f, "{}", path.display()),
+            Endpoint::Http(authority) => write!(f, "http://{authority}"),
+        }
     }
+}
+
+/// The Unix-socket transport: JSON lines over a Unix-domain socket.
+fn open_unix(path: &Path, request: &Request) -> Result<EventStream, String> {
+    let stream = match UnixStream::connect(path) {
+        Ok(stream) => stream,
+        Err(e) if e.kind() == ErrorKind::ConnectionRefused && path.exists() => {
+            // A socket file nobody answers on is a daemon that died
+            // without cleanup. Remove the leftover so the next
+            // `matic serve` binds cleanly, and fail like a daemon
+            // refusing the request — not with a raw io error.
+            let removed = std::fs::remove_file(path).is_ok();
+            return Err(format!(
+                "rejected: stale socket {path} — its daemon is gone{cleanup}; \
+                     start one with `matic serve --listen {path}` and resubmit",
+                path = path.display(),
+                cleanup = if removed {
+                    " (removed the leftover file)"
+                } else {
+                    ""
+                },
+            ));
+        }
+        Err(e) => {
+            return Err(format!(
+                "connecting to {} ({e}); is `matic serve --listen {}` running?",
+                path.display(),
+                path.display()
+            ))
+        }
+    };
+    let mut writer = stream
+        .try_clone()
+        .map_err(|e| format!("cloning the connection: {e}"))?;
+    write_message(&mut writer, request).map_err(|e| format!("sending the request: {e}"))?;
+    Ok(EventStream {
+        reader: Box::new(BufReader::new(
+            stream
+                .try_clone()
+                .map_err(|e| format!("cloning the connection: {e}"))?,
+        )),
+        handle: StreamHandle::Unix(stream),
+    })
+}
+
+/// The HTTP transport: the request POSTed over the vendored HTTP/1.1
+/// shim, events streamed back as a chunked `application/x-ndjson` body.
+fn open_http(addr: &str, request: &Request) -> Result<EventStream, String> {
+    let stream = TcpStream::connect(addr)
+        .map_err(|e| format!("connecting to http://{addr} ({e}); is the daemon up?"))?;
+    let body = {
+        let mut line =
+            serde_json::to_string(request).map_err(|e| format!("encoding request: {e}"))?;
+        line.push('\n');
+        line
+    };
+    let mut writer = stream
+        .try_clone()
+        .map_err(|e| format!("cloning the connection: {e}"))?;
+    write!(
+        writer,
+        "POST {PROTOCOL_PATH} HTTP/1.1\r\n\
+             Host: {addr}\r\n\
+             Content-Type: application/json\r\n\
+             Content-Length: {}\r\n\
+             Connection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .and_then(|_| writer.flush())
+    .map_err(|e| format!("sending the request to http://{addr}: {e}"))?;
+
+    let mut reader = BufReader::new(
+        stream
+            .try_clone()
+            .map_err(|e| format!("cloning the connection: {e}"))?,
+    );
+    let head =
+        read_head(&mut reader).map_err(|e| format!("reading http://{addr} response: {e}"))?;
+    let status_ok = head
+        .line
+        .split_whitespace()
+        .nth(1)
+        .is_some_and(|code| code == "200");
+    if !status_ok {
+        return Err(format!("http://{addr} answered `{}`", head.line));
+    }
+    let chunked = head
+        .header("transfer-encoding")
+        .is_some_and(|te| te.eq_ignore_ascii_case("chunked"));
+    if !chunked {
+        return Err(format!(
+            "http://{addr} answered without chunked framing; not a matic daemon?"
+        ));
+    }
+    Ok(EventStream {
+        reader: Box::new(BufReader::new(ChunkReader::new(reader))),
+        handle: StreamHandle::Tcp(stream),
+    })
 }
 
 enum StreamHandle {

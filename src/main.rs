@@ -11,9 +11,10 @@
 //! benchmarks and training modes.
 
 use matic_harness::{
-    AccuracyBudget, EnergyReport, ReusePolicy, SweepCache, SweepPlan, SweepReport, SweepRun,
-    TrainingMode,
+    AccuracyBudget, EnergyReport, SweepCache, SweepPlan, SweepReport, SweepRun, TrainingMode,
 };
+use matic_serve::job::build_plan;
+use matic_serve::{JobKind, JobSpec};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -197,21 +198,13 @@ fn list() {
     println!("  mat-canary   MAT + in-situ canaries and runtime controller (§III-C)");
 }
 
-/// The options shared by `matic sweep` and `matic energy`: everything
-/// that shapes the sweep itself plus the output knobs.
+/// The options every sweep-running command shares: the sweep itself, as
+/// the wire [`JobSpec`] a daemon would receive, plus the knobs that never
+/// leave this process (threads, cache, output).
 struct SweepArgs {
-    chips: usize,
-    voltages: Option<Vec<f64>>,
-    bers: Option<Vec<f64>>,
-    clock: Option<Vec<f64>>,
-    benchmarks: String,
-    topology: Option<String>,
-    modes: Vec<TrainingMode>,
-    scale: f64,
-    epochs: f64,
-    seed: u64,
+    /// What to sweep; [`build_plan`] turns it into the plan.
+    spec: JobSpec,
     threads: Option<usize>,
-    reuse: ReusePolicy,
     cache_dir: Option<String>,
     resume: bool,
     no_cache: bool,
@@ -225,19 +218,26 @@ struct SweepArgs {
 
 impl Default for SweepArgs {
     fn default() -> Self {
+        let budget = AccuracyBudget::default();
         SweepArgs {
-            chips: 4,
-            voltages: None,
-            bers: None,
-            clock: None,
-            benchmarks: "all".to_string(),
-            topology: None,
-            modes: vec![TrainingMode::Naive, TrainingMode::Mat],
-            scale: 0.5,
-            epochs: 0.5,
-            seed: 42,
+            spec: JobSpec {
+                kind: JobKind::Sweep,
+                chips: 4,
+                voltages: None,
+                bers: None,
+                clock: None,
+                benchmarks: vec!["all".to_string()],
+                modes: mode_names(&[TrainingMode::Naive, TrainingMode::Mat]),
+                data_scale: 0.5,
+                epoch_scale: 0.5,
+                seed: 42,
+                no_reuse: false,
+                budget_percent: budget.percent,
+                budget_mse: budget.mse,
+                chip_range: None,
+                topology: None,
+            },
             threads: None,
-            reuse: ReusePolicy::SupersetMap,
             cache_dir: None,
             resume: false,
             no_cache: false,
@@ -257,11 +257,6 @@ impl SweepArgs {
         arg: &str,
         it: &mut std::slice::Iter<'_, String>,
     ) -> Result<bool, String> {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
         // Everything that only matters when a sweep actually runs —
         // grid shape *and* execution knobs (threads, cache). `matic
         // energy --report` rejects all of these rather than silently
@@ -285,39 +280,46 @@ impl SweepArgs {
                 | "--resume"
                 | "--no-cache"
         );
+        let spec = &mut self.spec;
         match arg {
-            "--chips" => self.chips = parse(&value("--chips")?, "--chips")?,
-            "--voltages" => self.voltages = Some(parse_grid(&value("--voltages")?)?),
-            "--bers" => self.bers = Some(parse_grid(&value("--bers")?)?),
-            "--clock-stress" => self.clock = Some(parse_grid(&value("--clock-stress")?)?),
-            "--benchmarks" => self.benchmarks = value("--benchmarks")?,
+            "--chips" => spec.chips = parse(&value(it, arg)?, arg)?,
+            "--voltages" => spec.voltages = Some(parse_grid(&value(it, arg)?)?),
+            "--bers" => spec.bers = Some(parse_grid(&value(it, arg)?)?),
+            "--clock-stress" => spec.clock = Some(parse_grid(&value(it, arg)?)?),
+            "--benchmarks" => {
+                spec.benchmarks = value(it, arg)?
+                    .split(',')
+                    .map(|b| b.trim().to_string())
+                    .collect();
+            }
             "--topology" => {
-                let dsl = value("--topology")?;
+                let dsl = value(it, arg)?;
                 // Parse eagerly so a malformed chain fails at the flag,
                 // with the flag's name, not deep inside plan building.
                 matic_nn::NetSpec::parse_topology(&dsl)
                     .map_err(|e| format!("--topology `{dsl}`: {e}"))?;
-                self.topology = Some(dsl);
+                spec.topology = Some(dsl);
             }
             "--modes" => {
-                self.modes = value("--modes")?
+                let modes = value(it, arg)?
                     .split(',')
                     .map(|m| {
                         TrainingMode::from_name(m.trim())
                             .ok_or_else(|| format!("unknown mode `{m}`"))
                     })
-                    .collect::<Result<_, _>>()?;
+                    .collect::<Result<Vec<_>, _>>()?;
+                spec.modes = mode_names(&modes);
             }
-            "--scale" => self.scale = parse(&value("--scale")?, "--scale")?,
-            "--epochs" => self.epochs = parse(&value("--epochs")?, "--epochs")?,
-            "--seed" => self.seed = parse(&value("--seed")?, "--seed")?,
-            "--threads" => self.threads = Some(parse_nonzero(&value("--threads")?, "--threads")?),
-            "--no-reuse" => self.reuse = ReusePolicy::PerPoint,
-            "--cache-dir" => self.cache_dir = Some(value("--cache-dir")?),
+            "--scale" => spec.data_scale = parse(&value(it, arg)?, arg)?,
+            "--epochs" => spec.epoch_scale = parse(&value(it, arg)?, arg)?,
+            "--seed" => spec.seed = parse(&value(it, arg)?, arg)?,
+            "--no-reuse" => spec.no_reuse = true,
+            "--threads" => self.threads = Some(parse_nonzero(&value(it, arg)?, arg)?),
+            "--cache-dir" => self.cache_dir = Some(value(it, arg)?),
             "--resume" => self.resume = true,
             "--no-cache" => self.no_cache = true,
-            "--out" => self.out = Some(value("--out")?),
-            "--csv" => self.csv = Some(value("--csv")?),
+            "--out" => self.out = Some(value(it, arg)?),
+            "--csv" => self.csv = Some(value(it, arg)?),
             "--quiet" => self.quiet = true,
             _ => return Ok(false),
         }
@@ -325,39 +327,22 @@ impl SweepArgs {
         Ok(true)
     }
 
-    fn build_plan(&self) -> Result<SweepPlan, String> {
-        let axes = [&self.voltages, &self.bers, &self.clock]
-            .iter()
-            .filter(|a| a.is_some())
-            .count();
-        if axes > 1 {
-            return Err("--voltages, --bers and --clock-stress are mutually exclusive".into());
+    /// Tries to consume one of the energy-job flags (`matic energy`,
+    /// `matic submit`, `matic shard-sweep`); returns `Ok(false)` when
+    /// `arg` is not one. The budgets compose with `matic energy
+    /// --report`, so they do not count as sweep shaping.
+    fn try_parse_energy(
+        &mut self,
+        arg: &str,
+        it: &mut std::slice::Iter<'_, String>,
+    ) -> Result<bool, String> {
+        match arg {
+            "--energy" => self.spec.kind = JobKind::Energy,
+            "--budget-percent" => self.spec.budget_percent = parse(&value(it, arg)?, arg)?,
+            "--budget-mse" => self.spec.budget_mse = parse(&value(it, arg)?, arg)?,
+            _ => return Ok(false),
         }
-        let mut builder = SweepPlan::builder()
-            .chips(self.chips)
-            .data_scale(self.scale)
-            .epoch_scale(self.epochs)
-            .seed(self.seed)
-            .modes(&self.modes)
-            .reuse(self.reuse);
-        builder = match (&self.voltages, &self.bers, &self.clock) {
-            (_, Some(r), _) => builder.bit_error_rates(r),
-            (_, _, Some(c)) => builder.clock_stress(c),
-            (Some(v), None, None) => builder.voltages(v),
-            (None, None, None) => builder.voltage_grid(0.46, 0.90, 5),
-        };
-        for name in self.benchmarks.split(',') {
-            builder = builder.benchmark(name.trim()).map_err(|e| e.to_string())?;
-        }
-        if let Some(dsl) = &self.topology {
-            let topo = matic_nn::NetSpec::parse_topology(dsl)
-                .map_err(|e| format!("--topology `{dsl}`: {e}"))?;
-            builder = builder.topology(topo);
-        }
-        if let Some(n) = self.threads {
-            builder = builder.threads(n);
-        }
-        builder.build().map_err(|e| e.to_string())
+        Ok(true)
     }
 
     /// The cache directory the flags select, if any. The cache is
@@ -368,15 +353,33 @@ impl SweepArgs {
         resolve_cache(self.cache_dir.clone(), self.resume, self.no_cache)
     }
 
+    /// Opens the cache the flags select, returning it with its path.
+    fn open_cache(&self) -> Result<Option<(String, SweepCache)>, String> {
+        self.cache_path()
+            .map(|dir| match SweepCache::open(&dir) {
+                Ok(cache) => Ok((dir, cache)),
+                Err(e) => Err(format!("opening sweep cache {dir}: {e}")),
+            })
+            .transpose()
+    }
+
+    /// The report path: `--out`, or the default for the spec's kind.
+    fn out_path(&self) -> String {
+        self.out.clone().unwrap_or_else(|| {
+            match self.spec.kind {
+                JobKind::Sweep => "matic-sweep.json",
+                JobKind::Energy => "matic-energy.json",
+            }
+            .to_string()
+        })
+    }
+
     /// Builds the plan, runs the sweep (with the selected cache), and
     /// narrates progress on stderr. Returns the run and its wall time.
     fn run(&self) -> Result<(SweepRun, std::time::Duration), String> {
-        let plan = self.build_plan()?;
-        let cache_path = self.cache_path();
-        let cache = cache_path
-            .as_ref()
-            .map(|dir| SweepCache::open(dir).map_err(|e| format!("opening sweep cache {dir}: {e}")))
-            .transpose()?;
+        let mut plan = build_plan(&self.spec)?;
+        plan.threads = self.threads;
+        let cache = self.open_cache()?;
         let workers = plan.threads.unwrap_or_else(rayon::current_num_threads);
         narrate(
             self.quiet,
@@ -393,9 +396,9 @@ impl SweepArgs {
             ),
         );
         let start = std::time::Instant::now();
-        let run = matic_harness::run_sweep_with_cache(&plan, cache.as_ref());
+        let run = matic_harness::run_sweep_with_cache(&plan, cache.as_ref().map(|(_, c)| c));
         let elapsed = start.elapsed();
-        if let Some(dir) = &cache_path {
+        if let Some((dir, _)) = &cache {
             narrate(
                 self.quiet,
                 format_args!(
@@ -408,17 +411,22 @@ impl SweepArgs {
     }
 }
 
+/// Wire names of `modes`, in order.
+fn mode_names(modes: &[TrainingMode]) -> Vec<String> {
+    modes.iter().map(|m| m.name().to_string()).collect()
+}
+
 fn run_sweep_command(args: &[String]) -> Result<(), String> {
     let mut sweep = SweepArgs::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if !sweep.try_parse(arg, &mut it)? {
-            return Err(format!("unknown option `{arg}` (see `matic help`)"));
+            return Err(unknown_option(arg));
         }
     }
     let (run, elapsed) = sweep.run()?;
     let report = run.report;
-    let out = sweep.out.unwrap_or_else(|| "matic-sweep.json".to_string());
+    let out = sweep.out_path();
 
     matic_harness::write_atomic(Path::new(&out), &report.to_json_pretty())
         .map_err(|e| format!("writing {out}: {e}"))?;
@@ -445,37 +453,20 @@ fn run_sweep_command(args: &[String]) -> Result<(), String> {
 /// accuracy–energy analysis.
 fn run_energy_command(args: &[String]) -> Result<(), String> {
     let mut sweep = SweepArgs::default();
+    sweep.spec.kind = JobKind::Energy;
     let mut source: Option<String> = None;
-    let mut budget = AccuracyBudget::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
         match arg.as_str() {
-            "--report" => source = Some(value("--report")?),
-            "--budget-percent" => {
-                budget.percent = parse(&value("--budget-percent")?, "--budget-percent")?;
-            }
-            "--budget-mse" => budget.mse = parse(&value("--budget-mse")?, "--budget-mse")?,
+            "--report" => source = Some(value(&mut it, arg)?),
+            // Implied by the command itself.
+            "--energy" => return Err(unknown_option(arg)),
             other => {
-                if !sweep.try_parse(other, &mut it)? {
-                    return Err(format!("unknown option `{other}` (see `matic help`)"));
+                if !(sweep.try_parse_energy(other, &mut it)? || sweep.try_parse(other, &mut it)?) {
+                    return Err(unknown_option(other));
                 }
             }
         }
-    }
-    if !budget.percent.is_finite() || !budget.mse.is_finite() {
-        return Err("accuracy budgets must be finite numbers".into());
-    }
-    if sweep.bers.is_some() || sweep.clock.is_some() {
-        return Err(
-            "matic energy needs a voltage-axis sweep; the synthetic fault axes \
-             have no silicon to meter (drop --bers/--clock-stress)"
-                .into(),
-        );
     }
 
     let report: SweepReport = match &source {
@@ -488,6 +479,9 @@ fn run_energy_command(args: &[String]) -> Result<(), String> {
                         .into(),
                 );
             }
+            // No sweep runs here, but the budgets still go through the
+            // one validation surface.
+            build_plan(&sweep.spec)?;
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             let report: SweepReport = serde_json::from_str(&text)
                 .map_err(|e| format!("parsing sweep report {path}: {e}"))?;
@@ -504,8 +498,8 @@ fn run_energy_command(args: &[String]) -> Result<(), String> {
         None => sweep.run()?.0.report,
     };
 
-    let energy = matic_harness::energy_report(&report, budget).map_err(|e| e.to_string())?;
-    let out = sweep.out.unwrap_or_else(|| "matic-energy.json".to_string());
+    let energy = matic_serve::job::energy_analysis(&sweep.spec, &report)?;
+    let out = sweep.out_path();
     matic_harness::write_atomic(Path::new(&out), &energy.to_json_pretty())
         .map_err(|e| format!("writing {out}: {e}"))?;
     if let Some(path) = &sweep.csv {
@@ -526,24 +520,19 @@ fn run_energy_command(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `matic compare-models`: run all three fault models at a matched
-/// stress point each and print naive/MAT/MAT+canary side by side —
-/// canaries only apply to the voltage-scaled storage model, so the
-/// synthetic models show an em dash there.
-fn run_compare_command(args: &[String]) -> Result<(), String> {
+/// Parses `matic compare-models` arguments into the sweep options and
+/// the three plans the comparison runs: the SRAM-voltage, random-BER
+/// and timing-error models, each at its one stress point, every other
+/// option shared.
+fn compare_plans(args: &[String]) -> Result<(SweepArgs, Vec<SweepPlan>), String> {
     let mut sweep = SweepArgs::default();
     let (mut voltage, mut ber, mut clock) = (0.50f64, 0.002f64, 0.60f64);
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
         match arg.as_str() {
-            "--voltage" => voltage = parse(&value("--voltage")?, "--voltage")?,
-            "--ber" => ber = parse(&value("--ber")?, "--ber")?,
-            "--clock" => clock = parse(&value("--clock")?, "--clock")?,
+            "--voltage" => voltage = parse(&value(&mut it, arg)?, arg)?,
+            "--ber" => ber = parse(&value(&mut it, arg)?, arg)?,
+            "--clock" => clock = parse(&value(&mut it, arg)?, arg)?,
             "--voltages" | "--bers" | "--clock-stress" | "--modes" => {
                 return Err(format!(
                     "compare-models fixes its own axes and modes; use \
@@ -553,50 +542,51 @@ fn run_compare_command(args: &[String]) -> Result<(), String> {
             }
             other => {
                 if !sweep.try_parse(other, &mut it)? {
-                    return Err(format!("unknown option `{other}` (see `matic help`)"));
+                    return Err(unknown_option(other));
                 }
             }
         }
     }
-    let cache_path = sweep.cache_path();
-    let cache = cache_path
-        .as_ref()
-        .map(|dir| SweepCache::open(dir).map_err(|e| format!("opening sweep cache {dir}: {e}")))
-        .transpose()?;
+    // Canaries only apply to the voltage-scaled storage model.
+    let naive_mat = mode_names(&[TrainingMode::Naive, TrainingMode::Mat]);
+    let specs = [
+        JobSpec {
+            voltages: Some(vec![voltage]),
+            modes: mode_names(&TrainingMode::ALL),
+            ..sweep.spec.clone()
+        },
+        JobSpec {
+            bers: Some(vec![ber]),
+            modes: naive_mat.clone(),
+            ..sweep.spec.clone()
+        },
+        JobSpec {
+            clock: Some(vec![clock]),
+            modes: naive_mat,
+            ..sweep.spec.clone()
+        },
+    ];
+    let plans = specs
+        .iter()
+        .map(|spec| {
+            let mut plan = build_plan(spec)?;
+            plan.threads = sweep.threads;
+            Ok(plan)
+        })
+        .collect::<Result<_, String>>()?;
+    Ok((sweep, plans))
+}
 
-    let build = |axis: &str| -> Result<SweepPlan, String> {
-        let mut builder = SweepPlan::builder()
-            .chips(sweep.chips)
-            .data_scale(sweep.scale)
-            .epoch_scale(sweep.epochs)
-            .seed(sweep.seed)
-            .reuse(sweep.reuse);
-        builder = match axis {
-            "voltage" => builder.voltages(&[voltage]).modes(&[
-                TrainingMode::Naive,
-                TrainingMode::Mat,
-                TrainingMode::MatCanary,
-            ]),
-            "ber" => builder
-                .bit_error_rates(&[ber])
-                .modes(&[TrainingMode::Naive, TrainingMode::Mat]),
-            "clock" => builder
-                .clock_stress(&[clock])
-                .modes(&[TrainingMode::Naive, TrainingMode::Mat]),
-            _ => unreachable!("three fixed axes"),
-        };
-        for name in sweep.benchmarks.split(',') {
-            builder = builder.benchmark(name.trim()).map_err(|e| e.to_string())?;
-        }
-        if let Some(n) = sweep.threads {
-            builder = builder.threads(n);
-        }
-        builder.build().map_err(|e| e.to_string())
-    };
+/// `matic compare-models`: run all three fault models at a matched
+/// stress point each and print naive/MAT/MAT+canary side by side —
+/// canaries only apply to the voltage-scaled storage model, so the
+/// synthetic models show an em dash there.
+fn run_compare_command(args: &[String]) -> Result<(), String> {
+    let (sweep, plans) = compare_plans(args)?;
+    let cache = sweep.open_cache()?;
 
     let mut runs: Vec<(f64, SweepReport)> = Vec::new();
-    for axis in ["voltage", "ber", "clock"] {
-        let plan = build(axis)?;
+    for plan in &plans {
         narrate(
             sweep.quiet,
             format_args!(
@@ -609,7 +599,7 @@ fn run_compare_command(args: &[String]) -> Result<(), String> {
             ),
         );
         let stress = plan.axis.points()[0];
-        let run = matic_harness::run_sweep_with_cache(&plan, cache.as_ref());
+        let run = matic_harness::run_sweep_with_cache(plan, cache.as_ref().map(|(_, c)| c));
         runs.push((stress, run.report));
     }
 
@@ -618,7 +608,6 @@ fn run_compare_command(args: &[String]) -> Result<(), String> {
     }
     let out = sweep
         .out
-        .clone()
         .unwrap_or_else(|| "matic-compare-models.json".to_string());
     let doc = compare_models_json(&runs);
     matic_harness::write_atomic(
@@ -726,23 +715,16 @@ fn run_serve_command(args: &[String]) -> Result<(), String> {
     let (mut resume, mut no_cache, mut quiet) = (false, false, false);
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
         match arg.as_str() {
-            "--listen" | "--socket" => socket = value(arg)?,
-            "--http" => http = Some(value("--http")?),
-            "--workers" => workers = parse_nonzero(&value("--workers")?, "--workers")?,
-            "--queue-depth" => {
-                queue_depth = Some(parse_nonzero(&value("--queue-depth")?, "--queue-depth")?);
-            }
-            "--cache-dir" => cache_dir = Some(value("--cache-dir")?),
+            "--listen" | "--socket" => socket = value(&mut it, arg)?,
+            "--http" => http = Some(value(&mut it, arg)?),
+            "--workers" => workers = parse_nonzero(&value(&mut it, arg)?, arg)?,
+            "--queue-depth" => queue_depth = Some(parse_nonzero(&value(&mut it, arg)?, arg)?),
+            "--cache-dir" => cache_dir = Some(value(&mut it, arg)?),
             "--resume" => resume = true,
             "--no-cache" => no_cache = true,
             "--quiet" => quiet = true,
-            other => return Err(format!("unknown option `{other}` (see `matic help`)")),
+            other => return Err(unknown_option(other)),
         }
     }
     let cfg = matic_serve::ServeConfig {
@@ -756,60 +738,18 @@ fn run_serve_command(args: &[String]) -> Result<(), String> {
     matic_serve::serve(cfg)
 }
 
-/// The wire job a parsed sweep-argument set describes (shared by
-/// `matic submit` and `matic shard-sweep`).
-fn job_spec(sweep: &SweepArgs, energy: bool, budget: AccuracyBudget) -> matic_serve::JobSpec {
-    matic_serve::JobSpec {
-        kind: if energy {
-            matic_serve::JobKind::Energy
-        } else {
-            matic_serve::JobKind::Sweep
-        },
-        chips: sweep.chips,
-        voltages: sweep.voltages.clone(),
-        bers: sweep.bers.clone(),
-        clock: sweep.clock.clone(),
-        benchmarks: sweep
-            .benchmarks
-            .split(',')
-            .map(|b| b.trim().to_string())
-            .collect(),
-        modes: sweep.modes.iter().map(|m| m.name().to_string()).collect(),
-        data_scale: sweep.scale,
-        epoch_scale: sweep.epochs,
-        seed: sweep.seed,
-        no_reuse: matches!(sweep.reuse, ReusePolicy::PerPoint),
-        budget_percent: budget.percent,
-        budget_mse: budget.mse,
-        chip_range: None,
-        topology: sweep.topology.clone(),
-    }
-}
-
 /// `matic submit`: send one job to the service, stream its progress,
 /// and write the report the daemon streams back.
 fn run_submit_command(args: &[String]) -> Result<(), String> {
     let mut sweep = SweepArgs::default();
     let mut socket = DEFAULT_SOCKET.to_string();
-    let mut energy = false;
-    let mut budget = AccuracyBudget::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
         match arg.as_str() {
-            "--socket" | "--listen" => socket = value(arg)?,
-            "--energy" => energy = true,
-            "--budget-percent" => {
-                budget.percent = parse(&value("--budget-percent")?, "--budget-percent")?;
-            }
-            "--budget-mse" => budget.mse = parse(&value("--budget-mse")?, "--budget-mse")?,
+            "--socket" | "--listen" => socket = value(&mut it, arg)?,
             other => {
-                if !sweep.try_parse(other, &mut it)? {
-                    return Err(format!("unknown option `{other}` (see `matic help`)"));
+                if !(sweep.try_parse_energy(other, &mut it)? || sweep.try_parse(other, &mut it)?) {
+                    return Err(unknown_option(other));
                 }
             }
         }
@@ -824,10 +764,9 @@ fn run_submit_command(args: &[String]) -> Result<(), String> {
     if sweep.csv.is_some() {
         return Err("submit streams the JSON report only; use `matic sweep --csv` locally".into());
     }
-    let spec = job_spec(&sweep, energy, budget);
     let quiet = sweep.quiet;
     let endpoint = matic_serve::Endpoint::parse(&socket);
-    let outcome = matic_serve::client::submit(&endpoint, &spec, |event| match event {
+    let outcome = matic_serve::client::submit(&endpoint, &sweep.spec, |event| match event {
         matic_serve::Event::Accepted { id, cells_total } => {
             narrate(
                 quiet,
@@ -860,13 +799,7 @@ fn run_submit_command(args: &[String]) -> Result<(), String> {
             deduped,
             misses,
         } => {
-            let out = sweep.out.unwrap_or_else(|| {
-                if energy {
-                    "matic-energy.json".to_string()
-                } else {
-                    "matic-sweep.json".to_string()
-                }
-            });
+            let out = sweep.out_path();
             matic_harness::write_atomic(Path::new(&out), &report)
                 .map_err(|e| format!("writing {out}: {e}"))?;
             narrate(
@@ -898,12 +831,7 @@ fn parse_socket_only(args: &[String], command: &str) -> Result<matic_serve::Endp
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--socket" | "--listen" => {
-                socket = it
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| format!("{arg} needs a value"))?;
-            }
+            "--socket" | "--listen" => socket = value(&mut it, arg)?,
             other => return Err(format!("unknown option `{other}` for matic {command}")),
         }
     }
@@ -929,8 +857,8 @@ fn run_status_command(args: &[String]) -> Result<(), String> {
                     j.id,
                     j.phase,
                     match j.kind {
-                        matic_serve::JobKind::Sweep => "sweep",
-                        matic_serve::JobKind::Energy => "energy",
+                        JobKind::Sweep => "sweep",
+                        JobKind::Energy => "energy",
                     },
                     j.cells_done,
                     j.cells_total,
@@ -1101,39 +1029,25 @@ fn run_shard_sweep_command(args: &[String]) -> Result<(), String> {
     let mut retries: Option<usize> = None;
     let mut backoff_ms: Option<u64> = None;
     let mut timeout_secs: Option<u64> = None;
-    let mut energy = false;
-    let mut budget = AccuracyBudget::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
         match arg.as_str() {
             "--daemons" => {
-                daemons = value("--daemons")?
+                daemons = value(&mut it, arg)?
                     .split(',')
                     .map(|d| d.trim().to_string())
                     .filter(|d| !d.is_empty())
                     .collect();
             }
-            "--spawn" => spawn = Some(parse_nonzero(&value("--spawn")?, "--spawn")?),
-            "--workers" => workers = Some(parse_nonzero(&value("--workers")?, "--workers")?),
-            "--shards" => shards = Some(parse_nonzero(&value("--shards")?, "--shards")?),
-            "--retries" => retries = Some(parse(&value("--retries")?, "--retries")?),
-            "--backoff-ms" => backoff_ms = Some(parse(&value("--backoff-ms")?, "--backoff-ms")?),
-            "--timeout-secs" => {
-                timeout_secs = Some(parse(&value("--timeout-secs")?, "--timeout-secs")?);
-            }
-            "--energy" => energy = true,
-            "--budget-percent" => {
-                budget.percent = parse(&value("--budget-percent")?, "--budget-percent")?;
-            }
-            "--budget-mse" => budget.mse = parse(&value("--budget-mse")?, "--budget-mse")?,
+            "--spawn" => spawn = Some(parse_nonzero(&value(&mut it, arg)?, arg)?),
+            "--workers" => workers = Some(parse_nonzero(&value(&mut it, arg)?, arg)?),
+            "--shards" => shards = Some(parse_nonzero(&value(&mut it, arg)?, arg)?),
+            "--retries" => retries = Some(parse(&value(&mut it, arg)?, arg)?),
+            "--backoff-ms" => backoff_ms = Some(parse(&value(&mut it, arg)?, arg)?),
+            "--timeout-secs" => timeout_secs = Some(parse(&value(&mut it, arg)?, arg)?),
             other => {
-                if !sweep.try_parse(other, &mut it)? {
-                    return Err(format!("unknown option `{other}` (see `matic help`)"));
+                if !(sweep.try_parse_energy(other, &mut it)? || sweep.try_parse(other, &mut it)?) {
+                    return Err(unknown_option(other));
                 }
             }
         }
@@ -1167,7 +1081,6 @@ fn run_shard_sweep_command(args: &[String]) -> Result<(), String> {
         }
     }
 
-    let spec = job_spec(&sweep, energy, budget);
     let quiet = sweep.quiet;
     let mut cluster: Option<SpawnedCluster> = None;
     let endpoints: Vec<matic_serve::Endpoint> = match spawn {
@@ -1196,7 +1109,7 @@ fn run_shard_sweep_command(args: &[String]) -> Result<(), String> {
     }
 
     let start = std::time::Instant::now();
-    let result = matic_serve::shard_sweep(&spec, &cfg, &|progress| match progress {
+    let result = matic_serve::shard_sweep(&sweep.spec, &cfg, &|progress| match progress {
         matic_serve::ShardProgress::Event {
             shard,
             endpoint,
@@ -1233,24 +1146,17 @@ fn run_shard_sweep_command(args: &[String]) -> Result<(), String> {
     let outcome = result?;
     let elapsed = start.elapsed();
 
-    let out = sweep.out.clone().unwrap_or_else(|| {
-        if energy {
-            "matic-energy.json".to_string()
-        } else {
-            "matic-sweep.json".to_string()
-        }
-    });
+    let out = sweep.out_path();
     matic_harness::write_atomic(Path::new(&out), &outcome.report)
         .map_err(|e| format!("writing {out}: {e}"))?;
     if let Some(path) = &sweep.csv {
         // The merged run is local, so (unlike submit) the CSV views are
         // available — and byte-identical to the single-process ones.
-        let csv = if energy {
-            matic_harness::energy_report(&outcome.run.report, budget)
-                .map_err(|e| e.to_string())?
-                .to_csv()
-        } else {
-            outcome.run.report.to_csv()
+        let csv = match sweep.spec.kind {
+            JobKind::Sweep => outcome.run.report.to_csv(),
+            JobKind::Energy => {
+                matic_serve::job::energy_analysis(&sweep.spec, &outcome.run.report)?.to_csv()
+            }
         };
         matic_harness::write_atomic(Path::new(path), &csv)
             .map_err(|e| format!("writing {path}: {e}"))?;
@@ -1286,13 +1192,8 @@ fn run_cache_command(args: &[String]) -> Result<(), String> {
     let mut it = args[1..].iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--cache-dir" => {
-                dir = it
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| "--cache-dir needs a value".to_string())?;
-            }
-            other => return Err(format!("unknown option `{other}` (see `matic help`)")),
+            "--cache-dir" => dir = value(&mut it, arg)?,
+            other => return Err(unknown_option(other)),
         }
     }
     // Inspection/maintenance must not conjure a cache out of a typo'd
@@ -1410,6 +1311,17 @@ fn no_selection_reason(scenario: &str, tradeoff: &[matic_harness::TradeoffPoint]
     } else {
         "over budget"
     }
+}
+
+/// The value following flag `name`.
+fn value(it: &mut std::slice::Iter<'_, String>, name: &str) -> Result<String, String> {
+    it.next()
+        .cloned()
+        .ok_or_else(|| format!("{name} needs a value"))
+}
+
+fn unknown_option(arg: &str) -> String {
+    format!("unknown option `{arg}` (see `matic help`)")
 }
 
 fn parse<T: std::str::FromStr>(s: &str, name: &str) -> Result<T, String> {
@@ -1616,7 +1528,7 @@ mod tests {
             while let Some(arg) = it.next() {
                 assert!(sweep.try_parse(arg, &mut it).unwrap());
             }
-            let err = sweep.build_plan().unwrap_err();
+            let err = build_plan(&sweep.spec).unwrap_err();
             assert!(err.contains("mutually exclusive"), "{pair:?}: {err}");
         }
     }
@@ -1766,11 +1678,9 @@ mod tests {
 
     #[test]
     fn unknown_benchmark_error_lists_valid_names() {
-        let sweep = SweepArgs {
-            benchmarks: "mnits".to_string(), // typo'd mnist
-            ..SweepArgs::default()
-        };
-        let err = sweep.build_plan().unwrap_err();
+        let mut sweep = SweepArgs::default();
+        sweep.spec.benchmarks = vec!["mnits".to_string()]; // typo'd mnist
+        let err = build_plan(&sweep.spec).unwrap_err();
         assert!(err.contains("unknown benchmark `mnits`"), "{err}");
         // The error must name every valid choice, so a typo is
         // self-correcting from the message alone.
@@ -1792,8 +1702,8 @@ mod tests {
         assert!(sweep.sweep_shaped, "--topology shapes the sweep");
         // The override only validates against benchmarks with matching
         // I/O widths — mnist is the 100-in/10-out one.
-        sweep.benchmarks = "mnist".to_string();
-        let plan = sweep.build_plan().unwrap();
+        sweep.spec.benchmarks = vec!["mnist".to_string()];
+        let plan = build_plan(&sweep.spec).unwrap();
         assert_eq!(plan.scenarios.len(), 1);
         assert_eq!(plan.scenarios[0].name(), "mnist@conv3x4-pool2-dense10");
 
@@ -1810,12 +1720,37 @@ mod tests {
 
         // A well-formed chain whose I/O widths don't match the dataset
         // fails at plan build with the scenario named.
-        let mismatched = SweepArgs {
-            benchmarks: "bscholes".to_string(), // 6-in/1-out
-            topology: Some("10x10x1;conv3x4;pool2;dense10".to_string()),
-            ..SweepArgs::default()
-        };
-        let err = mismatched.build_plan().unwrap_err();
+        let mut mismatched = SweepArgs::default();
+        mismatched.spec.benchmarks = vec!["bscholes".to_string()]; // 6-in/1-out
+        mismatched.spec.topology = Some("10x10x1;conv3x4;pool2;dense10".to_string());
+        let err = build_plan(&mismatched.spec).unwrap_err();
         assert!(err.contains("bscholes"), "{err}");
+    }
+
+    #[test]
+    fn compare_models_honours_the_topology_override() {
+        // Regression: the comparison used to build its three plans from
+        // the stock Table I networks, silently dropping --topology.
+        let args: Vec<String> = [
+            "--benchmarks",
+            "mnist",
+            "--topology",
+            "10x10x1;conv3x4;pool2;dense10",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let (_, plans) = compare_plans(&args).unwrap();
+        let axes: Vec<&str> = plans.iter().map(|p| p.axis.kind()).collect();
+        assert_eq!(axes, ["voltage", "ber", "clock"]);
+        for plan in &plans {
+            let names: Vec<&str> = plan.scenarios.iter().map(|s| s.name()).collect();
+            assert_eq!(
+                names,
+                ["mnist@conv3x4-pool2-dense10"],
+                "{}",
+                plan.axis.kind()
+            );
+        }
     }
 }
