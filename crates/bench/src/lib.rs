@@ -10,11 +10,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use matic_core::{MatConfig, TrainedModel};
+use matic_core::MatConfig;
 use matic_datasets::Benchmark;
 use matic_harness::{BenchmarkScenario, Scenario, SweepPlan, TrainingMode};
-use matic_nn::Sample;
-use matic_snnac::Chip;
 use std::sync::Arc;
 
 /// One voltage point of a naive-vs-adaptive sweep.
@@ -98,21 +96,6 @@ impl Effort {
             .epoch_scale(self.epoch_scale)
             .seed(self.seed)
     }
-}
-
-/// Evaluates a trained model **on the chip**: uploads weights at a safe
-/// voltage, overscales the SRAM rail to `voltage`, and runs the test set
-/// through the NPU, returning the benchmark's Table I metric
-/// (classification error % or MSE). Thin wrapper over
-/// [`matic_harness::eval_on_chip`].
-pub fn eval_on_chip(
-    chip: &mut Chip,
-    model: &TrainedModel,
-    bench: Benchmark,
-    test: &[Sample],
-    voltage: f64,
-) -> f64 {
-    matic_harness::eval_on_chip(chip, model, bench.is_classification(), test, voltage).0
 }
 
 /// Runs the full naive-vs-adaptive sweep of one benchmark over `voltages`

@@ -12,7 +12,7 @@
 //! operating point, after which inference is a plain dense fixed-point
 //! matmul over [`FxTensor`] rows.
 
-use crate::layout::{ParamRef, WeightLayout};
+use crate::layout::{Location, ParamRef, WeightLayout};
 use matic_fixed::{FxTensor, QFormat};
 use matic_sram::SramArray;
 
@@ -69,9 +69,22 @@ impl FaultedWeights {
     ///
     /// Panics if the layout addresses banks or words outside the array.
     pub fn from_array(layout: &WeightLayout, fmt: QFormat, array: &mut SramArray) -> Self {
+        Self::compose(layout, fmt, |_, loc| array.read(loc.bank, loc.word))
+    }
+
+    /// Composes the artifact from a word source: `word(param, loc)` is the
+    /// storage word the hardware reads for `param` at `loc`. It is called
+    /// once per parameter, in layer, row, column order with each row's
+    /// bias after its weights.
+    pub fn compose(
+        layout: &WeightLayout,
+        fmt: QFormat,
+        mut word: impl FnMut(ParamRef, Location) -> u32,
+    ) -> Self {
         let spec = layout.spec();
         let mut layers = Vec::with_capacity(spec.depth());
         let mut biases = Vec::with_capacity(spec.depth());
+        let mut read = |param| fmt.decode(word(param, layout.location_of(param)));
         for layer in 0..spec.depth() {
             // Per-layer weight extent: dense (fan_out, fan_in), conv
             // (filters, kernel taps), pooling (0, 0) — parameterless
@@ -81,11 +94,9 @@ impl FaultedWeights {
             let mut bias = Vec::with_capacity(fan_out);
             for row in 0..fan_out {
                 for col in 0..fan_in {
-                    let loc = layout.location_of(ParamRef::Weight { layer, row, col });
-                    weights.set(row, col, fmt.decode(array.read(loc.bank, loc.word)));
+                    weights.set(row, col, read(ParamRef::Weight { layer, row, col }));
                 }
-                let loc = layout.location_of(ParamRef::Bias { layer, row });
-                bias.push(fmt.decode(array.read(loc.bank, loc.word)));
+                bias.push(read(ParamRef::Bias { layer, row }));
             }
             layers.push(weights);
             biases.push(bias);

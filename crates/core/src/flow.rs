@@ -5,7 +5,6 @@ use crate::canary::CanarySet;
 use crate::controller::{CanaryController, ControllerConfig};
 use crate::layout::ParamRef;
 use crate::mat::{MatConfig, MatTrainer, TrainedModel};
-use matic_fixed::quantize;
 use matic_nn::{Mlp, NetSpec, Sample};
 use matic_sram::{profile_array, FaultMap, SramArray};
 use serde::{Deserialize, Serialize};
@@ -109,13 +108,8 @@ impl DeploymentFlow {
 /// safe voltage; reads at overscaled voltages then exercise the real
 /// failure mechanics).
 pub fn upload_weights(model: &TrainedModel, array: &mut SramArray) {
-    let fmt = model.format();
     for (param, loc) in model.layout().entries() {
-        let v = match param {
-            ParamRef::Weight { layer, row, col } => model.master().weights()[layer].get(row, col),
-            ParamRef::Bias { layer, row } => model.master().biases()[layer][row],
-        };
-        array.write(loc.bank, loc.word, fmt.encode(quantize(v, fmt)));
+        array.write(loc.bank, loc.word, model.stored_word(param));
     }
 }
 

@@ -1,8 +1,8 @@
 //! Memory-adaptive training (paper §III-B, Fig. 4).
 
-use crate::layout::WeightLayout;
+use crate::layout::{ParamRef, WeightLayout};
 use crate::quantizer::ComposedQuantizer;
-use matic_fixed::QFormat;
+use matic_fixed::{quantize, QFormat};
 use matic_nn::{BatchScratch, Gradients, Mlp, MomentumState, NetSpec, Sample, SgdConfig};
 use matic_sram::FaultMap;
 use rand::rngs::StdRng;
@@ -131,6 +131,17 @@ impl TrainedModel {
     /// The SRAM placement.
     pub fn layout(&self) -> &WeightLayout {
         &self.layout
+    }
+
+    /// The storage word of `param`: its float master quantized and
+    /// encoded in the model's weight format, exactly what
+    /// [`upload_weights`](crate::upload_weights) writes to its location.
+    pub fn stored_word(&self, param: ParamRef) -> u32 {
+        let v = match param {
+            ParamRef::Weight { layer, row, col } => self.master.weights()[layer].get(row, col),
+            ParamRef::Bias { layer, row } => self.master.biases()[layer][row],
+        };
+        self.fmt.encode(quantize(v, self.fmt))
     }
 
     /// The deployed view: weights quantized and, if a fault map is given,

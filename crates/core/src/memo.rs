@@ -38,7 +38,10 @@
 //! never while training. A training that fills a cell must never enter a
 //! work-stealing pool (rayon): a worker parked in a nested parallel call
 //! could pick up another unit that waits on the very cell it is filling.
-//! `matic-core` therefore has no rayon dependency, and must keep it so.
+//! The sweep's `(scenario, chip)` unit is its only parallel work and
+//! everything inside a unit runs on the unit's thread, so no such call
+//! exists. `matic-core` has no rayon dependency, and CI checks that only
+//! the sweep engine and the CLI depend on rayon.
 
 use crate::mat::{MatTrainer, TrainedModel};
 use matic_nn::Sample;

@@ -40,7 +40,7 @@
 //! closures. The built-in benchmarks are pure functions of the keyed
 //! fields.
 
-use crate::plan::{StressAxis, SweepPlan, TrainingMode};
+use crate::plan::{StressAxis, SweepPlan, TrainingMode, FAIL_MARGIN_MSE, FAIL_MARGIN_PERCENT};
 use crate::report::CellRecord;
 use matic_snnac::ChipConfig;
 use matic_sram::fingerprint::Fingerprint;
@@ -251,8 +251,8 @@ impl UnitKeyPrefix {
                 .join(","),
         );
         key.push("reuse.policy", format!("{:?}", plan.reuse));
-        key.push_f64("fail.margin_percent", plan.fail_margin_percent);
-        key.push_f64("fail.margin_mse", plan.fail_margin_mse);
+        key.push_f64("fail.margin_percent", FAIL_MARGIN_PERCENT);
+        key.push_f64("fail.margin_mse", FAIL_MARGIN_MSE);
         if plan.model.needs_silicon() {
             key.push("chip.seed", plan.chip_seed(chip_idx));
             let chip_cfg = ChipConfig::with_geometry(
@@ -603,13 +603,6 @@ mod tests {
             reference,
             CellKey::for_cell(&scale, coords(), &map).digest(),
             "dataset scale"
-        );
-
-        let margins = base_plan().fail_margins(5.0, 0.05).build().unwrap();
-        assert_ne!(
-            reference,
-            CellKey::for_cell(&margins, coords(), &map).digest(),
-            "failure margins"
         );
 
         let mut other_map = small_map();

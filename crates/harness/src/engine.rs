@@ -2,20 +2,16 @@
 //!
 //! # Parallel decomposition
 //!
-//! The unit of parallel work is one **(scenario, chip)** pair: the
-//! chip-stateful stages of a unit (profiling, the naive baseline,
-//! per-point adaptive training) run sequentially so that the SRAM
-//! mechanics stay deterministic, while units — which share nothing — are
-//! distributed over a work queue that idle workers pull from
-//! ([`rayon`]'s dynamic scheduling). MAT training times vary wildly with
-//! fault density, which is exactly the load shape that queue balancing
-//! handles well. Inside a unit, each cell's NPU evaluation additionally
-//! splits its test set into fixed-size chunks across the pool
-//! ([`eval_composed_set`]) — sound because the composed weight artifact
-//! is immutable during evaluation, and byte-stable because the
-//! per-sample contributions are reassembled and folded in sample order
-//! (see that function's determinism notes). Small grids therefore no
-//! longer leave cores idle.
+//! The one unit of parallel work is a **(scenario, chip)** pair. Units
+//! share nothing, and [`run_sweep_observed`] distributes them over a work
+//! queue that idle workers pull from ([`rayon`]'s dynamic scheduling). MAT
+//! training times vary wildly with fault density, which is exactly the
+//! load shape that queue balancing handles well. Everything inside a unit
+//! — profiling, training, every cell's NPU evaluation — runs sequentially
+//! on the unit's worker, so the SRAM mechanics stay deterministic and the
+//! plan's [`threads`](SweepPlan::threads) (the daemon's `--workers`) is
+//! the exact number of compute threads. The serve daemon runs the same
+//! units on its own pool through the same runner, [`SweepInputs`].
 //!
 //! # Determinism
 //!
@@ -67,13 +63,14 @@
 //! function of the key's content, so a hit is the model a fresh training
 //! would produce.
 //!
-//! [`run_sweep_observed`] builds the memo (unless the context carries
-//! one) and, through [`MemoEviction`], drops a scenario's models as soon
-//! as its last unit finishes: keys include the train split, so no other
-//! unit can hit them. A serve job owns its memo the same way, and
-//! [`run_unit_observed`] without one memoizes within the unit. The memo
-//! never outlives a sweep; the cell cache is what spans runs. A training
-//! never enters rayon while it fills a memo slot (see [`TrainingMemo`]).
+//! [`SweepInputs`] owns a sweep's memo (unless the context carries one)
+//! and drops a scenario's models as soon as its last unit finishes: keys
+//! include the train split, so no other unit can hit them. Batch sweeps
+//! and serve jobs both run their units through it, and
+//! [`run_unit_observed`] without a memo memoizes within the unit. The
+//! memo never outlives a sweep; the cell cache is what spans runs. A
+//! training never enters rayon while it fills a memo slot (see
+//! [`TrainingMemo`]): nothing inside a unit is parallel.
 //!
 //! # The cache skip path
 //!
@@ -94,17 +91,19 @@
 //!   fill only on misses, so a miss after cache hits evaluates afresh.
 
 use crate::cache::{CacheUsage, CellKey, SweepCache, UnitKeyPrefix};
-use crate::plan::{ReusePolicy, StressAxis, SweepPlan, TrainingMode};
+use crate::plan::{
+    ReusePolicy, StressAxis, SweepPlan, TrainingMode, FAIL_MARGIN_MSE, FAIL_MARGIN_PERCENT,
+};
 use crate::report::{
     CellEnergy, CellRecord, PlanSummary, SweepReport, REPORT_SCHEMA, REPORT_SCHEMA_V4,
 };
 use crate::scenario::Scenario;
 use crate::sched::{
-    par_chunked, CancelledSweep, CellOrigin, ExecContext, Resolution, SweepOutcome, UnitOutcome,
+    CancelledSweep, CellOrigin, ExecContext, Resolution, SweepOutcome, UnitOutcome,
 };
 use matic_core::{
-    drop_surrogate_map, upload_weights, CellFaults, DeploymentFlow, FaultContext, FaultedWeights,
-    MatTrainer, ParamRef, TrainedModel, TrainingMemo, TrainingSet, WeightLayout,
+    drop_surrogate_map, CellFaults, DeploymentFlow, FaultContext, FaultedWeights, MatTrainer,
+    ParamRef, TrainedModel, TrainingMemo, TrainingSet, WeightLayout,
 };
 use matic_datasets::Split;
 use matic_nn::kernel::MacDropSpec;
@@ -112,7 +111,7 @@ use matic_nn::Sample;
 use matic_snnac::microcode::Program;
 use matic_snnac::npu::NpuStats;
 use matic_snnac::{Chip, ChipConfig, Snnac};
-use matic_sram::{ArrayConfig, FaultMap, SramArray};
+use matic_sram::{ArrayConfig, FaultMap};
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -184,16 +183,12 @@ pub fn sweep_units(plan: &SweepPlan) -> Vec<(usize, usize)> {
 /// in-flight table it deduplicates cell computations against concurrent
 /// sweeps sharing the same table and cache. Its units share the context's
 /// training memo, or one built for this run.
+///
+/// Units run on [`threads`](SweepPlan::threads) workers (rayon's default
+/// when unset); this is the engine's only parallel call.
 pub fn run_sweep_observed(plan: &SweepPlan, ctx: &ExecContext<'_>) -> SweepOutcome {
-    let splits = sweep_splits(plan);
     let units = sweep_units(plan);
-    let own_memo = TrainingMemo::new();
-    let memo = ctx.memo.unwrap_or(&own_memo);
-    let eviction = MemoEviction::new(plan, &units);
-    let ctx = ExecContext {
-        memo: Some(memo),
-        ..*ctx
-    };
+    let inputs = SweepInputs::new(plan, &units);
     let pool = ThreadPoolBuilder::new()
         .num_threads(plan.threads.unwrap_or(0))
         .build()
@@ -201,43 +196,67 @@ pub fn run_sweep_observed(plan: &SweepPlan, ctx: &ExecContext<'_>) -> SweepOutco
     let per_unit: Vec<UnitOutcome> = pool.install(|| {
         units
             .par_iter()
-            .map(|&(scen_idx, chip_idx)| {
-                let split = &splits[scen_idx];
-                let outcome = run_unit_observed(plan, scen_idx, chip_idx, split, &ctx);
-                eviction.unit_done(memo, scen_idx, split);
-                outcome
-            })
+            .map(|&unit| inputs.run_unit(plan, unit, ctx))
             .collect()
     });
     assemble_sweep(plan, per_unit, ctx.cache.is_some())
 }
 
-/// Evicts each scenario's models from a sweep's [`TrainingMemo`] once the
-/// last of its units has finished. Training keys include the train split,
-/// and splits are per scenario, so no other unit can hit those entries:
-/// a model lives exactly as long as a unit that could reuse it may run.
+/// What a sweep's units run on: the per-scenario datasets
+/// ([`sweep_splits`]) and the sweep's [`TrainingMemo`]. It evicts each
+/// scenario's models once the last of its units has finished. Training
+/// keys include the train split, and splits are per scenario, so no
+/// other unit can hit those entries: a model lives exactly as long as a
+/// unit that could reuse it may run.
+///
+/// Batch sweeps ([`run_sweep_observed`]) and serve jobs run every unit
+/// through [`run_unit`](Self::run_unit), in any order and from any
+/// thread.
 #[derive(Debug)]
-pub struct MemoEviction {
+pub struct SweepInputs {
+    /// Per-scenario datasets, indexed by scenario.
+    splits: Vec<Split>,
+    /// The memo units share when their context carries none.
+    memo: TrainingMemo,
     /// Units not yet finished, per scenario index.
     pending: Vec<AtomicUsize>,
 }
 
-impl MemoEviction {
-    /// Tracks `units` (the `(scenario, chip)` pairs this execution runs).
+impl SweepInputs {
+    /// Generates the plan's datasets and tracks `units` (the
+    /// `(scenario, chip)` pairs this execution runs).
     pub fn new(plan: &SweepPlan, units: &[(usize, usize)]) -> Self {
         let pending = (0..plan.scenarios.len())
             .map(|s| AtomicUsize::new(units.iter().filter(|u| u.0 == s).count()))
             .collect();
-        MemoEviction { pending }
+        SweepInputs {
+            splits: sweep_splits(plan),
+            memo: TrainingMemo::new(),
+            pending,
+        }
     }
 
-    /// Records that a unit of `scen_idx` finished (completed or
-    /// cancelled); the scenario's last one evicts the models trained on
-    /// its split.
-    pub fn unit_done(&self, memo: &TrainingMemo, scen_idx: usize, split: &Split) {
+    /// Runs one of the tracked units through `ctx` with the context's
+    /// memo, or this sweep's own when the context carries none. When it
+    /// was its scenario's last unit (completed or cancelled), the models
+    /// trained on the scenario's split are evicted.
+    pub fn run_unit(
+        &self,
+        plan: &SweepPlan,
+        (scen_idx, chip_idx): (usize, usize),
+        ctx: &ExecContext<'_>,
+    ) -> UnitOutcome {
+        let split = &self.splits[scen_idx];
+        let memo = ctx.memo.unwrap_or(&self.memo);
+        let ctx = ExecContext {
+            memo: Some(memo),
+            ..*ctx
+        };
+        let outcome = run_unit_observed(plan, scen_idx, chip_idx, split, &ctx);
         if self.pending[scen_idx].fetch_sub(1, Ordering::SeqCst) == 1 && !memo.is_empty() {
             memo.evict(&TrainingSet::new(&split.train));
         }
+        outcome
     }
 }
 
@@ -363,10 +382,8 @@ pub(crate) fn set_eval_chunk(chunk: Option<usize>) {
 /// `0` means "no override active".
 static EVAL_CHUNK_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Samples per batched NPU call (and per parallel work item) inside one
-/// cell's evaluation: 32 — large enough to amortize each weight-row
-/// traversal across the lanes, small enough to split a few-hundred-sample
-/// eval set across workers.
+/// Samples per batched NPU call inside one cell's evaluation: 32 — large
+/// enough to amortize each weight-row traversal across the lanes.
 fn eval_chunk() -> usize {
     match EVAL_CHUNK_OVERRIDE.load(Ordering::Relaxed) {
         0 => 32,
@@ -375,26 +392,22 @@ fn eval_chunk() -> usize {
 }
 
 /// Evaluates a composed weight set over the whole test set through the
-/// NPU's batched interpreter, with the eval set split into fixed-size
-/// chunks of 32 samples across the worker pool. Returns the
-/// Table I metric and the per-inference cycle counters (identical for
-/// every sample — the NPU schedule is data-independent).
+/// NPU's batched interpreter, in chunks of 32 samples on the calling
+/// thread. Returns the Table I metric and the per-inference cycle
+/// counters (identical for every sample — the NPU schedule is
+/// data-independent).
 ///
 /// # Determinism
 ///
-/// The result is bit-identical to a sequential loop of one-sample
-/// batches, and invariant across worker counts and chunk sizes, because
-/// every stage either computes exact per-sample values or folds them in
-/// a fixed order:
+/// The result is bit-identical to a loop of one-sample batches, and
+/// invariant across chunk sizes, because:
 ///
 /// 1. each sample's NPU output is bit-identical in every batching (exact
 ///    integer MACs, per-sample lanes);
 /// 2. each sample's contribution — a 0/1 miss indicator or its MSE term —
 ///    depends on that sample alone;
-/// 3. [`par_chunked`] reassembles the contributions in sample order
-///    regardless of which worker computed which chunk;
-/// 4. the final fold is strictly sequential over that order, one f64
-///    accumulator, exactly like the old loop.
+/// 3. the fold is strictly sequential in sample order, one f64
+///    accumulator.
 pub fn eval_composed_set(
     npu: &Snnac,
     program: &Program,
@@ -403,30 +416,25 @@ pub fn eval_composed_set(
     is_classification: bool,
     test: &[Sample],
 ) -> (f64, NpuStats) {
-    let per_sample: Vec<(f64, NpuStats)> = par_chunked(test, eval_chunk(), |samples| {
-        let inputs: Vec<&[f64]> = samples.iter().map(|s| s.input.as_slice()).collect();
-        let (outs, stats) = npu.execute_batch_dropped(program, weights, &inputs, drops);
-        outs.iter()
-            .zip(samples)
-            .map(|(out, s)| {
-                let contribution = if is_classification {
-                    f64::from(!classified_correctly(out, &s.target) as u8)
-                } else {
-                    out.iter()
-                        .zip(&s.target)
-                        .map(|(y, t)| (y - t) * (y - t))
-                        .sum::<f64>()
-                        / out.len() as f64
-                };
-                (contribution, stats)
-            })
-            .collect()
-    });
-    let stats = per_sample.first().map(|&(_, s)| s).unwrap_or_default();
+    let mut stats = None;
     let mut sum = 0.0f64;
-    for &(c, _) in &per_sample {
-        sum += c;
+    for samples in test.chunks(eval_chunk()) {
+        let inputs: Vec<&[f64]> = samples.iter().map(|s| s.input.as_slice()).collect();
+        let (outs, chunk_stats) = npu.execute_batch_dropped(program, weights, &inputs, drops);
+        stats.get_or_insert(chunk_stats);
+        for (out, s) in outs.iter().zip(samples) {
+            sum += if is_classification {
+                f64::from(!classified_correctly(out, &s.target) as u8)
+            } else {
+                out.iter()
+                    .zip(&s.target)
+                    .map(|(y, t)| (y - t) * (y - t))
+                    .sum::<f64>()
+                    / out.len() as f64
+            };
+        }
     }
+    let stats = stats.unwrap_or_default();
     let metric = if is_classification {
         100.0 * sum / test.len().max(1) as f64
     } else {
@@ -605,8 +613,9 @@ enum FaultSource {
     /// ([`needs_silicon`](matic_core::FaultModel::needs_silicon)),
     /// profiled at every stress point and evaluated through its own SRAM.
     Silicon(Chip),
-    /// Seed-derived faults composed into a behaviourally clean store;
-    /// `layout` places the scenario's weights for the drop statistics.
+    /// Seed-derived faults composed straight into the stored weight
+    /// words; `layout` places the scenario's weights for the drop
+    /// statistics.
     Injected {
         geom: ArrayConfig,
         layout: WeightLayout,
@@ -695,7 +704,7 @@ impl FaultSource {
 
     /// The Table I metric and per-inference NPU counters of `model` on
     /// the unit's test set under `faults` at `stress`: on the chip at that
-    /// SRAM voltage, or through a clean store with the faults composed in.
+    /// SRAM voltage, or with the faults composed into the stored words.
     fn eval(
         &mut self,
         unit: &Unit<'_>,
@@ -706,9 +715,7 @@ impl FaultSource {
         let (is_class, test) = (unit.scen.is_classification(), &unit.split.test);
         match self {
             FaultSource::Silicon(chip) => eval_on_chip(chip, model, is_class, test, stress),
-            FaultSource::Injected { geom, .. } => {
-                eval_injected(model, is_class, test, faults, geom)
-            }
+            FaultSource::Injected { .. } => eval_injected(model, is_class, test, faults),
         }
     }
 
@@ -893,32 +900,23 @@ fn run_canary_cell(unit: &Unit<'_>, chip: &mut Chip, voltage: f64, nominal: f64)
 }
 
 /// Evaluates a trained model under injected faults, **without profiled
-/// silicon**: the quantized weights land in a behaviourally clean store
-/// (an SRAM array held at the 0.9 V nominal point, where every bit-cell
-/// reads back faithfully — the Vmin distribution tops out far below it),
-/// the model's storage faults are applied word-by-word, and the test set
-/// runs through the NPU's dense kernel with the model's MAC-drop spec
-/// composed into the accumulation. [`FaultedWeights`] stays the hot
-/// path; the fault map is never consulted per MAC.
+/// silicon**: each parameter's stored word (what
+/// [`upload_weights`](matic_core::upload_weights) would write) passes
+/// through the model's storage fault map straight into
+/// [`FaultedWeights`], and the test set runs through the NPU's dense
+/// kernel with the model's MAC-drop spec composed into the accumulation.
+/// The fault map is never consulted per MAC.
 fn eval_injected(
     model: &TrainedModel,
     is_classification: bool,
     test: &[Sample],
     faults: &CellFaults,
-    geom: &ArrayConfig,
 ) -> (f64, NpuStats) {
-    let mut array = SramArray::synthesize(geom, 0);
-    upload_weights(model, &mut array);
-    for b in 0..geom.banks {
-        for w in 0..geom.bank.words {
-            let stored = array.read(b, w);
-            let faulted = faults.map.apply(b, w, stored);
-            if faulted != stored {
-                array.write(b, w, faulted);
-            }
-        }
-    }
-    let weights = FaultedWeights::from_array(model.layout(), model.format(), &mut array);
+    let weights = FaultedWeights::compose(model.layout(), model.format(), |param, loc| {
+        faults
+            .map
+            .apply(loc.bank, loc.word, model.stored_word(param))
+    });
     let npu = Snnac::snnac(model.format());
     let program = Program::compile(model.master().spec(), npu.pe_count());
     let drops = faults.drops.as_ref();
@@ -957,9 +955,9 @@ fn new_cell(
     let (plan, scen, chip_idx) = (unit.plan, unit.scen, unit.chip_idx);
     let is_class = scen.is_classification();
     let margin = if is_class {
-        plan.fail_margin_percent
+        FAIL_MARGIN_PERCENT
     } else {
-        plan.fail_margin_mse
+        FAIL_MARGIN_MSE
     };
     let (fault_count, measured_ber) = drops.unwrap_or((map.fault_count(), map.ber()));
     let mut cell = CellRecord {
@@ -991,4 +989,50 @@ fn new_cell(
         StressAxis::ClockStress(_) => cell.clock_stress = Some(stress),
     }
     cell
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two regression scenarios, two chips, one nominal naive point: each
+    /// scenario trains exactly one model (its baseline, shared by chips).
+    fn two_scenario_plan() -> SweepPlan {
+        SweepPlan::builder()
+            .chips(2)
+            .voltages(&[0.9])
+            .benchmark("inversek2j")
+            .unwrap()
+            .benchmark("bscholes")
+            .unwrap()
+            .modes(&[TrainingMode::Naive])
+            .data_scale(0.05)
+            .epoch_scale(0.1)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn sweep_inputs_evict_a_scenario_right_after_its_last_unit() {
+        let plan = two_scenario_plan();
+        let inputs = SweepInputs::new(&plan, &sweep_units(&plan));
+        let ctx = ExecContext::default();
+        // Non-grid order; after each unit: (models held, trainings run).
+        let walk = [
+            ((1, 0), (1, 1)),
+            ((0, 0), (2, 2)),
+            // Scenario 0's second unit reuses its baseline, then evicts it.
+            ((0, 1), (1, 2)),
+            // Scenario 1's baseline survived that eviction: a hit again.
+            ((1, 1), (0, 2)),
+        ];
+        for (unit, (held, trained)) in walk {
+            let outcome = inputs.run_unit(&plan, unit, &ctx);
+            assert!(!outcome.cancelled);
+            assert_eq!(outcome.cells.len(), 1);
+            assert_eq!(inputs.memo.len(), held, "models held after unit {unit:?}");
+            assert_eq!(inputs.memo.trainings(), trained, "trainings after {unit:?}");
+        }
+        assert_eq!(inputs.memo.requests(), 4);
+    }
 }

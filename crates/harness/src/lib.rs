@@ -85,7 +85,7 @@ pub use cache::{
 };
 pub use engine::{
     assemble_sweep, eval_composed_set, eval_on_chip, run_sweep, run_sweep_observed,
-    run_sweep_with_cache, run_unit_observed, sweep_splits, sweep_units, MemoEviction, SweepRun,
+    run_sweep_with_cache, run_unit_observed, sweep_splits, sweep_units, SweepInputs, SweepRun,
 };
 /// The training memo an [`ExecContext`] carries (see the engine's model
 /// reuse notes).
@@ -96,6 +96,7 @@ pub use pareto::{
 };
 pub use plan::{
     linspace, PlanError, ReusePolicy, StressAxis, SweepPlan, SweepPlanBuilder, TrainingMode,
+    FAIL_MARGIN_MSE, FAIL_MARGIN_PERCENT,
 };
 pub use report::{
     CellEnergy, CellRecord, PlanSummary, PointSummary, Stats, SweepReport, REPORT_SCHEMA,
@@ -105,8 +106,8 @@ pub use scenario::{
     builtin_scenarios, scenario_by_name, BenchmarkScenario, Scenario, TopologyScenario,
 };
 pub use sched::{
-    par_chunked, CancelToken, CancelledSweep, CellOrigin, ExecContext, Inflight, ProgressSink,
-    Resolution, SweepOutcome, UnitOutcome,
+    CancelToken, CancelledSweep, CellOrigin, ExecContext, Inflight, ProgressSink, Resolution,
+    SweepOutcome, UnitOutcome,
 };
 pub use shard::{
     assemble_sharded, merge_shard_units, shard_chip_ranges, shard_units, ShardMergeError,

@@ -162,13 +162,15 @@ pub struct SweepPlan {
     pub threads: Option<usize>,
     /// Model-reuse policy across stress points.
     pub reuse: ReusePolicy,
-    /// A classification cell counts as failed when its error exceeds
-    /// nominal by this many percentage points.
-    pub fail_margin_percent: f64,
-    /// A regression cell counts as failed when its MSE exceeds nominal by
-    /// this much.
-    pub fail_margin_mse: f64,
 }
+
+/// A classification cell counts as failed when its error exceeds nominal
+/// by this many percentage points.
+pub const FAIL_MARGIN_PERCENT: f64 = 10.0;
+
+/// A regression cell counts as failed when its MSE exceeds nominal by
+/// this much.
+pub const FAIL_MARGIN_MSE: f64 = 0.05;
 
 impl fmt::Debug for SweepPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -296,8 +298,8 @@ impl SweepPlan {
             ReusePolicy::PerPoint => "per-point",
             ReusePolicy::SupersetMap => "superset-map",
         });
-        f.write_u64(self.fail_margin_percent.to_bits());
-        f.write_u64(self.fail_margin_mse.to_bits());
+        f.write_u64(FAIL_MARGIN_PERCENT.to_bits());
+        f.write_u64(FAIL_MARGIN_MSE.to_bits());
         f.to_hex()
     }
 }
@@ -316,8 +318,6 @@ pub struct SweepPlanBuilder {
     base_seed: u64,
     threads: Option<usize>,
     reuse: ReusePolicy,
-    fail_margin_percent: f64,
-    fail_margin_mse: f64,
 }
 
 impl Default for SweepPlanBuilder {
@@ -334,8 +334,6 @@ impl Default for SweepPlanBuilder {
             base_seed: 42,
             threads: None,
             reuse: ReusePolicy::SupersetMap,
-            fail_margin_percent: 10.0,
-            fail_margin_mse: 0.05,
         }
     }
 }
@@ -484,14 +482,6 @@ impl SweepPlanBuilder {
         self
     }
 
-    /// Failure margins for the fail-rate statistic (percentage points for
-    /// classification, absolute MSE for regression).
-    pub fn fail_margins(mut self, percent: f64, mse: f64) -> Self {
-        self.fail_margin_percent = percent;
-        self.fail_margin_mse = mse;
-        self
-    }
-
     /// Validates and produces the plan.
     pub fn build(self) -> Result<SweepPlan, PlanError> {
         let axis = self
@@ -628,8 +618,6 @@ impl SweepPlanBuilder {
             base_seed: self.base_seed,
             threads: self.threads,
             reuse: self.reuse,
-            fail_margin_percent: self.fail_margin_percent,
-            fail_margin_mse: self.fail_margin_mse,
         })
     }
 }

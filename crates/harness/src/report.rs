@@ -174,7 +174,9 @@ pub struct CellRecord {
     /// Whether the deployed model was reused from a previous stress point
     /// (its training-time fault map covered this point's map).
     pub reused_model: bool,
-    /// Whether the cell exceeded the plan's failure margin over nominal.
+    /// Whether the cell's error exceeded nominal by more than the failure
+    /// margin ([`FAIL_MARGIN_PERCENT`](crate::FAIL_MARGIN_PERCENT) or
+    /// [`FAIL_MARGIN_MSE`](crate::FAIL_MARGIN_MSE)).
     pub failed: bool,
 }
 

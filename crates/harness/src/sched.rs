@@ -34,40 +34,9 @@
 use crate::cache::{CellKey, SweepCache};
 use crate::report::CellRecord;
 use matic_core::TrainingMemo;
-use rayon::prelude::*;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// Order-preserving parallel map over fixed-size chunks of a slice: each
-/// chunk is handed to `f` on the worker pool, and the per-chunk outputs
-/// are concatenated **in chunk order**, so the result is element-for-
-/// element identical to `f` applied over a sequential `items.chunks(..)`
-/// walk — for any worker count.
-///
-/// This is the intra-cell parallelism primitive: a cell splits its eval
-/// set into chunks here, computes order-independent per-sample
-/// contributions in parallel, and folds them sequentially afterwards.
-/// Chunks are fixed-size (never sized by worker count), so the chunk
-/// boundaries — and everything derived from them — are identical no
-/// matter how many workers the pool has.
-///
-/// `chunk == 0` is treated as 1.
-pub fn par_chunked<T, U, F>(items: &[T], chunk: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&[T]) -> Vec<U> + Sync,
-{
-    let chunks: Vec<&[T]> = items.chunks(chunk.max(1)).collect();
-    chunks
-        .into_par_iter()
-        .map(f)
-        .collect::<Vec<Vec<U>>>()
-        .into_iter()
-        .flatten()
-        .collect()
-}
 
 /// A clonable cooperative-cancellation handle. The engine polls it
 /// between cells; flipping it stops every unit of the sweep at the next
@@ -345,18 +314,6 @@ pub struct CancelledSweep {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn par_chunked_preserves_order_for_any_chunk_size() {
-        let items: Vec<usize> = (0..37).collect();
-        let expect: Vec<usize> = items.iter().map(|x| x * 2).collect();
-        for chunk in [0usize, 1, 2, 5, 8, 37, 64] {
-            let got = par_chunked(&items, chunk, |c| c.iter().map(|x| x * 2).collect());
-            assert_eq!(got, expect, "chunk {chunk}");
-        }
-        let empty: Vec<usize> = par_chunked(&[], 4, |c: &[usize]| c.to_vec());
-        assert!(empty.is_empty());
-    }
 
     #[test]
     fn cancel_token_is_shared_and_idempotent() {

@@ -9,11 +9,10 @@
 //! how jobs interleave on the pool.
 
 use crate::protocol::{JobKind, JobSpec, JobStatusInfo, ShardUnit};
-use matic_datasets::Split;
 use matic_harness::{
-    assemble_sweep, energy_report, run_unit_observed, AccuracyBudget, CancelToken, CellOrigin,
-    EnergyReport, ExecContext, MemoEviction, ProgressSink, ReusePolicy, SweepOutcome, SweepPlan,
-    SweepReport, TrainingMemo, TrainingMode, UnitOutcome,
+    assemble_sweep, energy_report, AccuracyBudget, CancelToken, CellOrigin, EnergyReport,
+    ProgressSink, ReusePolicy, SweepInputs, SweepOutcome, SweepPlan, SweepReport, TrainingMode,
+    UnitOutcome,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -210,40 +209,10 @@ struct JobState {
     /// Per-unit outcome slots in [`matic_harness::sweep_units`] order.
     slots: Vec<Option<UnitOutcome>>,
     remaining: usize,
-    /// Dropped when the job turns terminal.
-    inputs: Option<Arc<JobInputs>>,
-}
-
-/// What a job's units run on: the per-scenario datasets and the job's
-/// training memo. A job holds them only until it turns terminal, so a
-/// long-lived daemon keeps no finished job's datasets or models.
-#[derive(Debug)]
-pub(crate) struct JobInputs {
-    /// Per-scenario datasets, generated once at admission.
-    splits: Vec<Split>,
-    /// The job's training memo, shared by all of its units.
-    memo: TrainingMemo,
-    eviction: MemoEviction,
-}
-
-impl JobInputs {
-    /// Runs one `(scenario, chip)` unit through `ctx` with the job's
-    /// memo, then evicts the scenario's models if it was the last unit.
-    pub(crate) fn run_unit(
-        &self,
-        plan: &SweepPlan,
-        (scen_idx, chip_idx): (usize, usize),
-        ctx: &ExecContext<'_>,
-    ) -> UnitOutcome {
-        let split = &self.splits[scen_idx];
-        let ctx = ExecContext {
-            memo: Some(&self.memo),
-            ..*ctx
-        };
-        let outcome = run_unit_observed(plan, scen_idx, chip_idx, split, &ctx);
-        self.eviction.unit_done(&self.memo, scen_idx, split);
-        outcome
-    }
+    /// The datasets and training memo the job's units run on. Dropped
+    /// when the job turns terminal, so a long-lived daemon keeps no
+    /// finished job's datasets or models.
+    inputs: Option<Arc<SweepInputs>>,
 }
 
 /// One admitted job. Shared between the connection thread that streams
@@ -274,18 +243,13 @@ impl Job {
     /// connection's thread — so pool workers only ever run units.
     pub fn admit(id: u64, spec: JobSpec, cache_enabled: bool) -> Result<Job, String> {
         let plan = build_plan(&spec)?;
-        let splits = matic_harness::sweep_splits(&plan);
         let units = match spec.chip_range {
             Some(range) => matic_harness::shard_units(&plan, range),
             None => matic_harness::sweep_units(&plan),
         };
         let slots = units.iter().map(|_| None).collect::<Vec<_>>();
         let remaining = units.len();
-        let inputs = JobInputs {
-            splits,
-            memo: TrainingMemo::new(),
-            eviction: MemoEviction::new(&plan, &units),
-        };
+        let inputs = SweepInputs::new(&plan, &units);
         Ok(Job {
             id,
             spec,
@@ -313,7 +277,7 @@ impl Job {
 
     /// The datasets and memo the job's units run on; `None` once the job
     /// is terminal (a unit still running keeps its own handle).
-    pub(crate) fn inputs(&self) -> Option<Arc<JobInputs>> {
+    pub(crate) fn inputs(&self) -> Option<Arc<SweepInputs>> {
         self.state
             .lock()
             .expect("job state poisoned")

@@ -757,7 +757,8 @@ fn run_submit_command(args: &[String]) -> Result<(), String> {
     if sweep.threads.is_some() || sweep.cache_dir.is_some() || sweep.resume || sweep.no_cache {
         return Err(
             "--threads/--cache-dir/--resume/--no-cache are daemon-side execution knobs; \
-             set them on `matic serve`, not on submit"
+             start `matic serve` with --workers (its thread count), --cache-dir, \
+             --resume or --no-cache instead"
                 .into(),
         );
     }
@@ -1483,6 +1484,13 @@ mod tests {
         let args: Vec<String> = ["--csv", "x.csv"].iter().map(|s| s.to_string()).collect();
         let err = run_submit_command(&args).unwrap_err();
         assert!(err.contains("JSON report only"), "{err}");
+    }
+
+    #[test]
+    fn submit_threads_error_names_the_serve_option() {
+        let args: Vec<String> = ["--threads", "2"].iter().map(|s| s.to_string()).collect();
+        let err = run_submit_command(&args).unwrap_err();
+        assert!(err.contains("--workers"), "{err}");
     }
 
     #[test]
