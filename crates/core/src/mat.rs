@@ -3,7 +3,9 @@
 use crate::layout::{ParamRef, WeightLayout};
 use crate::quantizer::ComposedQuantizer;
 use matic_fixed::{quantize, QFormat};
-use matic_nn::{BatchScratch, Gradients, Mlp, MomentumState, NetSpec, Sample, SgdConfig};
+use matic_nn::{
+    momentum_steps, BatchScratch, Gradients, Mlp, MomentumState, NetSpec, Sample, SgdConfig,
+};
 use matic_sram::FaultMap;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -165,6 +167,10 @@ impl TrainedModel {
 /// Reusable training-step buffers: the effective (masked) network, the
 /// batch gradients, and the forward/backward scratch. One set per
 /// training run keeps the step loop allocation-free.
+///
+/// `effective` is always the quantized, masked view of the current
+/// masters: it is derived once when the buffers are made, and every step
+/// re-derives it in the same pass that updates the masters.
 struct StepBuffers {
     effective: Mlp,
     grads: Gradients,
@@ -172,9 +178,9 @@ struct StepBuffers {
 }
 
 impl StepBuffers {
-    fn for_net(net: &Mlp) -> Self {
+    fn for_net(net: &Mlp, quant: &ComposedQuantizer) -> Self {
         StepBuffers {
-            effective: net.clone(),
+            effective: quant.effective(net),
             grads: Gradients::zeros_like(net),
             scratch: BatchScratch::default(),
         }
@@ -193,6 +199,11 @@ impl StepBuffers {
 ///    `w ← w − α·∂J/∂m` — the paper's "in effect performing floating
 ///    point training to enable gradual weight-updates that occur over
 ///    multiple backprop iterations" (§III-B).
+///
+/// Step 3 and the next step's step 1 are one pass: each layer's masters
+/// are updated and re-quantized into `m` while they are in cache, so a
+/// run quantizes the whole network separately only once, before its
+/// first step. The bits are those of running the three steps apart.
 ///
 /// Preserving the whole residual (not just the sub-LSB part) matters:
 /// resetting masters to the masked value every step would trap any weight
@@ -240,8 +251,8 @@ impl MatTrainer {
         let quant = ComposedQuantizer::new(self.cfg.weight_fmt, &layout, Some(faults));
         let mut best: Option<(f64, Mlp)> = None;
         for restart in 0..self.cfg.restarts.max(1) {
-            let master = self.train_once(data, &quant, restart as u64);
-            let loss = quant.effective(&master).mean_loss(data);
+            let (master, effective) = self.train_once(data, &quant, restart as u64);
+            let loss = effective.mean_loss(data);
             if best.as_ref().is_none_or(|(b, _)| loss < *b) {
                 best = Some((loss, master));
             }
@@ -253,10 +264,11 @@ impl MatTrainer {
         }
     }
 
-    fn train_once(&self, data: &[Sample], quant: &ComposedQuantizer, restart: u64) -> Mlp {
+    /// One restart: the trained masters and their effective view.
+    fn train_once(&self, data: &[Sample], quant: &ComposedQuantizer, restart: u64) -> (Mlp, Mlp) {
         let mut master = Mlp::init(self.spec.clone(), self.cfg.init_seed + restart);
         let mut momentum = MomentumState::zeros_like(&master);
-        let mut bufs = StepBuffers::for_net(&master);
+        let mut bufs = StepBuffers::for_net(&master, quant);
         let mut rng = StdRng::seed_from_u64(self.cfg.shuffle_seed + restart);
         let mut order: Vec<usize> = (0..data.len()).collect();
         let mut lr = self.cfg.sgd.lr;
@@ -275,7 +287,7 @@ impl MatTrainer {
             }
             lr *= self.cfg.sgd.lr_decay;
         }
-        master
+        (master, bufs.effective)
     }
 
     /// One MAT update step on a mini-batch (exposed for tests and custom
@@ -291,11 +303,13 @@ impl MatTrainer {
         momentum: &mut MomentumState,
     ) {
         let indices: Vec<usize> = (0..batch.len()).collect();
-        let mut bufs = StepBuffers::for_net(master);
+        let mut bufs = StepBuffers::for_net(master, quant);
         self.step_indexed(master, quant, batch, &indices, lr, momentum, &mut bufs);
     }
 
-    /// The allocation-free step core driven by the training loop.
+    /// The allocation-free step core driven by the training loop. Expects
+    /// `bufs.effective` to be the effective view of `master` on entry and
+    /// leaves it so on exit.
     #[allow(clippy::too_many_arguments)]
     fn step_indexed(
         &self,
@@ -307,54 +321,62 @@ impl MatTrainer {
         momentum: &mut MomentumState,
         bufs: &mut StepBuffers,
     ) {
-        // (1) Effective network m = Bor | (Band & Q(w)).
-        quant.effective_into(master, &mut bufs.effective);
         // (2) Backprop through m — "the network error propagated in the
         // backward pass reflects the impact of the bit-errors".
         bufs.effective
             .gradients_indexed(data, indices, &mut bufs.grads, &mut bufs.scratch);
-        match self.cfg.update_rule {
-            UpdateRule::FloatMaster => {
-                // (3) w ← m − α·v + (w − m) = w − α·v, on the float masters.
-                master.apply_update(&bufs.grads, lr, self.cfg.sgd.momentum, momentum);
-            }
-            UpdateRule::ResetToMasked => {
-                // (3') w ← m − α·v + (w − Q(w)): re-seed masters from the
-                // masked view, then add back only the sub-LSB residual.
-                let fmt = self.cfg.weight_fmt;
-                let depth = master.spec().depth();
-                let mut sub_lsb: Vec<(Vec<f64>, Vec<f64>)> = Vec::with_capacity(depth);
-                for layer in 0..depth {
-                    let rows = master.weights()[layer].rows();
-                    let cols = master.weights()[layer].cols();
-                    let mut w_res = Vec::with_capacity(rows * cols);
-                    for row in 0..rows {
-                        for col in 0..cols {
-                            let w = master.weights()[layer].get(row, col);
-                            w_res.push(matic_fixed::quantize_with_residual(w, fmt).residual);
+        // (3) Update the masters and, in the same pass, (1) re-derive
+        // m = Bor | (Band & Q(w)) from them for the next step.
+        let k = quant.consts();
+        let fmt = self.cfg.weight_fmt;
+        let rule = self.cfg.update_rule;
+        let mu = self.cfg.sgd.momentum;
+        for layer in 0..master.spec().depth() {
+            let (w, b) = master.layer_mut(layer);
+            let (vw, vb) = momentum.layer_mut(layer);
+            let (mw, mb) = bufs.effective.layer_mut(layer);
+            let (masks_w, masks_b) = quant.masks(layer);
+            let blocks = [
+                (w, vw, bufs.grads.weights[layer].as_slice(), mw, masks_w),
+                (b, vb, &bufs.grads.biases[layer][..], mb, masks_b),
+            ];
+            for (theta, vel, grad, m, masks) in blocks {
+                // Chunks small enough to stay in L1 between the update
+                // and the re-quantization: two short loops pipeline
+                // better than one long dependency chain per parameter.
+                let chunks = theta
+                    .chunks_mut(FUSED_CHUNK)
+                    .zip(vel.chunks_mut(FUSED_CHUNK))
+                    .zip(grad.chunks(FUSED_CHUNK))
+                    .zip(m.chunks_mut(FUSED_CHUNK));
+                for (c, (((theta, vel), grad), m)) in chunks.enumerate() {
+                    let steps = momentum_steps(vel, grad, lr, mu);
+                    match rule {
+                        // w ← m − α·v + (w − m) = w − α·v.
+                        UpdateRule::FloatMaster => {
+                            for (w, step) in theta.iter_mut().zip(steps) {
+                                *w += step;
+                            }
+                        }
+                        // w ← m − α·v + (w − Q(w)): re-seed the master
+                        // from the masked view, then add back only the
+                        // sub-LSB residual of the old master.
+                        UpdateRule::ResetToMasked => {
+                            for ((w, step), m) in theta.iter_mut().zip(steps).zip(&*m) {
+                                let eq = matic_fixed::quantize_with_residual(*w, fmt).residual;
+                                *w = (m + step) + eq;
+                            }
                         }
                     }
-                    let b_res = master.biases()[layer]
-                        .iter()
-                        .map(|&b| matic_fixed::quantize_with_residual(b, fmt).residual)
-                        .collect();
-                    sub_lsb.push((w_res, b_res));
-                }
-                master.clone_from(&bufs.effective);
-                master.apply_update(&bufs.grads, lr, self.cfg.sgd.momentum, momentum);
-                for (layer, (w_res, b_res)) in sub_lsb.iter().enumerate() {
-                    let cols = master.weights()[layer].cols();
-                    for (i, eq) in w_res.iter().enumerate() {
-                        *master.weights_mut()[layer].get_mut(i / cols, i % cols) += eq;
-                    }
-                    for (row, eq) in b_res.iter().enumerate() {
-                        master.biases_mut()[layer][row] += eq;
-                    }
+                    masks.effective_into(k, c * FUSED_CHUNK, theta, m);
                 }
             }
         }
     }
 }
+
+/// Parameters per chunk of the fused update + re-quantization pass.
+const FUSED_CHUNK: usize = 64;
 
 /// Trains the paper's **naive baseline**: plain float SGD with the same
 /// hyperparameters, quantized only at deployment (no fault awareness).
@@ -602,6 +624,98 @@ mod tests {
             err_multi <= err_single + 1e-12,
             "restarts made things worse: {err_multi} vs {err_single}"
         );
+    }
+
+    /// The MAT loop as three separate calls per step — quantize + mask,
+    /// gradients, update — that the fused step must reproduce bit for
+    /// bit, restart selection included.
+    fn three_call_training(
+        spec: &NetSpec,
+        cfg: &MatConfig,
+        data: &[Sample],
+        map: &FaultMap,
+    ) -> Mlp {
+        let layout = WeightLayout::new(spec, map.banks().len(), map.banks()[0].words()).unwrap();
+        let quant = ComposedQuantizer::new(cfg.weight_fmt, &layout, Some(map));
+        let mut best: Option<(f64, Mlp)> = None;
+        for restart in 0..cfg.restarts as u64 {
+            let mut master = Mlp::init(spec.clone(), cfg.init_seed + restart);
+            let mut momentum = MomentumState::zeros_like(&master);
+            let mut effective = master.clone();
+            let mut grads = Gradients::zeros_like(&master);
+            let mut scratch = BatchScratch::default();
+            let mut rng = StdRng::seed_from_u64(cfg.shuffle_seed + restart);
+            let mut order: Vec<usize> = (0..data.len()).collect();
+            let mut lr = cfg.sgd.lr;
+            for _ in 0..cfg.sgd.epochs {
+                order.shuffle(&mut rng);
+                for chunk in order.chunks(cfg.sgd.batch_size) {
+                    quant.effective_into(&master, &mut effective);
+                    effective.gradients_indexed(data, chunk, &mut grads, &mut scratch);
+                    match cfg.update_rule {
+                        UpdateRule::FloatMaster => {
+                            master.apply_update(&grads, lr, cfg.sgd.momentum, &mut momentum)
+                        }
+                        UpdateRule::ResetToMasked => {
+                            let old = master.clone();
+                            master.clone_from(&effective);
+                            master.apply_update(&grads, lr, cfg.sgd.momentum, &mut momentum);
+                            for l in 0..spec.depth() {
+                                let (w, b) = master.layer_mut(l);
+                                let olds = old.weights()[l].as_slice().iter();
+                                let params = w.iter_mut().chain(b.iter_mut());
+                                for (v, &o) in params.zip(olds.chain(&old.biases()[l])) {
+                                    *v += matic_fixed::quantize_with_residual(o, cfg.weight_fmt)
+                                        .residual;
+                                }
+                            }
+                        }
+                    }
+                }
+                lr *= cfg.sgd.lr_decay;
+            }
+            let loss = quant.effective(&master).mean_loss(data);
+            if best.as_ref().is_none_or(|(b, _)| loss < *b) {
+                best = Some((loss, master));
+            }
+        }
+        best.unwrap().1
+    }
+
+    #[test]
+    fn fused_step_equals_the_three_call_loop() {
+        let dense = NetSpec::regressor(&[3, 10, 2]);
+        let conv = NetSpec::parse_topology("6x6x1;conv3x2;pool2;dense2").unwrap();
+        for (spec, seed) in [(dense, 7u64), (conv, 8)] {
+            // 21 samples: batches of eight leave a ragged last batch.
+            let data: Vec<Sample> = (0..21)
+                .map(|i| {
+                    let x: Vec<f64> = (0..spec.layers[0])
+                        .map(|c| ((i * 5 + c * 3) % 11) as f64 / 11.0)
+                        .collect();
+                    let t = vec![(i % 3) as f64 / 3.0, (i % 2) as f64 * 0.5 + 0.2];
+                    Sample::new(x, t)
+                })
+                .collect();
+            let faults = bernoulli_fault_map(4, 64, 16, 0.1, seed);
+            for rule in [UpdateRule::FloatMaster, UpdateRule::ResetToMasked] {
+                let cfg = MatConfig {
+                    sgd: SgdConfig {
+                        epochs: 3,
+                        ..MatConfig::paper().sgd
+                    },
+                    restarts: 2,
+                    update_rule: rule,
+                    ..MatConfig::paper()
+                };
+                let model = MatTrainer::new(spec.clone(), cfg.clone()).train(&data, &faults);
+                assert!(
+                    model.master() == &three_call_training(&spec, &cfg, &data, &faults),
+                    "{} {rule:?}",
+                    spec.tag()
+                );
+            }
+        }
     }
 
     #[test]

@@ -78,33 +78,54 @@ impl<'a> MaskedQuantizer<'a> {
     }
 }
 
-/// Per-layer injection masks aligned with the dense row-major parameter
-/// storage of an [`Mlp`](matic_nn::Mlp), kept as separate OR/AND/XOR
-/// planes so the quantize-mask-decode sweep reads flat `u32` streams.
-#[derive(Debug, Clone)]
+/// One parameter block's injection masks (a layer's weights, row-major
+/// `fan_out × fan_in`, or its biases), aligned with the dense storage of
+/// an [`Mlp`](matic_nn::Mlp) and kept as separate OR/AND/XOR planes so
+/// the quantize-mask-decode sweep reads flat `u32` streams.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MaskPlanes {
+    or: Vec<u32>,
+    and: Vec<u32>,
+    xor: Vec<u32>,
+}
+
+impl MaskPlanes {
+    fn push(&mut self, [or, and, xor]: [u32; 3]) {
+        self.or.push(or);
+        self.and.push(and);
+        self.xor.push(xor);
+    }
+
+    /// Writes the effective view of `src` into `dst`, where `src` holds
+    /// parameters `from..from + src.len()` of this block.
+    #[inline]
+    pub(crate) fn effective_into(&self, k: QuantConsts, from: usize, src: &[f64], dst: &mut [f64]) {
+        let to = from + src.len();
+        for ((((d, &s), &or), &and), &xor) in dst
+            .iter_mut()
+            .zip(src)
+            .zip(&self.or[from..to])
+            .zip(&self.and[from..to])
+            .zip(&self.xor[from..to])
+        {
+            *d = k.effective(s, or, and, xor);
+        }
+    }
+}
+
+/// One layer's weight and bias mask planes.
+#[derive(Debug, Clone, Default)]
 struct LayerMasks {
-    /// Per-weight OR masks, row-major `fan_out × fan_in`.
-    w_or: Vec<u32>,
-    /// Per-weight AND masks, row-major `fan_out × fan_in`.
-    w_and: Vec<u32>,
-    /// Per-weight XOR (bit-flip) masks, row-major `fan_out × fan_in`.
-    w_xor: Vec<u32>,
-    /// Per-bias OR masks.
-    b_or: Vec<u32>,
-    /// Per-bias AND masks.
-    b_and: Vec<u32>,
-    /// Per-bias XOR (bit-flip) masks.
-    b_xor: Vec<u32>,
+    weights: MaskPlanes,
+    biases: MaskPlanes,
 }
 
 /// The [`QFormat`] constants of the quantize-mask-decode sweep, hoisted
 /// out of the per-parameter loop.
 #[derive(Debug, Clone, Copy)]
-struct QuantConsts {
+pub(crate) struct QuantConsts {
     scale: f64,
     inv_scale: f64,
-    raw_max: i32,
-    raw_min: i32,
     raw_max_f: f64,
     raw_min_f: f64,
     word_mask: u32,
@@ -116,8 +137,6 @@ impl QuantConsts {
         QuantConsts {
             scale: fmt.scale(),
             inv_scale: fmt.inv_scale(),
-            raw_max: fmt.raw_max(),
-            raw_min: fmt.raw_min(),
             raw_max_f: fmt.raw_max() as f64,
             raw_min_f: fmt.raw_min() as f64,
             word_mask: fmt.word_mask(),
@@ -126,34 +145,13 @@ impl QuantConsts {
     }
 
     /// `dequantize(decode(((encode(quantize(x)) & and) | or) ^ xor))`,
-    /// operation for operation the same arithmetic as the scalar helpers
-    /// in `matic-fixed` — every comparison, tie-break and conversion
-    /// matches, so the result is bit-identical. Written select-friendly
-    /// (no early returns) so the per-parameter sweep stays branchless.
+    /// bit-identical to the scalar helpers in `matic-fixed`: the quantize
+    /// step is their branch-free core [`matic_fixed::quantize_scaled`], and
+    /// the mask and decode are the same integer operations, so the
+    /// per-parameter sweep has no branch.
     #[inline]
     fn effective(self, x: f64, or: u32, and: u32, xor: u32) -> f64 {
-        const MAGIC: f64 = 4_503_599_627_370_496.0; // 2^52
-        let scaled = x * self.scale;
-        // Inline `round_half_away`: exact nearest-even via the 2^52 trick,
-        // tie fixed up to away-from-zero, sign restored by copysign (t is
-        // always non-negative). |scaled| >= 2^52, infinities and NaNs pass
-        // through unchanged, exactly like the early return in the scalar
-        // helper.
-        let a = scaled.abs();
-        let t = (a + MAGIC) - MAGIC;
-        let t = if a - t == 0.5 { t + 1.0 } else { t };
-        let rounded = if a < MAGIC {
-            t.copysign(scaled)
-        } else {
-            scaled
-        };
-        let raw = if rounded >= self.raw_max_f {
-            self.raw_max
-        } else if rounded <= self.raw_min_f {
-            self.raw_min
-        } else {
-            rounded as i32
-        };
+        let raw = matic_fixed::quantize_scaled(x * self.scale, self.raw_min_f, self.raw_max_f);
         let stored = (((raw as u32 & self.word_mask) & and) | or) ^ xor;
         let decoded = ((stored << self.sign_shift) as i32) >> self.sign_shift;
         decoded as f64 * self.inv_scale
@@ -185,42 +183,31 @@ impl ComposedQuantizer {
     pub fn new(fmt: QFormat, layout: &WeightLayout, faults: Option<&FaultMap>) -> Self {
         // Delegate validation so both paths reject the same inputs.
         let _ = MaskedQuantizer::new(fmt, layout, faults);
-        let clean = (0u32, fmt.word_mask(), 0u32);
+        let clean = [0u32, fmt.word_mask(), 0u32];
         let spec = layout.spec();
         let mut layers = Vec::with_capacity(spec.depth());
         let mask_of = |param: ParamRef| match faults {
             Some(map) => {
                 let Location { bank, word } = layout.location_of(param);
                 let bank = &map.banks()[bank];
-                (
+                [
                     bank.or_masks()[word],
                     bank.and_masks()[word],
                     bank.xor_masks()[word],
-                )
+                ]
             }
             None => clean,
         };
         for layer in 0..spec.depth() {
             let (fan_out, fan_in) = spec.layer_spec(layer).weight_extent();
-            let mut masks = LayerMasks {
-                w_or: Vec::with_capacity(fan_out * fan_in),
-                w_and: Vec::with_capacity(fan_out * fan_in),
-                w_xor: Vec::with_capacity(fan_out * fan_in),
-                b_or: Vec::with_capacity(fan_out),
-                b_and: Vec::with_capacity(fan_out),
-                b_xor: Vec::with_capacity(fan_out),
-            };
+            let mut masks = LayerMasks::default();
             for row in 0..fan_out {
                 for col in 0..fan_in {
-                    let (or, and, xor) = mask_of(ParamRef::Weight { layer, row, col });
-                    masks.w_or.push(or);
-                    masks.w_and.push(and);
-                    masks.w_xor.push(xor);
+                    masks
+                        .weights
+                        .push(mask_of(ParamRef::Weight { layer, row, col }));
                 }
-                let (or, and, xor) = mask_of(ParamRef::Bias { layer, row });
-                masks.b_or.push(or);
-                masks.b_and.push(and);
-                masks.b_xor.push(xor);
+                masks.biases.push(mask_of(ParamRef::Bias { layer, row }));
             }
             layers.push(masks);
         }
@@ -241,31 +228,27 @@ impl ComposedQuantizer {
     /// Panics if the shapes of `master` and `out` differ.
     pub fn effective_into(&self, master: &matic_nn::Mlp, out: &mut matic_nn::Mlp) {
         assert_eq!(master.spec(), out.spec(), "effective_into shape mismatch");
-        let k = QuantConsts::of(self.fmt);
+        let k = self.consts();
         for (layer, masks) in self.layers.iter().enumerate() {
-            let src = master.weights()[layer].as_slice();
-            let dst = out.weights_mut()[layer].as_mut_slice();
-            for ((((d, &s), &or), &and), &xor) in dst
-                .iter_mut()
-                .zip(src)
-                .zip(&masks.w_or)
-                .zip(&masks.w_and)
-                .zip(&masks.w_xor)
-            {
-                *d = k.effective(s, or, and, xor);
-            }
-            let src = &master.biases()[layer];
-            let dst = &mut out.biases_mut()[layer];
-            for ((((d, &s), &or), &and), &xor) in dst
-                .iter_mut()
-                .zip(src)
-                .zip(&masks.b_or)
-                .zip(&masks.b_and)
-                .zip(&masks.b_xor)
-            {
-                *d = k.effective(s, or, and, xor);
-            }
+            let (dw, db) = out.layer_mut(layer);
+            masks
+                .weights
+                .effective_into(k, 0, master.weights()[layer].as_slice(), dw);
+            masks
+                .biases
+                .effective_into(k, 0, &master.biases()[layer], db);
         }
+    }
+
+    /// The hoisted format constants of the per-parameter sweep.
+    pub(crate) fn consts(&self) -> QuantConsts {
+        QuantConsts::of(self.fmt)
+    }
+
+    /// Layer `layer`'s weight and bias mask planes.
+    pub(crate) fn masks(&self, layer: usize) -> (&MaskPlanes, &MaskPlanes) {
+        let masks = &self.layers[layer];
+        (&masks.weights, &masks.biases)
     }
 
     /// The effective view as a fresh network (convenience form of
@@ -406,6 +389,43 @@ mod tests {
         let stored = ((fmt.encode(raw) & and) | or) ^ xor;
         let reference = matic_fixed::dequantize(fmt.decode(stored), fmt);
         assert_eq!(k.effective(f64::NAN, or, and, xor), reference);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// The select-form sweep equals the scalar helpers for any f64 bit
+        /// pattern (NaNs, infinities, subnormals), word width 8/16/32 and
+        /// mask triple. A third of the cases rewrite the pattern into a
+        /// half-LSB multiple, so ties and both saturation edges are dense.
+        #[test]
+        fn composed_scalar_core_matches_fixed_helpers_on_any_bits(
+            bits in 0u64..=u64::MAX,
+            width in 0usize..3,
+            frac in 0u8..32,
+            ties in 0u8..3,
+            masks in (0u32..=u32::MAX, 0u32..=u32::MAX, 0u32..=u32::MAX),
+        ) {
+            let width = [8u8, 16, 32][width];
+            let fmt = QFormat::new(width, frac % width).unwrap();
+            let x = if ties == 0 {
+                let halves = (bits % (1u64 << (width + 2))) as i64 - (1i64 << (width + 1));
+                halves as f64 * fmt.lsb() / 2.0
+            } else {
+                f64::from_bits(bits)
+            };
+            let (or, and, xor) = masks;
+            let (or, xor) = (or & fmt.word_mask(), xor & fmt.word_mask());
+            let stored = ((fmt.encode(matic_fixed::quantize(x, fmt)) & and) | or) ^ xor;
+            let reference = matic_fixed::dequantize(fmt.decode(stored), fmt);
+            proptest::prop_assert_eq!(
+                QuantConsts::of(fmt).effective(x, or, and, xor).to_bits(),
+                reference.to_bits(),
+                "x = {:e} fmt {}",
+                x,
+                fmt
+            );
+        }
     }
 
     #[test]

@@ -43,7 +43,8 @@ mod tensor;
 pub use acc::{narrow_lane, Accumulator};
 pub use format::{FormatError, QFormat};
 pub use quant::{
-    dequantize, quantize, quantize_lane, quantize_with_residual, round_half_away, Quantized,
+    dequantize, quantize, quantize_lane, quantize_scaled, quantize_with_residual, round_half_away,
+    Quantized,
 };
 pub use scalar::Fx;
 pub use tensor::FxTensor;

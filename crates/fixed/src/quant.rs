@@ -95,36 +95,43 @@ pub fn dequantize(raw: i32, fmt: QFormat) -> f64 {
 ///
 /// **Bit-identical to calling [`quantize`] per element** for every input
 /// — including NaNs, infinities, signed zeros, ties and values past the
-/// integer-precision limit — but written with branch-free selects so the
-/// compiler can vectorize it. Batched inference quantizes whole input
-/// batches through this on its way into the sample-lane layout, where
-/// the per-element branchy rounding would otherwise dominate the
-/// dispatch.
+/// integer-precision limit — but runs through the branch-free
+/// [`quantize_scaled`] core so the compiler can vectorize it. Batched
+/// inference quantizes whole input batches through this on its way into
+/// the sample-lane layout, where the per-element branchy rounding would
+/// otherwise dominate the dispatch.
 pub fn quantize_lane(xs: &[f64], fmt: QFormat, out: &mut Vec<i32>) {
-    const MAGIC: f64 = 4_503_599_627_370_496.0; // 2^52
     let scale = fmt.scale();
-    let (max_f, min_f) = (fmt.raw_max() as f64, fmt.raw_min() as f64);
-    let start = out.len();
-    out.resize(start + xs.len(), 0);
-    for (q, &x) in out[start..].iter_mut().zip(xs) {
-        let scaled = x * scale;
-        // round_half_away(scaled), with every branch a select. `t` is
-        // always non-negative, so `copysign` equals the sign branch.
-        let a = scaled.abs();
-        let t = (a + MAGIC) - MAGIC;
-        let t = if a - t == 0.5 { t + 1.0 } else { t };
-        // |scaled| >= 2^52 (already integral), infinite, or NaN: keep
-        // as is.
-        let rounded = if a < MAGIC {
-            t.copysign(scaled)
-        } else {
-            scaled
-        };
-        // Saturate exactly as `quantize` does. `rounded` is integral or
-        // a boundary after the clamp, so the truncating cast is exact;
-        // NaN clamps to NaN and casts to 0, matching scalar.
-        *q = rounded.clamp(min_f, max_f) as i32;
-    }
+    let (min_f, max_f) = (fmt.raw_min() as f64, fmt.raw_max() as f64);
+    out.extend(xs.iter().map(|&x| quantize_scaled(x * scale, min_f, max_f)));
+}
+
+/// The select-form quantize core: `scaled` (a real value already
+/// multiplied by the format's scale) rounded half away from zero and
+/// saturated to `[raw_min, raw_max]`, both integral.
+///
+/// Bit-identical to [`quantize`] for every input, NaN (→ 0) included, but
+/// with no branch: it clamps first, then rounds. The two commute because
+/// the bounds are integers and rounding is monotone, and once clamped
+/// `|c| < 2³¹`, so the 2⁵² rounding needs no large-magnitude escape and
+/// the integer falls out of the bits of `r + 2⁵² + 2⁵¹` exactly.
+#[inline]
+pub fn quantize_scaled(scaled: f64, raw_min: f64, raw_max: f64) -> i32 {
+    const MAGIC: f64 = 4_503_599_627_370_496.0; // 2^52
+                                                // Each select keeps a NaN as is; the last one maps it to 0, which is
+                                                // what the scalar helper's saturating cast does.
+    let c = if scaled < raw_min { raw_min } else { scaled };
+    let c = if c > raw_max { raw_max } else { c };
+    let c = if c.is_nan() { 0.0 } else { c };
+    // Exact nearest-even integer of |c|, tie fixed up to away-from-zero,
+    // sign restored (`t` is non-negative, so copysign is the sign branch).
+    let a = c.abs();
+    let t = (a + MAGIC) - MAGIC;
+    let t = if a - t == 0.5 { t + 1.0 } else { t };
+    let r = t.copysign(c);
+    // `r` is integral with |r| <= 2^31, so `r + 1.5·2^52` is exact and its
+    // low 32 mantissa bits are `r` in two's complement.
+    (r + (MAGIC + MAGIC / 2.0)).to_bits() as i32
 }
 
 /// Quantizes `x` and also returns the residual εq = `x − value(Q(x))`.

@@ -15,9 +15,11 @@
 //! describe a generic layer chain ([`LayerSpec`]) mixing dense, 2-D
 //! convolution and max-pooling stages, built with [`NetSpec::builder`]
 //! or parsed with [`NetSpec::parse_topology`]. Every chain runs through
-//! one [`Mlp`] walk: the batch moves forward in sample lanes
-//! ([`layer::forward_lanes`]) and backward one sample at a time
-//! ([`layer::accumulate_gradients`]); a single sample is a batch of one.
+//! one [`Mlp`] walk: the batch moves forward and backward together in
+//! column-major sample lanes ([`layer::forward_lanes`],
+//! [`layer::backward_lanes`]); a single sample is a batch of one. The
+//! update has a per-layer slice form, [`momentum_steps`], so a caller can
+//! fuse work of its own into the pass over the parameters.
 //!
 //! # Example: learn XOR
 //!
@@ -60,7 +62,7 @@ pub use activation::Activation;
 pub use gradcheck::numerical_gradients;
 pub use matrix::Matrix;
 pub use metrics::{classification_error_percent, mean_squared_error, Metric};
-pub use mlp::{BatchScratch, Gradients, Mlp, MomentumState};
+pub use mlp::{momentum_steps, BatchScratch, Gradients, Mlp, MomentumState};
 pub use sample::Sample;
 pub use spec::{LayerSpec, Loss, NetSpec, NetSpecBuilder, SpecError};
 

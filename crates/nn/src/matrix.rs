@@ -82,41 +82,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// `y = selfᵀ · x` (transposed matrix-vector product, used to
-    /// back-propagate deltas) into a caller-owned buffer; the buffer is
-    /// overwritten, not accumulated into.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != rows` or `y.len() != cols`.
-    pub fn t_matvec_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.rows, "t_matvec dimension mismatch");
-        assert_eq!(y.len(), self.cols, "t_matvec output mismatch");
-        y.fill(0.0);
-        for (r, &xr) in x.iter().enumerate() {
-            let row = self.row(r);
-            for (yc, w) in y.iter_mut().zip(row) {
-                *yc += w * xr;
-            }
-        }
-    }
-
-    /// Rank-1 update `self += a·bᵀ` (gradient accumulation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != rows` or `b.len() != cols`.
-    pub fn add_outer(&mut self, a: &[f64], b: &[f64]) {
-        assert_eq!(a.len(), self.rows, "outer rows mismatch");
-        assert_eq!(b.len(), self.cols, "outer cols mismatch");
-        for (r, &ar) in a.iter().enumerate() {
-            let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            for (w, bc) in row.iter_mut().zip(b) {
-                *w += ar * bc;
-            }
-        }
-    }
-
     /// Multiplies every element by `scale`.
     pub fn scale(&mut self, scale: f64) {
         for a in &mut self.data {
@@ -135,25 +100,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn t_matvec_is_transpose() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        // Mᵀ·[1, -1] = [1-4, 2-5, 3-6]; stale output is overwritten.
-        let mut y = [9.0; 3];
-        m.t_matvec_into(&[1.0, -1.0], &mut y);
-        assert_eq!(y, [-3.0, -3.0, -3.0]);
-    }
-
-    #[test]
-    fn add_outer_accumulates() {
-        let mut m = Matrix::zeros(2, 2);
-        m.add_outer(&[1.0, 2.0], &[3.0, 4.0]);
-        assert_eq!(m.get(0, 0), 3.0);
-        assert_eq!(m.get(1, 1), 8.0);
-        m.add_outer(&[-1.0, -1.0], &[1.0, 1.0]);
-        assert_eq!(m.get(0, 0), 2.0);
-    }
-
-    #[test]
     fn scale_and_fill_zero() {
         let mut a = Matrix::from_vec(1, 2, vec![6.0, 12.0]);
         a.scale(2.0);
@@ -166,12 +112,5 @@ mod tests {
     #[should_panic(expected = "shape mismatch")]
     fn from_vec_checks_shape() {
         let _ = Matrix::from_vec(2, 2, vec![1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "t_matvec dimension mismatch")]
-    fn matvec_checks_len() {
-        let m = Matrix::zeros(2, 2);
-        m.t_matvec_into(&[1.0], &mut [0.0; 2]);
     }
 }

@@ -4,9 +4,10 @@
 //! [`NetSpec`] layer chain it was built with (dense, conv, pooling),
 //! dispatching per layer through [`crate::layer`]. There is one walk:
 //! a whole batch moves forward together in column-major sample lanes
-//! ([`layer::forward_lanes`]), and the backward pass visits the samples
-//! in ascending order through [`layer::accumulate_gradients`]. A single
-//! sample is a batch of one.
+//! ([`layer::forward_lanes`]) and back through the same lanes
+//! ([`layer::backward_lanes`]), with the output delta and the
+//! activation-derivative seam between layers computed lane by lane. A
+//! single sample is a batch of one.
 
 use crate::layer;
 use crate::matrix::Matrix;
@@ -49,18 +50,6 @@ impl Gradients {
             b.fill(0.0);
         }
     }
-
-    /// Scales all gradients (e.g. 1/batch averaging).
-    pub fn scale(&mut self, s: f64) {
-        for w in &mut self.weights {
-            w.scale(s);
-        }
-        for b in &mut self.biases {
-            for x in b.iter_mut() {
-                *x *= s;
-            }
-        }
-    }
 }
 
 /// Reusable buffers for the batched forward/backward pass of
@@ -71,13 +60,12 @@ pub struct BatchScratch {
     /// Per-layer activations in sample lanes, `[unit * batch + sample]`
     /// (input included).
     acts: Vec<Vec<f64>>,
-    /// The same activations transposed to `[sample * width + unit]`,
-    /// feeding the per-sample backward sweep.
-    acts_t: Vec<Vec<f64>>,
-    /// Current backprop delta of one sample.
+    /// Current backprop delta, in sample lanes.
     delta: Vec<f64>,
-    /// Next (earlier-layer) delta under construction.
+    /// Next (earlier-layer) delta under construction, in sample lanes.
     prev: Vec<f64>,
+    /// Sample-major scratch of [`layer::backward_lanes`].
+    rows: Vec<f64>,
 }
 
 /// Momentum accumulators matching a network's shape.
@@ -99,6 +87,36 @@ impl MomentumState {
             biases: net.biases.iter().map(|b| vec![0.0; b.len()]).collect(),
         }
     }
+
+    /// Layer `l`'s weight and bias velocities, for driving
+    /// [`momentum_steps`] one layer at a time.
+    pub fn layer_mut(&mut self, l: usize) -> (&mut [f64], &mut [f64]) {
+        (self.weights[l].as_mut_slice(), &mut self.biases[l])
+    }
+}
+
+/// One parameter slice's momentum-SGD step, the per-layer form of
+/// [`Mlp::apply_update`]: updates each velocity `v ← µ·v + g` as it goes
+/// and yields the parameter's step `−lr·v`, in slice order.
+/// `Mlp::apply_update` adds each step to its parameter; a caller that
+/// derives another view of the parameters (the memory-adaptive trainer
+/// re-quantizes them) zips its own work into the same pass.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn momentum_steps<'a>(
+    velocity: &'a mut [f64],
+    grad: &'a [f64],
+    lr: f64,
+    momentum: f64,
+) -> impl Iterator<Item = f64> + 'a {
+    assert_eq!(velocity.len(), grad.len(), "velocity and gradient lengths");
+    velocity.iter_mut().zip(grad).map(move |(v, g)| {
+        let vel = momentum * *v + g;
+        *v = vel;
+        -lr * vel
+    })
 }
 
 /// A layer-chain network with explicit float weights.
@@ -189,6 +207,12 @@ impl Mlp {
     /// Mutable bias vectors.
     pub fn biases_mut(&mut self) -> &mut [Vec<f64>] {
         &mut self.biases
+    }
+
+    /// Layer `l`'s weights (row-major) and biases, mutably, for driving
+    /// [`momentum_steps`] one layer at a time.
+    pub fn layer_mut(&mut self, l: usize) -> (&mut [f64], &mut [f64]) {
+        (self.weights[l].as_mut_slice(), &mut self.biases[l])
     }
 
     /// Returns a copy of the network with every weight and bias transformed
@@ -337,13 +361,13 @@ impl Mlp {
     /// [`Mlp::gradients`] that training loops drive with their shuffled
     /// index order.
     ///
-    /// The whole mini-batch moves forward together in sample lanes; the
-    /// backward pass then walks the samples in ascending order, each
-    /// through every layer's [`layer::accumulate_gradients`]. Every weight
-    /// gradient is therefore one running sum in (sample, position) order
-    /// — for a dense weight one term per sample, for a convolution tap
-    /// one term per output position of each sample — before the final
-    /// `1/batch` scale.
+    /// The whole mini-batch moves forward together in sample lanes, then
+    /// backward through every layer's [`layer::backward_lanes`]. Every
+    /// weight gradient is one running sum in (sample, position) order —
+    /// for a dense weight one term per sample, for a convolution tap one
+    /// term per output position of each sample — before the final
+    /// `1/batch` scale, so the bits are those of a backward pass that
+    /// visits the samples one at a time.
     pub fn gradients_indexed(
         &self,
         data: &[Sample],
@@ -351,9 +375,9 @@ impl Mlp {
         total: &mut Gradients,
         scratch: &mut BatchScratch,
     ) {
-        total.reset();
         let b = indices.len();
         if b == 0 {
+            total.reset();
             return;
         }
         self.forward_lanes(
@@ -361,73 +385,60 @@ impl Mlp {
             &mut scratch.acts,
         );
 
-        // Transpose activations to per-sample rows for the backward sweep.
+        // Output delta dJ/dz, lane by lane.
         let depth = self.spec.depth();
-        scratch.acts_t.resize(depth + 1, Vec::new());
-        for (lanes, rows) in scratch.acts.iter().zip(&mut scratch.acts_t) {
-            let width = lanes.len() / b;
-            rows.resize(lanes.len(), 0.0);
-            for (c, lane) in lanes.chunks_exact(b).enumerate() {
-                for (s, &v) in lane.iter().enumerate() {
-                    rows[s * width + c] = v;
-                }
-            }
-        }
-
         let fan_out = *self.spec.layers.last().unwrap();
+        let out = &scratch.acts[depth];
+        scratch.delta.resize(fan_out * b, 0.0);
         for (s, &i) in indices.iter().enumerate() {
             let target = &data[i].target;
             assert_eq!(target.len(), fan_out, "target width mismatch");
-            // Output delta: dJ/dz for the output layer.
-            let out = &scratch.acts_t[depth][s * fan_out..(s + 1) * fan_out];
-            scratch.delta.clear();
-            match self.spec.loss {
-                Loss::Mse => scratch.delta.extend(out.iter().zip(target).map(|(y, t)| {
-                    let dact = self.spec.output.derivative_from_output(*y);
-                    (y - t) * dact
-                })),
-                // Sigmoid + cross-entropy cancels the activation derivative.
-                Loss::CrossEntropy => scratch
-                    .delta
-                    .extend(out.iter().zip(target).map(|(y, t)| y - t)),
-            }
-            for l in (0..depth).rev() {
-                let width = self.spec.layers[l];
-                let a_l = &scratch.acts_t[l][s * width..(s + 1) * width];
-                // The first layer's input needs no delta.
-                let delta_in = if l > 0 {
-                    scratch.prev.resize(width, 0.0);
-                    Some(&mut scratch.prev[..])
-                } else {
-                    None
+            for (u, t) in target.iter().enumerate() {
+                let y = out[u * b + s];
+                scratch.delta[u * b + s] = match self.spec.loss {
+                    Loss::Mse => (y - t) * self.spec.output.derivative_from_output(y),
+                    // Sigmoid + cross-entropy cancels the activation derivative.
+                    Loss::CrossEntropy => y - t,
                 };
-                layer::accumulate_gradients(
-                    &self.spec.layer_spec(l),
-                    &self.weights[l],
-                    a_l,
-                    &scratch.delta,
-                    &mut total.weights[l],
-                    &mut total.biases[l],
-                    delta_in,
-                );
-                if l > 0 {
-                    // Seam between layers: multiply the propagated delta
-                    // by the previous layer's activation derivative
-                    // (exactly 1 for pooling stages, which report Linear).
-                    let act = self.spec.activation(l - 1);
-                    for (p, a) in scratch.prev.iter_mut().zip(a_l) {
-                        *p *= act.derivative_from_output(*a);
-                    }
-                    std::mem::swap(&mut scratch.delta, &mut scratch.prev);
-                }
             }
         }
-        total.scale(1.0 / b as f64);
+        for l in (0..depth).rev() {
+            let a_l = &scratch.acts[l];
+            // The first layer's input needs no delta.
+            let delta_in = if l > 0 {
+                scratch.prev.resize(a_l.len(), 0.0);
+                Some(&mut scratch.prev[..])
+            } else {
+                None
+            };
+            layer::backward_lanes(
+                &self.spec.layer_spec(l),
+                &self.weights[l],
+                a_l,
+                &scratch.delta,
+                b,
+                &mut total.weights[l],
+                &mut total.biases[l],
+                delta_in,
+                &mut scratch.rows,
+            );
+            if l > 0 {
+                // Seam between layers: multiply the propagated delta by
+                // the previous layer's activation derivative (exactly 1
+                // for pooling stages, which report Linear).
+                let act = self.spec.activation(l - 1);
+                for (p, a) in scratch.prev.iter_mut().zip(a_l) {
+                    *p *= act.derivative_from_output(*a);
+                }
+                std::mem::swap(&mut scratch.delta, &mut scratch.prev);
+            }
+        }
     }
 
     /// Applies one SGD step: `θ ← θ − lr · v` where `v` is the momentum
     /// velocity updated with `grads`, fused into one pass per element
-    /// (`v ← µ·v + g`, then `θ ← θ − lr·v`).
+    /// (`v ← µ·v + g`, then `θ ← θ − lr·v`): [`momentum_steps`] over
+    /// every layer's weights and biases.
     pub fn apply_update(
         &mut self,
         grads: &Gradients,
@@ -435,33 +446,19 @@ impl Mlp {
         momentum: f64,
         state: &mut MomentumState,
     ) {
-        for ((w, v), g) in self
-            .weights
-            .iter_mut()
-            .zip(&mut state.weights)
-            .zip(&grads.weights)
-        {
-            for ((wv, vv), gv) in w
-                .as_mut_slice()
-                .iter_mut()
-                .zip(v.as_mut_slice())
-                .zip(g.as_slice())
-            {
-                let vel = momentum * *vv + gv;
-                *vv = vel;
-                *wv += -lr * vel;
-            }
-        }
-        for ((b, v), g) in self
-            .biases
-            .iter_mut()
-            .zip(&mut state.biases)
-            .zip(&grads.biases)
-        {
-            for ((bv, vv), gv) in b.iter_mut().zip(v.iter_mut()).zip(g) {
-                let vel = momentum * *vv + gv;
-                *vv = vel;
-                *bv += -lr * vel;
+        for l in 0..self.spec.depth() {
+            let ((w, b), (vw, vb)) = (self.layer_mut(l), state.layer_mut(l));
+            let blocks = [
+                (w, vw, grads.weights[l].as_slice()),
+                (b, vb, &grads.biases[l][..]),
+            ];
+            for (theta, vel, grad) in blocks {
+                for (t, step) in theta
+                    .iter_mut()
+                    .zip(momentum_steps(vel, grad, lr, momentum))
+                {
+                    *t += step;
+                }
             }
         }
     }
@@ -521,7 +518,7 @@ mod tests {
 
     /// The per-sample reference walk the batched chain must reproduce
     /// bit for bit: each sample runs alone through a scalar per-layer
-    /// forward, then backward through [`layer::accumulate_gradients`]
+    /// forward, then backward through a scalar per-layer backward
     /// straight into the batch totals, samples in order.
     mod oracle {
         use super::*;
@@ -596,6 +593,104 @@ mod tests {
             out
         }
 
+        /// One layer's backward for one sample: `delta` (activation
+        /// derivative already applied) accumulates into `grad_w`/`grad_b`
+        /// and, when requested, `delta_in` is overwritten with `Wᵀ·delta`
+        /// (or the pooling scatter).
+        fn accumulate_gradients(
+            spec: &LayerSpec,
+            weights: &Matrix,
+            x: &[f64],
+            delta: &[f64],
+            grad_w: &mut Matrix,
+            grad_b: &mut [f64],
+            mut delta_in: Option<&mut [f64]>,
+        ) {
+            match *spec {
+                LayerSpec::Dense { .. } => {
+                    for (r, &d) in delta.iter().enumerate() {
+                        for (c, xv) in x.iter().enumerate() {
+                            *grad_w.get_mut(r, c) += d * xv;
+                        }
+                        grad_b[r] += d;
+                    }
+                    if let Some(di) = delta_in {
+                        di.fill(0.0);
+                        for (r, &d) in delta.iter().enumerate() {
+                            for (y, w) in di.iter_mut().zip(weights.row(r)) {
+                                *y += w * d;
+                            }
+                        }
+                    }
+                }
+                LayerSpec::Conv2d {
+                    in_h,
+                    in_w,
+                    in_c,
+                    filters,
+                    kernel,
+                    ..
+                } => {
+                    let (out_h, out_w) = (in_h - kernel + 1, in_w - kernel + 1);
+                    if let Some(di) = &mut delta_in {
+                        di.fill(0.0);
+                    }
+                    for oy in 0..out_h {
+                        for ox in 0..out_w {
+                            for f in 0..filters {
+                                let d = delta[(oy * out_w + ox) * filters + f];
+                                grad_b[f] += d;
+                                for ky in 0..kernel {
+                                    for kx in 0..kernel {
+                                        for c in 0..in_c {
+                                            let col = (ky * kernel + kx) * in_c + c;
+                                            let xi = ((oy + ky) * in_w + (ox + kx)) * in_c + c;
+                                            *grad_w.get_mut(f, col) += d * x[xi];
+                                            if let Some(di) = &mut delta_in {
+                                                di[xi] += d * weights.get(f, col);
+                                            }
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+                LayerSpec::MaxPool {
+                    in_h,
+                    in_w,
+                    channels,
+                    window,
+                } => {
+                    let (out_h, out_w) = (in_h / window, in_w / window);
+                    let Some(delta_in) = delta_in else {
+                        return;
+                    };
+                    delta_in.fill(0.0);
+                    for oy in 0..out_h {
+                        for ox in 0..out_w {
+                            for c in 0..channels {
+                                let mut best = f64::NEG_INFINITY;
+                                let mut arg = 0;
+                                for ky in 0..window {
+                                    for kx in 0..window {
+                                        let xi = ((oy * window + ky) * in_w + (ox * window + kx))
+                                            * channels
+                                            + c;
+                                        if x[xi] > best {
+                                            best = x[xi];
+                                            arg = xi;
+                                        }
+                                    }
+                                }
+                                delta_in[arg] += delta[(oy * out_w + ox) * channels + c];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
         /// Every layer's activations for one sample, input included.
         pub fn activations(net: &Mlp, input: &[f64]) -> Vec<Vec<f64>> {
             let mut acts = vec![input.to_vec()];
@@ -627,7 +722,7 @@ mod tests {
                     .collect();
                 for l in (0..depth).rev() {
                     let mut prev = vec![0.0; net.spec.layers[l]];
-                    layer::accumulate_gradients(
+                    accumulate_gradients(
                         &net.spec.layer_spec(l),
                         &net.weights[l],
                         &acts[l],
@@ -645,7 +740,13 @@ mod tests {
                     }
                 }
             }
-            total.scale(1.0 / indices.len().max(1) as f64);
+            let inv_b = 1.0 / indices.len().max(1) as f64;
+            for w in &mut total.weights {
+                w.scale(inv_b);
+            }
+            for g in total.biases.iter_mut().flatten() {
+                *g *= inv_b;
+            }
             total
         }
     }
@@ -683,6 +784,10 @@ mod tests {
             NetSpec::classifier(&[5, 7, 3]),
             NetSpec::regressor(&[4, 6, 2]),
             NetSpec::regressor(&[9, 14, 5, 2]),
+            // Widths above eight and not a multiple of it: full register
+            // blocks plus ragged tails, through Tanh and ReLU seams.
+            NetSpec::new(&[19, 11, 3], Activation::Tanh, Activation::Sigmoid),
+            NetSpec::new(&[21, 17, 9, 2], Activation::Relu, Activation::Linear),
         ];
         specs.extend(chains.into_iter().map(Result::unwrap));
         specs
