@@ -67,12 +67,7 @@ impl CanarySet {
         let (target_voltage, temp_c) = (at_target.voltage, at_target.temp_c);
         let banks = array.bank_count();
         let mut cells: Vec<Vec<CanaryCell>> = vec![Vec::new(); banks];
-        // No cell's Vmin exceeds the distribution's safe voltage (shifted
-        // for temperature), so sweeping from above it would only run
-        // destructive profiles that are guaranteed to find nothing.
-        let dist = &array.bank(0).config().dist;
-        let safe = dist.safe_voltage() + dist.temp_coeff() * (temp_c - dist.ref_temp_c());
-        let mut v = (target_voltage - step_v).min(safe);
+        let mut v = walk_start(array, at_target, step_v);
         let floor = 0.40;
         while cells.iter().any(|c| c.len() < per_bank) {
             assert!(
@@ -107,6 +102,15 @@ impl CanarySet {
         CanarySet {
             target_voltage,
             cells: cells.into_iter().flatten().collect(),
+        }
+    }
+
+    /// A set guarding `target_voltage` with already selected `cells` (a
+    /// memoized selection's outcome).
+    pub(crate) fn from_cells(target_voltage: f64, cells: Vec<CanaryCell>) -> Self {
+        CanarySet {
+            target_voltage,
+            cells,
         }
     }
 
@@ -161,6 +165,17 @@ impl CanarySet {
     pub fn restore(&self, array: &mut SramArray) {
         self.arm(array);
     }
+}
+
+/// The voltage [`CanarySet::select`] profiles first: one step below the
+/// target, but never above the distribution's safe voltage (shifted for
+/// temperature). No cell's Vmin exceeds that, so sweeping from above it
+/// would only run destructive profiles that are guaranteed to find
+/// nothing — and every target above it starts the same walk.
+pub(crate) fn walk_start(array: &SramArray, at_target: &FaultMap, step_v: f64) -> f64 {
+    let dist = &array.bank(0).config().dist;
+    let safe = dist.safe_voltage() + dist.temp_coeff() * (at_target.temp_c - dist.ref_temp_c());
+    (at_target.voltage - step_v).min(safe)
 }
 
 #[cfg(test)]

@@ -54,7 +54,10 @@ impl DeploymentFlow {
         train_data: &[Sample],
         array: &mut SramArray,
     ) -> DeployedModel {
-        self.deploy_with(array, |faults| self.trainer(spec).train(train_data, faults))
+        let (at_target, _) = profile_array(array.banks_mut(), self.target_voltage, self.temp_c);
+        self.deploy_with(array, at_target, CanarySet::select, |faults| {
+            self.trainer(spec).train(train_data, faults)
+        })
     }
 
     /// The trainer of step (4): `spec` under this flow's
@@ -63,28 +66,53 @@ impl DeploymentFlow {
         MatTrainer::new(spec.clone(), self.mat.clone())
     }
 
-    /// [`deploy`](Self::deploy) with the pure training step supplied by the
-    /// caller: `train` receives the canary-pinned fault map and must
-    /// return what [`trainer`](Self::trainer) would train against it (a
-    /// [`TrainingMemo`](crate::TrainingMemo) lookup, say). Canary
-    /// selection, profiling, upload and arming still run on `array`.
+    /// [`deploy`](Self::deploy) from step (2) on, with the outcomes of its
+    /// pure steps supplied by the caller:
+    ///
+    /// * `at_target` is step (1)'s profile of `array` at this flow's target
+    ///   voltage and temperature (a sweep has just profiled that point);
+    /// * `select` runs step (2) with [`CanarySet::select`]'s arguments —
+    ///   this flow's [`canaries_per_bank`](Self::canaries_per_bank) and
+    ///   rail step — and must return what `CanarySet::select` would, leaving
+    ///   the array as it would (a
+    ///   [`TrainingMemo::select_canaries`](crate::TrainingMemo::select_canaries)
+    ///   lookup, say);
+    /// * `train` receives the canary-pinned fault map and must return what
+    ///   [`trainer`](Self::trainer) would train against it (a
+    ///   [`TrainingMemo::train`](crate::TrainingMemo::train) lookup, say).
+    ///
+    /// Pinning, upload and arming run on `array`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at_target` was profiled at another operating point than
+    /// this flow's target.
     pub fn deploy_with(
         &self,
         array: &mut SramArray,
+        at_target: FaultMap,
+        select: impl FnOnce(&mut SramArray, &FaultMap, usize, f64) -> CanarySet,
         train: impl FnOnce(&FaultMap) -> TrainedModel,
     ) -> DeployedModel {
-        // (1) Fault map at the target operating point.
-        let (mut faults, _) = profile_array(array.banks_mut(), self.target_voltage, self.temp_c);
-        // (2) Canary selection against that map — destructive profiling
-        // below the target, so it precedes weight upload.
-        let canaries = CanarySet::select(
+        assert!(
+            at_target.voltage == self.target_voltage && at_target.temp_c == self.temp_c,
+            "profile at {} V / {} °C, flow targets {} V / {} °C",
+            at_target.voltage,
+            at_target.temp_c,
+            self.target_voltage,
+            self.temp_c
+        );
+        // (2) Canary selection against the target map — destructive
+        // profiling below the target, so it precedes weight upload.
+        let canaries = select(
             array,
-            &faults,
+            &at_target,
             self.canaries_per_bank,
             self.controller.step_v,
         );
         // (3) Canary bits are runtime-owned: pin them at the armed
         // (anti-preferred) value so training routes around them too.
+        let mut faults = at_target;
         for c in canaries.cells() {
             faults
                 .bank_mut(c.bank)

@@ -20,9 +20,10 @@
 //!    tracking temperature (Fig. 12).
 //!
 //! The compile-time deployment flow (Fig. 3) is orchestrated by
-//! [`DeploymentFlow`]: profile → memory-adaptive training → canary
-//! selection → deploy. A [`TrainingMemo`] lets a sweep train each
-//! distinct model once, however many chips and points ask for it.
+//! [`DeploymentFlow`]: profile → canary selection → memory-adaptive
+//! training → deploy. A [`TrainingMemo`] lets a sweep train each
+//! distinct model once, and walk each die's canaries once, however many
+//! chips, benchmarks and points ask for them.
 //!
 //! # Example: train around a synthetic fault map
 //!

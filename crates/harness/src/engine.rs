@@ -32,9 +32,9 @@
 //!
 //! Every unit runs one per-point walk ([`run_unit_observed`]) whatever
 //! the fault model; a private `FaultSource` (profiled silicon, or injected
-//! synthetic faults) is the only place the models differ. Three
-//! mechanisms keep that walk from training or evaluating a model twice;
-//! none changes a report byte.
+//! synthetic faults) is the only place the models differ. Four
+//! mechanisms keep that walk from training or evaluating a model, or
+//! walking a die's canaries, twice; none changes a report byte.
 //!
 //! **Superset reuse.** Under
 //! [`ReusePolicy::SupersetMap`](crate::ReusePolicy::SupersetMap) the
@@ -63,11 +63,21 @@
 //! function of the key's content, so a hit is the model a fresh training
 //! would produce.
 //!
+//! **Canary selection.** A `mat-canary` deployment's selection walk
+//! (destructive profiles below the target) depends on the die, never on
+//! the deployed network, so the same memo walks it once per die and
+//! walk: below the first bit-cell failures each target starts its own
+//! walk, and every target above the safe voltage shares one. A hit
+//! returns the walk's cells and leaves the chip's array exactly as the
+//! walk would (see [`TrainingMemo::select_canaries`]). The deployment
+//! also reuses the profile the point already took at its target.
+//!
 //! [`SweepInputs`] owns a sweep's memo (unless the context carries one)
 //! and drops a scenario's models as soon as its last unit finishes: keys
-//! include the train split, so no other unit can hit them. Batch sweeps
-//! and serve jobs both run their units through it, and
-//! [`run_unit_observed`] without a memo memoizes within the unit. The
+//! include the train split, so no other unit can hit them. Canary
+//! selections are per die, which every scenario shares, and stay for the
+//! sweep. Batch sweeps and serve jobs both run their units through it,
+//! and [`run_unit_observed`] without a memo memoizes within the unit. The
 //! memo never outlives a sweep; the cell cache is what spans runs. A
 //! training never enters rayon while it fills a memo slot (see
 //! [`TrainingMemo`]): nothing inside a unit is parallel.
@@ -573,7 +583,7 @@ pub fn run_unit_observed(
                 let FaultSource::Silicon(chip) = &mut source else {
                     unreachable!("plan validation rejects mat-canary on synthetic fault models")
                 };
-                run_canary_cell(&unit, chip, stress, baseline.nominal)
+                run_canary_cell(&unit, chip, &point.faults.map, baseline.nominal)
             } else {
                 let (model, slot) = if mode == TrainingMode::Naive {
                     (&*baseline.model, &mut naive_eval)
@@ -856,19 +866,33 @@ pub(crate) fn store_checkpoint(
     }
 }
 
-/// The full deployment-flow cell: profile → canary selection → MAT with
-/// pinned canaries → upload/arm → runtime controller settles the rail →
-/// evaluate through the NPU at the settled voltage.
-fn run_canary_cell(unit: &Unit<'_>, chip: &mut Chip, voltage: f64, nominal: f64) -> CellRecord {
+/// The full deployment-flow cell: canary selection against the point's
+/// profile `at_target` → MAT with pinned canaries → upload/arm → runtime
+/// controller settles the rail → evaluate through the NPU at the settled
+/// voltage.
+fn run_canary_cell(
+    unit: &Unit<'_>,
+    chip: &mut Chip,
+    at_target: &FaultMap,
+    nominal: f64,
+) -> CellRecord {
+    let voltage = at_target.voltage;
     let flow = DeploymentFlow {
         mat: unit.trainer.config().clone(),
         ..DeploymentFlow::new(voltage)
     };
-    // Only the pure training step is memoized; canary selection,
-    // profiling, upload and arming run on the chip as always.
-    let mut net = chip.deploy_with(&flow, unit.trainer.spec(), |faults| {
-        TrainedModel::clone(&unit.train(faults))
-    });
+    // The point's profile is the flow's step (1); selection and training
+    // come from the memo. Pinning, upload and arming run on the chip.
+    let mut net = chip.deploy_with(
+        &flow,
+        unit.trainer.spec(),
+        at_target.clone(),
+        |array, at_target, per_bank, step_v| {
+            unit.memo
+                .select_canaries(array, at_target, per_bank, step_v)
+        },
+        |faults| TrainedModel::clone(&unit.train(faults)),
+    );
     let settled = chip.poll_canaries(&mut net);
     // Compose the post-disturb contents once at the settled rail and run
     // the whole eval set through the batched kernel. Bit-identical to

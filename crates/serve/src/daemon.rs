@@ -20,7 +20,7 @@
 //! atomic writer) the cell they are on — nothing computed is lost — then
 //! the queue closes, the workers join, and the socket file is removed.
 
-use crate::http::{read_body, read_head, ChunkWriter, PROTOCOL_PATH};
+use crate::http::{read_body, read_head, ChunkWriter, MAX_BODY_BYTES, PROTOCOL_PATH};
 use crate::job::Job;
 use crate::pool::{spawn_workers, SharedExec, WorkQueue};
 use crate::protocol::{read_message, write_message, Event, JobStatusInfo, Request};
@@ -287,7 +287,7 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: UnixStream) {
         .expect("connection sockets are blocking");
     let mut reader = BufReader::new(stream.try_clone().expect("cloning connection stream"));
     let mut writer = stream;
-    let request: Request = match read_message(&mut reader) {
+    let request: Request = match read_message(&mut reader, MAX_BODY_BYTES) {
         Ok(Some(req)) => req,
         Ok(None) => return, // client connected and hung up
         Err(e) => {

@@ -21,9 +21,10 @@ use std::io::{self, BufRead, ErrorKind, Read, Write};
 pub(crate) const PROTOCOL_PATH: &str = "/matic/v2";
 
 /// Hard cap on an HTTP head or a request body: the protocol's requests
-/// are small, so anything larger is a confused or hostile peer.
+/// are small, so anything larger is a confused or hostile peer. The Unix
+/// socket's request line has the body's cap.
 const MAX_HEAD_BYTES: usize = 64 * 1024;
-const MAX_BODY_BYTES: usize = 1024 * 1024;
+pub(crate) const MAX_BODY_BYTES: usize = 1024 * 1024;
 
 /// A parsed HTTP head: the request/status line plus headers.
 pub(crate) struct HttpHead {

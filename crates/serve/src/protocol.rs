@@ -271,17 +271,41 @@ pub fn write_message<T: Serialize>(w: &mut impl Write, msg: &T) -> io::Result<()
     w.flush()
 }
 
-/// Reads one JSON-line message; `Ok(None)` on a clean EOF.
-pub fn read_message<T: Deserialize>(r: &mut impl BufRead) -> io::Result<Option<T>> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+/// Reads one JSON-line message of at most `max_bytes` bytes, newline
+/// included; `Ok(None)` on a clean EOF or a blank line.
+///
+/// A longer line is an [`InvalidData`](io::ErrorKind::InvalidData) error
+/// after reading at most `max_bytes` of it, so a peer that never sends a
+/// newline cannot grow the buffer without bound. A line cut off by EOF
+/// before its newline is an [`UnexpectedEof`](io::ErrorKind::UnexpectedEof)
+/// error: every writer terminates its messages ([`write_message`]).
+pub fn read_message<T: Deserialize>(
+    r: &mut impl BufRead,
+    max_bytes: usize,
+) -> io::Result<Option<T>> {
+    let mut line = Vec::new();
+    let limit = u64::try_from(max_bytes).unwrap_or(u64::MAX);
+    io::Read::take(&mut *r, limit).read_until(b'\n', &mut line)?;
+    if line.is_empty() {
         return Ok(None);
     }
-    let trimmed = line.trim();
-    if trimmed.is_empty() {
+    if line.last() != Some(&b'\n') {
+        return Err(if line.len() >= max_bytes {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("message line exceeds {max_bytes} bytes"),
+            )
+        } else {
+            io::Error::new(io::ErrorKind::UnexpectedEof, "message line has no newline")
+        });
+    }
+    let text = std::str::from_utf8(&line)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
+        .trim();
+    if text.is_empty() {
         return Ok(None);
     }
-    serde_json::from_str(trimmed)
+    serde_json::from_str(text)
         .map(Some)
         .map_err(io::Error::other)
 }
@@ -414,11 +438,34 @@ mod tests {
         write_message(&mut buf, &Request::Cancel(9)).unwrap();
         write_message(&mut buf, &Request::Status).unwrap();
         let mut r = std::io::BufReader::new(&buf[..]);
-        let first: Request = read_message(&mut r).unwrap().expect("first message");
-        let second: Request = read_message(&mut r).unwrap().expect("second message");
+        let first: Request = read_message(&mut r, 64).unwrap().expect("first message");
+        let second: Request = read_message(&mut r, 64).unwrap().expect("second message");
         assert!(matches!(first, Request::Cancel(9)));
         assert!(matches!(second, Request::Status));
-        let eof: Option<Request> = read_message(&mut r).unwrap();
+        let eof: Option<Request> = read_message(&mut r, 64).unwrap();
         assert!(eof.is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn a_message_line_is_bounded_and_must_end_in_a_newline() {
+        let mut line = Vec::new();
+        write_message(&mut line, &Request::Cancel(9)).unwrap();
+        let exact = line.len();
+        // A line of exactly the cap, newline included, is read.
+        let read = |bytes: &[u8], cap| read_message::<Request>(&mut &bytes[..], cap);
+        assert!(matches!(read(&line, exact), Ok(Some(Request::Cancel(9)))));
+        // One byte over the cap is refused without reading past the cap.
+        let mut r = std::io::BufReader::new(&line[..]);
+        let err = read_message::<Request>(&mut r, exact - 1).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(r.buffer().len(), 1, "only the newline is left unread");
+        // An endless line stops at the cap too.
+        let mut endless = std::io::Read::take(std::io::repeat(b'x'), 1 << 30);
+        let mut endless = std::io::BufReader::new(&mut endless);
+        let err = read_message::<Request>(&mut endless, 4096).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // EOF before the newline is an error, not a message.
+        let err = read(&line[..exact - 1], exact).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 }

@@ -190,7 +190,12 @@ impl EventStream {
     }
 
     /// The next event; `Ok(None)` when the daemon closed the stream.
+    ///
+    /// Unlike the daemon's request reader, this one has no length cap: a
+    /// `Done` event carries a whole report and a `ShardDone` every cell
+    /// of its shard, so an event legitimately exceeds any bound a request
+    /// fits in. The peer here is the daemon this client chose to call.
     pub fn next_event(&mut self) -> io::Result<Option<Event>> {
-        read_message(&mut self.reader)
+        read_message(&mut self.reader, usize::MAX)
     }
 }

@@ -462,6 +462,45 @@ fn stale_socket_is_unlinked_and_reported_as_a_rejection() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Writes `bytes` on a fresh connection, half-closes it, and reads the
+/// daemon's one answer.
+fn raw_exchange(daemon: &TestDaemon, bytes: &[u8]) -> Event {
+    use std::io::{BufReader, Write};
+    let mut stream = std::os::unix::net::UnixStream::connect(&daemon.socket).expect("connect");
+    // The daemon stops reading an over-cap line at the cap and closes,
+    // so the tail of a long write may be refused; its answer still comes.
+    let _ = stream.write_all(bytes);
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    matic_serve::protocol::read_message(&mut BufReader::new(stream), usize::MAX)
+        .expect("the daemon answers with one event line")
+        .expect("the daemon answers before closing")
+}
+
+#[test]
+fn request_lines_are_capped_and_must_be_terminated() {
+    let daemon = TestDaemon::start("frame", 1);
+    let mut status = Vec::new();
+    matic_serve::protocol::write_message(&mut status, &Request::Status).expect("encode");
+
+    let event = raw_exchange(&daemon, &status);
+    assert!(matches!(event, Event::Status { .. }), "got {event:?}");
+
+    let unterminated = raw_exchange(&daemon, &status[..status.len() - 1]);
+    assert!(
+        matches!(&unterminated, Event::Error { reason } if reason.contains("no newline")),
+        "got {unterminated:?}"
+    );
+
+    // Over the 1 MiB cap with no newline in sight.
+    let endless = vec![b' '; (1 << 20) + 4096];
+    let oversized = raw_exchange(&daemon, &endless);
+    assert!(
+        matches!(&oversized, Event::Error { reason } if reason.contains("exceeds 1048576 bytes")),
+        "got {oversized:?}"
+    );
+    daemon.shutdown();
+}
+
 #[test]
 fn shard_sweep_across_three_daemons_matches_batch_bytes() {
     let dir = scratch_dir("shard");

@@ -4,7 +4,7 @@
 use crate::microcode::Program;
 use crate::npu::{NpuStats, Snnac};
 use crate::regulator::VoltageRegulator;
-use matic_core::{DeployedModel, DeploymentFlow, FaultedWeights, TrainedModel};
+use matic_core::{CanarySet, DeployedModel, DeploymentFlow, FaultedWeights, TrainedModel};
 use matic_energy::{EnergyModel, OperatingPoint};
 use matic_fixed::QFormat;
 use matic_nn::{NetSpec, Sample};
@@ -229,21 +229,34 @@ impl Chip {
         spec: &NetSpec,
         train_data: &[Sample],
     ) -> DeployedNetwork {
-        self.deploy_with(flow, spec, |faults| {
-            flow.trainer(spec).train(train_data, faults)
-        })
+        let model = flow.deploy(spec, train_data, &mut self.array);
+        self.compile(flow, spec, model)
     }
 
-    /// [`Chip::deploy`] with the pure training step supplied by the caller
-    /// (see [`DeploymentFlow::deploy_with`]); every other step of the flow
-    /// runs on this chip.
+    /// [`Chip::deploy`] with the target-voltage profile, canary selection
+    /// and pure training step supplied by the caller (see
+    /// [`DeploymentFlow::deploy_with`]); pinning, upload and arming run on
+    /// this chip.
     pub fn deploy_with(
         &mut self,
         flow: &DeploymentFlow,
         spec: &NetSpec,
+        at_target: FaultMap,
+        select: impl FnOnce(&mut SramArray, &FaultMap, usize, f64) -> CanarySet,
         train: impl FnOnce(&FaultMap) -> TrainedModel,
     ) -> DeployedNetwork {
-        let model = flow.deploy_with(&mut self.array, train);
+        let model = flow.deploy_with(&mut self.array, at_target, select, train);
+        self.compile(flow, spec, model)
+    }
+
+    /// Settles the rail at the flow's safe voltage and compiles `spec`'s
+    /// microcode for a fresh deployment.
+    fn compile(
+        &mut self,
+        flow: &DeploymentFlow,
+        spec: &NetSpec,
+        model: DeployedModel,
+    ) -> DeployedNetwork {
         self.regulator
             .set_mv((flow.controller.v_safe * 1000.0).round() as u32);
         let npu = Snnac::snnac(model.model().format());

@@ -2,6 +2,7 @@
 
 use crate::bank::SramBank;
 use crate::config::ArrayConfig;
+use crate::fingerprint::{fingerprint_of, Fingerprint};
 
 /// The voltage-scalable weight-memory complex of an accelerator: several
 /// independently addressable banks sharing one supply rail (SNNAC places
@@ -19,12 +20,14 @@ use crate::config::ArrayConfig;
 #[derive(Debug, Clone)]
 pub struct SramArray {
     banks: Vec<SramBank>,
+    die: u128,
     voltage: f64,
     temp_c: f64,
 }
 
 impl SramArray {
-    /// Synthesizes `cfg.banks` banks with per-bank derived seeds.
+    /// Synthesizes `cfg.banks` banks with per-bank derived seeds and
+    /// records the die's identity (see [`die`](Self::die)).
     pub fn synthesize(cfg: &ArrayConfig, seed: u64) -> Self {
         let banks = (0..cfg.banks)
             .map(|i| {
@@ -34,11 +37,25 @@ impl SramArray {
                 )
             })
             .collect();
+        let die = Fingerprint::new()
+            .write_str("matic.sram-die/v1")
+            .write_u128(fingerprint_of(cfg))
+            .write_u64(seed)
+            .finish();
         SramArray {
             banks,
+            die,
             voltage: 0.9,
             temp_c: 25.0,
         }
+    }
+
+    /// The die's identity: a fingerprint of the synthesis configuration
+    /// and seed. Two arrays share it exactly when every bit-cell's
+    /// preferred state and `Vmin,read` are the same, so anything computed
+    /// from profiling one applies to the other.
+    pub fn die(&self) -> u128 {
+        self.die
     }
 
     /// Number of banks.
@@ -126,6 +143,19 @@ mod tests {
             a.bank(0).fail_fraction_at(0.50, 25.0),
             a.bank(1).fail_fraction_at(0.50, 25.0)
         );
+    }
+
+    #[test]
+    fn die_identity_is_the_config_and_seed() {
+        let cfg = ArrayConfig::snnac();
+        let die = SramArray::synthesize(&cfg, 5).die();
+        assert_eq!(SramArray::synthesize(&cfg, 5).die(), die);
+        assert_ne!(SramArray::synthesize(&cfg, 6).die(), die);
+        let fewer = ArrayConfig {
+            banks: 3,
+            ..ArrayConfig::snnac()
+        };
+        assert_ne!(SramArray::synthesize(&fewer, 5).die(), die);
     }
 
     #[test]

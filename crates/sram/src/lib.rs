@@ -27,7 +27,8 @@
 //!   persistent flip-to-preferred read mechanics;
 //! * [`profile_bank`] / [`profile_array`] — the paper's compile-time
 //!   profiling procedure (read-after-write + read-after-read sweeps)
-//!   producing [`FaultMap`]s of (word, bit, polarity) failures;
+//!   producing [`FaultMap`]s of (word, bit, polarity) failures, and
+//!   [`park_bank`], the safe zeroed state every profile leaves behind;
 //! * [`FaultMap`] — per-word OR/AND injection masks, the exact object the
 //!   memory-adaptive training loop consumes;
 //! * [`inject`] — synthetic Bernoulli fault maps for the paper's Fig. 5
@@ -54,7 +55,7 @@ pub use bank::SramBank;
 pub use config::{ArrayConfig, SramConfig};
 pub use dist::VminDistribution;
 pub use fault_map::{BankFaultMap, FaultMap, FaultRecord};
-pub use profile::{profile_array, profile_bank, ProfileReport};
+pub use profile::{park_bank, profile_array, profile_bank, ProfileReport};
 
 #[cfg(test)]
 mod proptests;

@@ -75,12 +75,7 @@ pub fn profile_bank(
         }
     }
 
-    // Leave the bank in a safe, known state.
-    bank.set_operating_point(safe_v, temp_c);
-    for addr in 0..cfg.words {
-        bank.write(addr, 0);
-    }
-
+    park_bank(bank, temp_c);
     let report = ProfileReport {
         voltage,
         temp_c,
@@ -88,6 +83,19 @@ pub fn profile_bank(
         unstable_bits: unstable,
     };
     (map, report)
+}
+
+/// Leaves `bank` in the safe, known state every profile ends in: at its
+/// safe voltage (never below 0.9 V) and `temp_c`, with every word zero.
+/// A caller that skips a destructive profile whose outcome it already
+/// knows parks the bank instead, so the array ends up as the profile
+/// would have left it.
+pub fn park_bank(bank: &mut SramBank, temp_c: f64) {
+    let safe_v = bank.config().dist.safe_voltage().max(0.9);
+    bank.set_operating_point(safe_v, temp_c);
+    for addr in 0..bank.words() {
+        bank.write(addr, 0);
+    }
 }
 
 /// Profiles every bank of an array (see [`profile_bank`]) and assembles the

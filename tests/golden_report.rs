@@ -142,6 +142,9 @@ fn canary_sweep_is_byte_identical_to_golden_and_trains_each_model_once() {
     // and 0.90 V, where no bit-cell fails besides the pinned canaries.
     assert_eq!(memo.requests(), 2 * (1 + 2 + 3));
     assert_eq!(memo.trainings(), 1 + 2 + 2 * 2);
+    // Per chip one canary walk below 0.46 V, and one from the safe voltage
+    // that 0.57 and 0.90 V share.
+    assert_eq!(memo.selections(), 2 * 2);
     for threads in [1, 4] {
         let got = run_sweep(&canary_plan(threads)).to_json_pretty();
         assert_golden(&got, golden, "sweep_canary_v3");
