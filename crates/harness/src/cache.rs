@@ -1,6 +1,7 @@
 //! Persistent, content-addressed sweep cache: checkpoint-on-write cell
 //! results that make warm re-runs near-instant and long sweeps
-//! interruptible.
+//! interruptible, plus the profiled fault maps those cells were computed
+//! from.
 //!
 //! # Content addressing
 //!
@@ -20,16 +21,38 @@
 //! ([`CellKey::canonical`]), so neither insertion order in the engine nor
 //! field reordering in a refactor can silently re-key the cache.
 //!
+//! # Profile entries
+//!
+//! MATIC profiles a die once, at compile time (paper §III-A), and the
+//! cache keeps that result: the second entry kind, under `profiles/`, is
+//! a profiled [`FaultMap`], keyed by a [`ProfileKey`] — the die's identity
+//! ([`die_of`](matic_sram::die_of) its synthesis configuration and seed,
+//! computed without synthesizing it), the exact bits of the voltage and
+//! temperature, [`PROFILE_SCHEMA`] and the package version. Profiling is a
+//! pure function of those, so the key names no plan, scenario or fault
+//! model: every sweep (and every daemon job) that profiles the same die
+//! at the same point replays one entry. A run whose every cell and
+//! profile replays builds no chip at all.
+//!
+//! An entry is binary, not JSON (a JSON round trip of one map costs about
+//! as much as the profile it replaces): the schema tag, the canonical key
+//! text, the map's [`fingerprint`](FaultMap::fingerprint), then per bank
+//! a bitmap of the words that carry a fault and only those words' OR,
+//! AND and XOR masks (see [`SweepCache::store_profile`]). A read
+//! recomputes the fingerprint from the decoded planes; that digest is
+//! also the one the point's cell keys use, so each point is still hashed
+//! once.
+//!
 //! # Crash safety
 //!
 //! Each cell is persisted the moment it is computed
-//! ([`SweepCache::store`]) via [`write_atomic`]: the entry is written to
-//! a temporary file in the destination directory and `rename`d into
-//! place, so a killed sweep leaves either a complete entry or no entry —
-//! never a truncated one. Re-running the same plan with the cache
-//! enabled resumes: cache-hit cells skip training and evaluation
-//! entirely, and the resumed report is byte-identical to a cold run
-//! (enforced by `tests/cache_resume.rs` and in CI).
+//! ([`SweepCache::store`]) via [`write_atomic`], and so is each profile:
+//! the entry is written to a temporary file in the destination directory
+//! and `rename`d into place, so a killed sweep leaves either a complete
+//! entry or no entry — never a truncated one. Re-running the same plan
+//! with the cache enabled resumes: cache-hit cells skip training and
+//! evaluation entirely, and the resumed report is byte-identical to a
+//! cold run (enforced by `tests/cache_resume.rs` and in CI).
 //!
 //! # Trust model
 //!
@@ -39,12 +62,19 @@
 //! cache clear (or a new cache directory) — the cache cannot see inside
 //! closures. The built-in benchmarks are pure functions of the keyed
 //! fields.
+//!
+//! Any defect in an entry of either kind is a miss, never an error or a
+//! wrong result: the engine recomputes and overwrites. For a profile that
+//! means a foreign schema, different key text, a truncated or overlong
+//! entry, or planes whose fingerprint differs from the stored one. Cells
+//! never depend on a profile entry being present: deleting `profiles/`
+//! costs one profile per die and point, and changes no byte.
 
 use crate::plan::{StressAxis, SweepPlan, TrainingMode, FAIL_MARGIN_MSE, FAIL_MARGIN_PERCENT};
 use crate::report::CellRecord;
 use matic_snnac::ChipConfig;
 use matic_sram::fingerprint::Fingerprint;
-use matic_sram::FaultMap;
+use matic_sram::{BankFaultMap, FaultMap};
 use serde::{Deserialize, Serialize};
 use std::fmt::Display;
 use std::fs;
@@ -76,6 +106,10 @@ pub const CACHE_SCHEMA: &str = "matic.sweep-cache/v3";
 /// them. The on-disk entry envelope is unchanged (same [`CellRecord`]
 /// layout), so both generations share one cache directory.
 pub const CACHE_SCHEMA_V4: &str = "matic.sweep-cache/v4";
+
+/// Schema identifier of profile entries (`profiles/`). Bumping it (or
+/// the crate version baked into every profile key) orphans old entries.
+pub const PROFILE_SCHEMA: &str = "matic.profile-cache/v1";
 
 /// The grid position of one cell, as the cache key builder consumes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -308,6 +342,52 @@ impl UnitKeyPrefix {
     }
 }
 
+/// The key of one profiled fault map: the die
+/// ([`die_of`](matic_sram::die_of) its synthesis config and seed), the
+/// operating point the profile ran at, and the profile schema with the
+/// package version. Profiling is a pure function of these, so neither
+/// the sweep nor the fault model is part of it: every plan that profiles
+/// the same die at the same point shares the entry.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProfileKey {
+    voltage: f64,
+    temp_c: f64,
+    canonical: String,
+}
+
+impl ProfileKey {
+    /// The key of die `die`'s profile at `voltage` and `temp_c`.
+    pub fn new(die: u128, voltage: f64, temp_c: f64) -> ProfileKey {
+        let mut key = CellKey::new();
+        key.push(
+            "schema",
+            format!("{PROFILE_SCHEMA};pkg={}", env!("CARGO_PKG_VERSION")),
+        );
+        key.push("die", format!("{die:032x}"));
+        key.push_f64("voltage", voltage);
+        key.push_f64("temp_c", temp_c);
+        ProfileKey {
+            voltage,
+            temp_c,
+            canonical: key.canonical(),
+        }
+    }
+
+    /// The canonical text form (one sorted `name=value` line per field),
+    /// stored verbatim in the entry.
+    pub fn canonical(&self) -> &str {
+        &self.canonical
+    }
+
+    /// The content digest as 32 hex chars (the entry's file name).
+    pub fn digest(&self) -> String {
+        let mut f = Fingerprint::new();
+        f.write_str(PROFILE_SCHEMA);
+        f.write_str(&self.canonical);
+        f.to_hex()
+    }
+}
+
 fn format_f64(value: f64) -> String {
     format!("{value:?}/{:016x}", value.to_bits())
 }
@@ -321,13 +401,39 @@ struct CacheEntry {
     cell: CellRecord,
 }
 
-/// Aggregate statistics of a cache directory.
+/// Aggregate statistics of a cache directory, per entry kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Number of stored cell entries.
     pub cells: usize,
-    /// Total size of the stored entries, bytes.
+    /// Total size of the files under `cells/`, bytes.
     pub bytes: u64,
+    /// Number of stored profile entries.
+    pub profiles: usize,
+    /// Total size of the files under `profiles/`, bytes.
+    pub profile_bytes: u64,
+}
+
+/// What a run did with silicon: dies synthesized and profiles replayed
+/// from the cache or computed on a chip. Run metadata, like the rest of
+/// [`CacheUsage`]; synthetic fault models leave it zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SiliconUsage {
+    /// Profiled fault maps read from the cache's `profiles/` entries.
+    pub profiles_replayed: usize,
+    /// Profiles run on a chip (and stored, when a cache is attached).
+    pub profiles_computed: usize,
+    /// Chips synthesized. A unit builds its chip only when a profile
+    /// misses or a cell is computed, so a fully warm run builds none.
+    pub chips_synthesized: usize,
+}
+
+impl std::ops::AddAssign for SiliconUsage {
+    fn add_assign(&mut self, other: SiliconUsage) {
+        self.profiles_replayed += other.profiles_replayed;
+        self.profiles_computed += other.profiles_computed;
+        self.chips_synthesized += other.chips_synthesized;
+    }
 }
 
 /// How a sweep run used the cache (returned by
@@ -351,6 +457,11 @@ pub struct CacheUsage {
     /// Per-cell hit flags, in the report's grid order
     /// (`report.cells[i]` was a cache hit iff `per_cell[i]`).
     pub per_cell: Vec<bool>,
+    /// Chips synthesized and profiles replayed or computed, summed over
+    /// the run's units by [`run_sweep_observed`](crate::run_sweep_observed)
+    /// (and so by every batch entry point). [`assemble_sweep`](crate::assemble_sweep)
+    /// alone, which sees only unit outcomes, leaves it zero.
+    pub silicon: SiliconUsage,
 }
 
 impl CacheUsage {
@@ -372,12 +483,14 @@ impl CacheUsage {
     }
 }
 
-/// A persistent, content-addressed store of sweep-cell results.
+/// A persistent, content-addressed store of sweep-cell results and of
+/// the profiled fault maps they were computed from.
 ///
-/// Layout: `<root>/cells/<digest>.json`, one file per cell, written
-/// atomically. The store is safe to share between concurrent sweeps —
-/// identical keys hold identical content by construction, and writers
-/// never leave partial files.
+/// Layout: `<root>/cells/<digest>.json`, one JSON file per cell, and
+/// `<root>/profiles/<digest>.bin`, one binary file per profiled map
+/// (see [`ProfileKey`]), every file written atomically. The store is safe
+/// to share between concurrent sweeps — identical keys hold identical
+/// content by construction, and writers never leave partial files.
 #[derive(Debug, Clone)]
 pub struct SweepCache {
     root: PathBuf,
@@ -388,6 +501,7 @@ impl SweepCache {
     pub fn open(dir: impl AsRef<Path>) -> io::Result<SweepCache> {
         let root = dir.as_ref().to_path_buf();
         fs::create_dir_all(root.join("cells"))?;
+        fs::create_dir_all(root.join("profiles"))?;
         Ok(SweepCache { root })
     }
 
@@ -398,6 +512,10 @@ impl SweepCache {
 
     fn cell_path(&self, digest: &str) -> PathBuf {
         self.root.join("cells").join(format!("{digest}.json"))
+    }
+
+    fn profile_path(&self, digest: &str) -> PathBuf {
+        self.root.join("profiles").join(format!("{digest}.bin"))
     }
 
     /// Looks up a cell. Any defect — missing file, unreadable JSON, a
@@ -422,39 +540,198 @@ impl SweepCache {
         };
         let json =
             serde_json::to_string_pretty(&entry).expect("cache entry serialization is infallible");
-        write_atomic(&self.cell_path(&key.digest()), &json)
+        write_atomic(&self.cell_path(&key.digest()), json)
     }
 
-    /// Counts entries and bytes currently stored. `bytes` covers every
-    /// file in the store — including any temp file a killed writer left
-    /// behind — so the reported footprint matches the disk.
+    /// Looks up a profiled fault map, returning it with its
+    /// [`fingerprint`](FaultMap::fingerprint), recomputed from the decoded
+    /// planes. Like [`lookup`](Self::lookup), any defect — a missing file,
+    /// a foreign schema, different key text, a truncated or overlong
+    /// entry, or a fingerprint mismatch — is a miss: the caller profiles
+    /// and overwrites.
+    pub fn lookup_profile(&self, key: &ProfileKey) -> Option<(FaultMap, u128)> {
+        decode_profile(&fs::read(self.profile_path(&key.digest())).ok()?, key)
+    }
+
+    /// Persists the map profiled under `key`, whose fingerprint is
+    /// `fingerprint` (atomic, like [`store`](Self::store)). The entry holds
+    /// the schema tag, the key text, the fingerprint, and per bank a bitmap
+    /// of the words that carry a fault followed by only those words' OR,
+    /// AND and XOR masks, each in the word's width rounded up to bytes.
+    pub fn store_profile(
+        &self,
+        key: &ProfileKey,
+        map: &FaultMap,
+        fingerprint: u128,
+    ) -> io::Result<()> {
+        let bytes = encode_profile(key, map, fingerprint);
+        write_atomic(&self.profile_path(&key.digest()), bytes)
+    }
+
+    /// Counts entries and bytes currently stored, per kind. The bytes
+    /// cover every file in each directory — including any temp file a
+    /// killed writer left behind — so the reported footprint matches the
+    /// disk.
     pub fn stats(&self) -> io::Result<CacheStats> {
-        let mut stats = CacheStats::default();
-        for entry in fs::read_dir(self.root.join("cells"))? {
-            let entry = entry?;
-            if entry.path().extension().is_some_and(|e| e == "json") {
-                stats.cells += 1;
-            }
-            stats.bytes += entry.metadata()?.len();
-        }
-        Ok(stats)
+        let (cells, bytes) = self.walk("cells", "json", false)?;
+        let (profiles, profile_bytes) = self.walk("profiles", "bin", false)?;
+        Ok(CacheStats {
+            cells,
+            bytes,
+            profiles,
+            profile_bytes,
+        })
     }
 
-    /// Removes every stored cell — and any orphaned temp file a killed
-    /// writer left behind — returning how many *entries* were deleted.
-    /// The cache directory itself stays usable.
-    pub fn clear(&self) -> io::Result<usize> {
-        let mut removed = 0;
-        for entry in fs::read_dir(self.root.join("cells"))? {
-            let path = entry?.path();
-            if path.is_file() {
-                if path.extension().is_some_and(|e| e == "json") {
-                    removed += 1;
-                }
-                fs::remove_file(&path)?;
+    /// Removes every stored cell and profile — and any orphaned temp file
+    /// a killed writer left behind — returning what was removed. The
+    /// cache directory itself stays usable.
+    pub fn clear(&self) -> io::Result<CacheStats> {
+        let (cells, bytes) = self.walk("cells", "json", true)?;
+        let (profiles, profile_bytes) = self.walk("profiles", "bin", true)?;
+        Ok(CacheStats {
+            cells,
+            bytes,
+            profiles,
+            profile_bytes,
+        })
+    }
+
+    /// Counts the entries (files ending in `.{ext}`) and the bytes of
+    /// every file under `<root>/{dir}`, deleting each file when `remove`.
+    /// A missing directory holds nothing.
+    fn walk(&self, dir: &str, ext: &str, remove: bool) -> io::Result<(usize, u64)> {
+        let entries = match fs::read_dir(self.root.join(dir)) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((0, 0)),
+            entries => entries?,
+        };
+        let (mut count, mut bytes) = (0, 0);
+        for entry in entries {
+            let entry = entry?;
+            let meta = entry.metadata()?;
+            if !meta.is_file() {
+                continue;
+            }
+            count += entry.path().extension().is_some_and(|e| e == ext) as usize;
+            bytes += meta.len();
+            if remove {
+                fs::remove_file(entry.path())?;
             }
         }
-        Ok(removed)
+        Ok((count, bytes))
+    }
+}
+
+/// The profile entry of `map` under `key`: the schema tag, the key's
+/// canonical text, the map's `fingerprint`, then per bank its word width,
+/// word count, a bitmap of the words that carry a fault, and the OR, AND
+/// and XOR masks of those words only (clean words are implicit), each
+/// in the word's width rounded up to whole bytes. Every integer is
+/// little-endian; strings are a `u32` length plus UTF-8.
+pub(crate) fn encode_profile(key: &ProfileKey, map: &FaultMap, fingerprint: u128) -> Vec<u8> {
+    let mut out = Vec::new();
+    for text in [PROFILE_SCHEMA, key.canonical()] {
+        out.extend_from_slice(&(text.len() as u32).to_le_bytes());
+        out.extend_from_slice(text.as_bytes());
+    }
+    out.extend_from_slice(&fingerprint.to_le_bytes());
+    out.extend_from_slice(&(map.banks().len() as u32).to_le_bytes());
+    for bank in map.banks() {
+        let clean = clean_and_mask(bank.word_bits());
+        let dirty: Vec<usize> = (0..bank.words())
+            .filter(|&w| bank.or_mask(w) != 0 || bank.and_mask(w) != clean || bank.xor_mask(w) != 0)
+            .collect();
+        out.push(bank.word_bits());
+        out.extend_from_slice(&(bank.words() as u32).to_le_bytes());
+        let mut bitmap = vec![0u8; bank.words().div_ceil(8)];
+        for &w in &dirty {
+            bitmap[w / 8] |= 1 << (w % 8);
+        }
+        out.extend_from_slice(&bitmap);
+        let width = mask_bytes(bank.word_bits());
+        for &w in &dirty {
+            for mask in [bank.or_mask(w), bank.and_mask(w), bank.xor_mask(w)] {
+                out.extend_from_slice(&mask.to_le_bytes()[..width]);
+            }
+        }
+    }
+    out
+}
+
+/// Decodes a profile entry (see [`encode_profile`]) stored under `key`,
+/// returning the map with its recomputed fingerprint. `None` — never a
+/// panic — for a foreign schema, different key text, a bad word width, a
+/// truncated or overlong entry, or a fingerprint that does not match the
+/// decoded planes.
+pub(crate) fn decode_profile(bytes: &[u8], key: &ProfileKey) -> Option<(FaultMap, u128)> {
+    let mut r = ByteReader(bytes);
+    if r.text()? != PROFILE_SCHEMA || r.text()? != key.canonical() {
+        return None;
+    }
+    let stored = u128::from_le_bytes(r.take(16)?.try_into().ok()?);
+    let mut banks = Vec::new();
+    for _ in 0..r.u32()? {
+        let word_bits = r.take(1)?[0];
+        if !(1..=32).contains(&word_bits) {
+            return None;
+        }
+        let words = r.u32()? as usize;
+        let bitmap = r.take(words.div_ceil(8))?;
+        let (clean, width) = (clean_and_mask(word_bits), mask_bytes(word_bits));
+        let (mut or, mut and, mut xor) = (vec![0; words], vec![clean; words], vec![0; words]);
+        for w in (0..words).filter(|w| (bitmap[w / 8] >> (w % 8)) & 1 == 1) {
+            (or[w], and[w], xor[w]) = (r.mask(width)?, r.mask(width)?, r.mask(width)?);
+        }
+        banks.push(BankFaultMap::from_masks(word_bits, or, and, xor)?);
+    }
+    if !r.0.is_empty() {
+        return None;
+    }
+    let map = FaultMap::new(key.voltage, key.temp_c, banks);
+    let fingerprint = map.fingerprint();
+    (fingerprint == stored).then_some((map, fingerprint))
+}
+
+/// Bytes per stored mask of a `word_bits`-bit word. A mask with bits
+/// above the word would lose them, and its entry would then fail the
+/// fingerprint check: a miss, never a wrong map.
+fn mask_bytes(word_bits: u8) -> usize {
+    usize::from(word_bits).div_ceil(8)
+}
+
+/// The AND mask of a fault-free word of `word_bits` bits.
+fn clean_and_mask(word_bits: u8) -> u32 {
+    BankFaultMap::clean(1, word_bits).and_mask(0)
+}
+
+/// A little-endian cursor over untrusted bytes: every read is bounds
+/// checked and answers `None` past the end.
+struct ByteReader<'a>(&'a [u8]);
+
+impl<'a> ByteReader<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        if n > self.0.len() {
+            return None;
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        self.mask(4)
+    }
+
+    /// A little-endian value of `width` (at most 4) bytes.
+    fn mask(&mut self, width: usize) -> Option<u32> {
+        let mut word = [0u8; 4];
+        word[..width].copy_from_slice(self.take(width)?);
+        Some(u32::from_le_bytes(word))
+    }
+
+    fn text(&mut self) -> Option<&'a str> {
+        let len = self.u32()? as usize;
+        std::str::from_utf8(self.take(len)?).ok()
     }
 }
 
@@ -468,7 +745,7 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// Readers (and an interrupted run) see either the old file or the
 /// complete new one — never a truncated mix. Used for cache entries and
 /// for the CLI's report outputs.
-pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
+pub fn write_atomic(path: &Path, contents: impl AsRef<[u8]>) -> io::Result<()> {
     let dir = match path.parent() {
         Some(p) if p.as_os_str().is_empty() => Path::new("."),
         Some(p) => p,
@@ -743,7 +1020,7 @@ mod tests {
         let stats = cache.stats().unwrap();
         assert_eq!(stats.cells, 1);
         assert!(stats.bytes > 0);
-        assert_eq!(cache.clear().unwrap(), 1);
+        assert_eq!(cache.clear().unwrap().cells, 1);
         assert!(cache.lookup(&key).is_none(), "cleared cache misses");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -773,6 +1050,62 @@ mod tests {
         )
         .unwrap();
         assert!(cache.lookup(&key).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn profiles_roundtrip_and_any_other_key_misses() {
+        let dir = tmp_dir("profiles");
+        let cache = SweepCache::open(&dir).unwrap();
+        let map = small_map();
+        let key = ProfileKey::new(11, map.voltage, map.temp_c);
+        assert!(cache.lookup_profile(&key).is_none(), "cold cache misses");
+        cache.store_profile(&key, &map, map.fingerprint()).unwrap();
+        assert_eq!(
+            cache.lookup_profile(&key),
+            Some((map.clone(), map.fingerprint()))
+        );
+        // Die, voltage and temperature each re-key the entry.
+        for other in [
+            ProfileKey::new(12, map.voltage, map.temp_c),
+            ProfileKey::new(11, 0.51, map.temp_c),
+            ProfileKey::new(11, map.voltage, 60.0),
+        ] {
+            assert_ne!(other.digest(), key.digest());
+            assert!(cache.lookup_profile(&other).is_none());
+        }
+        // An entry whose stored fingerprint disagrees with its planes is
+        // a miss, and a store overwrites it.
+        cache.store_profile(&key, &map, 0).unwrap();
+        assert!(cache.lookup_profile(&key).is_none());
+        cache.store_profile(&key, &map, map.fingerprint()).unwrap();
+        assert!(cache.lookup_profile(&key).is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stats_and_clear_cover_both_entry_kinds_and_temp_files() {
+        let dir = tmp_dir("kinds");
+        let cache = SweepCache::open(&dir).unwrap();
+        let plan = base_plan().build().unwrap();
+        let map = small_map();
+        cache
+            .store(&CellKey::for_cell(&plan, coords(), &map), &sample_cell())
+            .unwrap();
+        let key = ProfileKey::new(11, map.voltage, map.temp_c);
+        cache.store_profile(&key, &map, map.fingerprint()).unwrap();
+        // A temp file a killed writer left behind.
+        fs::write(dir.join("profiles").join(".x.bin.tmp.1.2"), b"partial").unwrap();
+        let stats = cache.stats().unwrap();
+        assert_eq!((stats.cells, stats.profiles), (1, 1));
+        let profile_file = fs::metadata(dir.join("profiles").join(format!("{}.bin", key.digest())))
+            .unwrap()
+            .len();
+        assert_eq!(stats.profile_bytes, profile_file + 7);
+        let removed = cache.clear().unwrap();
+        assert_eq!(removed, stats);
+        assert_eq!(cache.stats().unwrap(), CacheStats::default());
+        assert_eq!(fs::read_dir(dir.join("profiles")).unwrap().count(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 

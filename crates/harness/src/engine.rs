@@ -20,7 +20,9 @@
 //!
 //! * every random quantity derives its seed from the plan and the cell's
 //!   grid position ([`crate::seeds`]), never from execution order;
-//! * each unit owns its chip instance, so no cross-unit state exists;
+//! * each unit owns its chip instance, so no cross-unit state exists
+//!   (units share profile entries only through the cache, and a profile
+//!   is a pure function of its key);
 //! * results are reassembled in grid order, not completion order;
 //! * reports carry no timestamps or run-environment details;
 //! * every chip evaluation is a pure function of (model, fault map), and
@@ -99,8 +101,27 @@
 //!   both the model bytes and the `reused_model` provenance flag;
 //! * evaluation-replay slots track the fault content at every point but
 //!   fill only on misses, so a miss after cache hits evaluates afresh.
+//!
+//! Silicon is **lazy** like training. A silicon-backed unit holds its
+//! chip's configuration and seed, and takes each point's fault map from
+//! the cache's profile entry when one exists (storing it after a profile
+//! miss). The chip is synthesized only when something has to run on it:
+//! a profile miss, an evaluation, a canary deployment or a rail change.
+//! So a fully cached unit neither synthesizes nor profiles. Skipping stays
+//! sound because a profile's outcome is a pure function of (die, voltage,
+//! temperature), and because the chip ends in the same state either way:
+//!
+//! * a chip first built after replayed profiles is fresh, which is the
+//!   state a profile leaves (every word zero, the array at the rail's
+//!   voltage);
+//! * an already-built chip is parked on a replayed profile
+//!   ([`Chip::park`]) exactly as [`Chip::profile`] would have left it.
+//!
+//! Without a cache every point profiles the chip, as before. What a run
+//! did with silicon is reported in [`CacheUsage::silicon`], never in the
+//! report.
 
-use crate::cache::{CacheUsage, CellKey, SweepCache, UnitKeyPrefix};
+use crate::cache::{CacheUsage, CellKey, ProfileKey, SiliconUsage, SweepCache, UnitKeyPrefix};
 use crate::plan::{
     ReusePolicy, StressAxis, SweepPlan, TrainingMode, FAIL_MARGIN_MSE, FAIL_MARGIN_PERCENT,
 };
@@ -120,12 +141,12 @@ use matic_nn::kernel::MacDropSpec;
 use matic_nn::Sample;
 use matic_snnac::microcode::Program;
 use matic_snnac::npu::NpuStats;
-use matic_snnac::{Chip, ChipConfig, Snnac};
-use matic_sram::{ArrayConfig, FaultMap};
+use matic_snnac::{Chip, ChipConfig, Snnac, POWER_ON_TEMP_C};
+use matic_sram::{die_of, ArrayConfig, FaultMap};
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The outcome of one sweep run: the deterministic report plus the
 /// run's cache provenance. The provenance lives here — not inside the
@@ -209,7 +230,16 @@ pub fn run_sweep_observed(plan: &SweepPlan, ctx: &ExecContext<'_>) -> SweepOutco
             .map(|&unit| inputs.run_unit(plan, unit, ctx))
             .collect()
     });
-    assemble_sweep(plan, per_unit, ctx.cache.is_some())
+    let mut outcome = assemble_sweep(plan, per_unit, ctx.cache.is_some());
+    let usage = match &mut outcome {
+        SweepOutcome::Complete(run) => &mut run.cache,
+        SweepOutcome::Cancelled(cancelled) => &mut cancelled.cache,
+    };
+    usage.silicon = *inputs
+        .silicon
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    outcome
 }
 
 /// What a sweep's units run on: the per-scenario datasets
@@ -230,6 +260,8 @@ pub struct SweepInputs {
     memo: TrainingMemo,
     /// Units not yet finished, per scenario index.
     pending: Vec<AtomicUsize>,
+    /// What the finished units did with silicon, summed.
+    silicon: Mutex<SiliconUsage>,
 }
 
 impl SweepInputs {
@@ -243,6 +275,7 @@ impl SweepInputs {
             splits: sweep_splits(plan),
             memo: TrainingMemo::new(),
             pending,
+            silicon: Mutex::default(),
         }
     }
 
@@ -262,7 +295,8 @@ impl SweepInputs {
             memo: Some(memo),
             ..*ctx
         };
-        let outcome = run_unit_observed(plan, scen_idx, chip_idx, split, &ctx);
+        let (outcome, silicon) = walk_unit(plan, scen_idx, chip_idx, split, &ctx);
+        *self.silicon.lock().unwrap_or_else(PoisonError::into_inner) += silicon;
         if self.pending[scen_idx].fetch_sub(1, Ordering::SeqCst) == 1 && !memo.is_empty() {
             memo.evict(&TrainingSet::new(&split.train));
         }
@@ -295,6 +329,7 @@ pub fn assemble_sweep(
         deduped,
         misses: per_cell.len() - hits - deduped,
         per_cell,
+        silicon: SiliconUsage::default(),
     };
     if cancelled {
         return SweepOutcome::Cancelled(CancelledSweep {
@@ -506,6 +541,17 @@ pub fn run_unit_observed(
     split: &Split,
     ctx: &ExecContext<'_>,
 ) -> UnitOutcome {
+    walk_unit(plan, scen_idx, chip_idx, split, ctx).0
+}
+
+/// [`run_unit_observed`], also returning what the unit did with silicon.
+fn walk_unit(
+    plan: &SweepPlan,
+    scen_idx: usize,
+    chip_idx: usize,
+    split: &Split,
+    ctx: &ExecContext<'_>,
+) -> (UnitOutcome, SiliconUsage) {
     let scen = &*plan.scenarios[scen_idx];
     let unit_memo = TrainingMemo::new();
     let unit = Unit {
@@ -534,6 +580,7 @@ pub fn run_unit_observed(
     for (point_idx, &stress) in points.iter().enumerate() {
         let point = source.point(
             plan,
+            ctx.cache,
             FaultContext {
                 stress,
                 cell_seed: plan.cell_map_seed(chip_idx, scen_idx, point_idx),
@@ -541,8 +588,13 @@ pub fn run_unit_observed(
                 profiled: None,
             },
         );
-        // One fault-content digest per point, shared by all modes.
-        let map_fp = prefix.as_ref().map(|_| point.train_map.fingerprint());
+        // One fault-content digest per point, shared by all modes: a
+        // replayed profile's verified digest, or a fresh hash.
+        let map_fp = prefix.as_ref().map(|_| {
+            point
+                .train_fp
+                .unwrap_or_else(|| point.train_map.fingerprint())
+        });
         // A step that adds no new faults recomputes nothing: the trained
         // model is reused below (superset-map policy) and the evaluations
         // are replayed (valid because the models are unchanged whenever
@@ -563,10 +615,11 @@ pub fn run_unit_observed(
             // before starting the next cell, with everything finished so
             // far already checkpointed.
             if ctx.is_cancelled() {
-                return UnitOutcome {
+                let outcome = UnitOutcome {
                     cells,
                     cancelled: true,
                 };
+                return (outcome, source.silicon());
             }
             let key = prefix
                 .as_ref()
@@ -580,10 +633,10 @@ pub fn run_unit_observed(
             };
             let baseline = ensure_naive(&mut naive, &unit, &mut source);
             let cell = if mode == TrainingMode::MatCanary {
-                let FaultSource::Silicon(chip) = &mut source else {
+                let FaultSource::Silicon(die) = &mut source else {
                     unreachable!("plan validation rejects mat-canary on synthetic fault models")
                 };
-                run_canary_cell(&unit, chip, &point.faults.map, baseline.nominal)
+                run_canary_cell(&unit, die.chip(), &point.faults.map, baseline.nominal)
             } else {
                 let (model, slot) = if mode == TrainingMode::Naive {
                     (&*baseline.model, &mut naive_eval)
@@ -609,20 +662,22 @@ pub fn run_unit_observed(
         }
         prev = Some(point);
     }
-    UnitOutcome {
+    let outcome = UnitOutcome {
         cells,
         cancelled: false,
-    }
+    };
+    (outcome, source.silicon())
 }
 
 /// Where a unit's fault content comes from — the only place the
 /// silicon-backed and synthetic fault models differ. The walk in
 /// [`run_unit_observed`] is shared.
 enum FaultSource {
-    /// A chip synthesized to the model's geometry
+    /// A die of the model's geometry
     /// ([`needs_silicon`](matic_core::FaultModel::needs_silicon)),
-    /// profiled at every stress point and evaluated through its own SRAM.
-    Silicon(Chip),
+    /// profiled at every stress point (or replayed from the cache) and
+    /// evaluated through its own SRAM.
+    Silicon(Box<LazyChip>),
     /// Seed-derived faults composed straight into the stored weight
     /// words; `layout` places the scenario's weights for the drop
     /// statistics.
@@ -645,6 +700,10 @@ struct PointFaults {
     /// [`dropped_weight_stats`]), which replaces the storage-map
     /// statistics in the cell.
     drops: Option<(usize, f64)>,
+    /// `train_map`'s fingerprint when it is already known: a profile
+    /// entry's verified digest, for models that train on the profile
+    /// unchanged.
+    train_fp: Option<u128>,
 }
 
 impl PointFaults {
@@ -667,10 +726,8 @@ impl FaultSource {
         if model.needs_silicon() {
             let chip_cfg =
                 ChipConfig::with_geometry(geom, model.weight_format().unwrap_or_default());
-            FaultSource::Silicon(Chip::synthesize(
-                chip_cfg,
-                unit.plan.chip_seed(unit.chip_idx),
-            ))
+            let seed = unit.plan.chip_seed(unit.chip_idx);
+            FaultSource::Silicon(Box::new(LazyChip::new(chip_cfg, seed)))
         } else {
             let layout = WeightLayout::new(unit.trainer.spec(), geom.banks, geom.bank.words)
                 .expect("scenario topology fits the model's weight memory");
@@ -678,17 +735,24 @@ impl FaultSource {
         }
     }
 
-    /// The fault content at `ctx.stress`; silicon profiles the chip there
-    /// (once per point) and hands the profile to the model.
-    fn point(&mut self, plan: &SweepPlan, ctx: FaultContext<'_>) -> PointFaults {
+    /// The fault content at `ctx.stress`; silicon takes the die's profile
+    /// there (once per point, replayed from `cache` when it holds one)
+    /// and hands it to the model.
+    fn point(
+        &mut self,
+        plan: &SweepPlan,
+        cache: Option<&SweepCache>,
+        ctx: FaultContext<'_>,
+    ) -> PointFaults {
         match self {
-            FaultSource::Silicon(chip) => {
-                let profiled = chip.profile(ctx.stress);
+            FaultSource::Silicon(die) => {
+                let (profiled, profiled_fp) = die.profile(cache, ctx.stress);
                 let faults = plan.model.faults_at(&FaultContext {
                     profiled: Some(&profiled),
                     ..ctx
                 });
                 PointFaults {
+                    train_fp: profiled_fp.filter(|_| faults.map == profiled),
                     train_map: faults.map.clone(),
                     faults,
                     drops: None,
@@ -707,6 +771,7 @@ impl FaultSource {
                     faults,
                     train_map,
                     drops,
+                    train_fp: None,
                 }
             }
         }
@@ -724,7 +789,7 @@ impl FaultSource {
     ) -> (f64, NpuStats) {
         let (is_class, test) = (unit.scen.is_classification(), &unit.split.test);
         match self {
-            FaultSource::Silicon(chip) => eval_on_chip(chip, model, is_class, test, stress),
+            FaultSource::Silicon(die) => eval_on_chip(die.chip(), model, is_class, test, stress),
             FaultSource::Injected { .. } => eval_injected(model, is_class, test, faults),
         }
     }
@@ -732,16 +797,16 @@ impl FaultSource {
     /// Programs the rail to `stress` for a replayed evaluation, so the
     /// energy accounting sees the cell's operating point.
     fn set_stress(&mut self, stress: f64) {
-        if let FaultSource::Silicon(chip) = self {
-            chip.set_sram_voltage(stress);
+        if let FaultSource::Silicon(die) = self {
+            die.chip().set_sram_voltage(stress);
         }
     }
 
     /// The cell's energy record at the current operating point; synthetic
     /// sources have no silicon to meter.
-    fn energy(&self, npu: NpuStats) -> Option<CellEnergy> {
+    fn energy(&mut self, npu: NpuStats) -> Option<CellEnergy> {
         match self {
-            FaultSource::Silicon(chip) => Some(cell_energy(chip, npu)),
+            FaultSource::Silicon(die) => Some(cell_energy(die.chip(), npu)),
             FaultSource::Injected { .. } => None,
         }
     }
@@ -749,10 +814,85 @@ impl FaultSource {
     /// The fault-free map the naive baseline trains against.
     fn clean_map(&self) -> FaultMap {
         let geom = match self {
-            FaultSource::Silicon(chip) => &chip.config().array,
+            FaultSource::Silicon(die) => &die.cfg.array,
             FaultSource::Injected { geom, .. } => geom,
         };
         FaultMap::clean(0.9, geom.banks, geom.bank.words, geom.bank.word_bits)
+    }
+
+    /// What the source did with silicon so far.
+    fn silicon(&self) -> SiliconUsage {
+        match self {
+            FaultSource::Silicon(die) => die.usage,
+            FaultSource::Injected { .. } => SiliconUsage::default(),
+        }
+    }
+}
+
+/// A unit's die, synthesized only when something has to run on it: a
+/// profile the cache cannot replay, an evaluation, a canary deployment or
+/// a rail change. A unit whose every point replays its profile and every
+/// cell replays from the cache never builds one.
+struct LazyChip {
+    cfg: ChipConfig,
+    seed: u64,
+    /// [`die_of`] the array config and seed: the profile entries' key.
+    die: u128,
+    chip: Option<Chip>,
+    usage: SiliconUsage,
+}
+
+impl LazyChip {
+    fn new(cfg: ChipConfig, seed: u64) -> Self {
+        LazyChip {
+            die: die_of(&cfg.array, seed),
+            cfg,
+            seed,
+            chip: None,
+            usage: SiliconUsage::default(),
+        }
+    }
+
+    /// The chip, synthesized on first use. A chip first built after
+    /// replayed profiles is already in the state those profiles would
+    /// have left: a fresh chip's banks hold zeros at the rail's voltage,
+    /// exactly as a profile parks them.
+    fn chip(&mut self) -> &mut Chip {
+        let usage = &mut self.usage;
+        self.chip.get_or_insert_with(|| {
+            usage.chips_synthesized += 1;
+            Chip::synthesize(self.cfg.clone(), self.seed)
+        })
+    }
+
+    /// The die's fault map at `voltage`, with its fingerprint whenever a
+    /// cache is attached. A hit in `cache` replays the entry and parks a
+    /// built chip as [`Chip::profile`] would have left it; a miss profiles
+    /// the chip and stores the entry.
+    fn profile(&mut self, cache: Option<&SweepCache>, voltage: f64) -> (FaultMap, Option<u128>) {
+        let Some(cache) = cache else {
+            self.usage.profiles_computed += 1;
+            return (self.chip().profile(voltage), None);
+        };
+        let temp_c = self
+            .chip
+            .as_ref()
+            .map_or(POWER_ON_TEMP_C, Chip::temperature);
+        let key = ProfileKey::new(self.die, voltage, temp_c);
+        if let Some((map, fingerprint)) = cache.lookup_profile(&key) {
+            self.usage.profiles_replayed += 1;
+            if let Some(chip) = &mut self.chip {
+                chip.park();
+            }
+            return (map, Some(fingerprint));
+        }
+        self.usage.profiles_computed += 1;
+        let map = self.chip().profile(voltage);
+        let fingerprint = map.fingerprint();
+        if let Err(e) = cache.store_profile(&key, &map, fingerprint) {
+            warn_store_failure(cache, &e);
+        }
+        (map, Some(fingerprint))
     }
 }
 
@@ -851,18 +991,23 @@ pub(crate) fn store_checkpoint(
     key: Option<&CellKey>,
     cell: &CellRecord,
 ) {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    static STORE_FAILURE_WARNED: AtomicBool = AtomicBool::new(false);
     if let (Some(cache), Some(key)) = (cache, key) {
         if let Err(e) = cache.store(key, cell) {
-            if !STORE_FAILURE_WARNED.swap(true, Ordering::Relaxed) {
-                eprintln!(
-                    "warning: sweep cache store failed under {} ({e}); \
-                     further store failures will be silent",
-                    cache.root().display()
-                );
-            }
+            warn_store_failure(cache, &e);
         }
+    }
+}
+
+/// Reports a failed cache store (of a cell or a profile) once per process.
+fn warn_store_failure(cache: &SweepCache, e: &std::io::Error) {
+    use std::sync::atomic::AtomicBool;
+    static STORE_FAILURE_WARNED: AtomicBool = AtomicBool::new(false);
+    if !STORE_FAILURE_WARNED.swap(true, Ordering::Relaxed) {
+        eprintln!(
+            "warning: sweep cache store failed under {} ({e}); \
+             further store failures will be silent",
+            cache.root().display()
+        );
     }
 }
 
@@ -1058,5 +1203,95 @@ mod tests {
             assert_eq!(inputs.memo.trainings(), trained, "trainings after {unit:?}");
         }
         assert_eq!(inputs.memo.requests(), 4);
+    }
+
+    /// Every stored word, each bank's `(voltage, temperature)`, the
+    /// array's `(voltage, temperature)` and the regulator's volts.
+    type ChipState = (Vec<u32>, Vec<(f64, f64)>, (f64, f64), f64);
+
+    /// Everything a later step could observe of a chip: every stored word
+    /// (via the oracle `peek`), each bank's voltage and temperature, the
+    /// array's operating point and the regulator's setting.
+    fn chip_state(chip: &Chip) -> ChipState {
+        let array = chip.array();
+        let banks = (0..array.bank_count()).map(|b| array.bank(b));
+        let words = banks
+            .clone()
+            .flat_map(|bank| (0..bank.words()).map(|w| bank.peek(w)))
+            .collect();
+        let points = banks.map(|b| (b.voltage(), b.temperature())).collect();
+        let array_point = (array.voltage(), array.temperature());
+        (words, points, array_point, chip.sram_voltage())
+    }
+
+    /// Loads words, then reads them back overscaled, as an evaluation
+    /// does: the banks hold disturbed contents at a low rail.
+    fn dirty(chip: &mut Chip) {
+        chip.set_sram_voltage(0.9);
+        for bank in 0..chip.array().bank_count() {
+            for word in (0..chip.array().bank(bank).words()).step_by(3) {
+                let value = (word as u32 * 0x2F1 + bank as u32) & 0xFFFF;
+                chip.array_mut().write(bank, word, value);
+            }
+        }
+        chip.set_sram_voltage(0.47);
+        for bank in 0..chip.array().bank_count() {
+            for word in 0..chip.array().bank(bank).words() {
+                chip.array_mut().read(bank, word);
+            }
+        }
+    }
+
+    fn profile_cache(tag: &str, seed: u64, voltages: &[f64]) -> (std::path::PathBuf, SweepCache) {
+        let dir =
+            std::env::temp_dir().join(format!("matic-engine-{tag}-{}-{seed}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = SweepCache::open(&dir).expect("cache opens");
+        let mut filler = LazyChip::new(ChipConfig::default(), seed);
+        for &v in voltages {
+            filler.profile(Some(&cache), v);
+        }
+        assert_eq!(filler.usage.profiles_computed, voltages.len());
+        (dir, cache)
+    }
+
+    #[test]
+    fn a_profile_hit_leaves_a_built_chip_as_profiling_would() {
+        let (dir, cache) = profile_cache("park", 7, &[0.5]);
+        let mut lazy = LazyChip::new(ChipConfig::default(), 7);
+        let mut reference = Chip::synthesize(ChipConfig::default(), 7);
+        dirty(lazy.chip());
+        dirty(&mut reference);
+        assert_eq!(chip_state(lazy.chip()), chip_state(&reference));
+        let (map, fingerprint) = lazy.profile(Some(&cache), 0.5);
+        assert_eq!(lazy.usage.profiles_replayed, 1, "the point must replay");
+        let profiled = reference.profile(0.5);
+        assert!(profiled.fault_count() > 0);
+        assert_eq!(
+            (map, fingerprint),
+            (profiled.clone(), Some(profiled.fingerprint()))
+        );
+        assert_eq!(chip_state(lazy.chip()), chip_state(&reference));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_chip_built_after_replayed_profiles_equals_one_that_profiled_them() {
+        let voltages = [0.9, 0.5, 0.46];
+        let (dir, cache) = profile_cache("lazy", 9, &voltages);
+        let mut lazy = LazyChip::new(ChipConfig::default(), 9);
+        let mut reference = Chip::synthesize(ChipConfig::default(), 9);
+        for v in voltages {
+            let (map, _) = lazy.profile(Some(&cache), v);
+            assert_eq!(map, reference.profile(v));
+        }
+        let replayed_only = SiliconUsage {
+            profiles_replayed: voltages.len(),
+            ..SiliconUsage::default()
+        };
+        assert_eq!(lazy.usage, replayed_only, "no chip until one must run");
+        assert_eq!(chip_state(lazy.chip()), chip_state(&reference));
+        assert_eq!(lazy.usage.chips_synthesized, 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

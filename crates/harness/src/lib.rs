@@ -80,8 +80,8 @@ pub mod seeds;
 pub mod shard;
 
 pub use cache::{
-    write_atomic, CacheStats, CacheUsage, CellCoords, CellKey, SweepCache, UnitKeyPrefix,
-    CACHE_SCHEMA_V4,
+    write_atomic, CacheStats, CacheUsage, CellCoords, CellKey, ProfileKey, SiliconUsage,
+    SweepCache, UnitKeyPrefix, CACHE_SCHEMA_V4,
 };
 pub use engine::{
     assemble_sweep, eval_composed_set, eval_on_chip, run_sweep, run_sweep_observed,

@@ -12,6 +12,7 @@
 //! because of that invariant; it is restored to the default after every
 //! case regardless.
 
+use crate::cache::{decode_profile, encode_profile, ProfileKey};
 use crate::engine::set_eval_chunk;
 use crate::{
     assemble_sharded, run_sweep, run_unit_observed, shard_units, sweep_splits, ExecContext,
@@ -223,5 +224,51 @@ proptest! {
             "merge must be byte-exact for ranges {:?} rotated by {}",
             ranges, k
         );
+    }
+}
+
+/// A profile entry of a small map holding stuck-at-1, stuck-at-0 and
+/// flipping bits next to clean words, with the key it was stored under.
+fn profile_entry() -> (ProfileKey, Vec<u8>) {
+    let mut map = matic_sram::FaultMap::clean(0.5, 2, 24, 16);
+    map.bank_mut(0).set_fault(3, 15, true);
+    map.bank_mut(0).set_fault(9, 0, false);
+    map.bank_mut(1).set_flip(23, 7);
+    let key = ProfileKey::new(7, map.voltage, map.temp_c);
+    let entry = encode_profile(&key, &map, map.fingerprint());
+    assert_eq!(
+        decode_profile(&entry, &key),
+        Some((map.clone(), map.fingerprint())),
+        "the undamaged entry must decode"
+    );
+    (key, entry)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Profile-entry decoding is total: arbitrary bytes, and a valid
+    /// entry with one byte changed, cut short or extended, all decode to
+    /// `None` (a cache miss) and never panic.
+    #[test]
+    fn arbitrary_or_damaged_profile_entries_decode_to_none(
+        noise in proptest::collection::vec(0u8..=255, 0..96),
+        at in 0usize..usize::MAX,
+        flip in 1u8..=255,
+        damage in 0usize..4,
+    ) {
+        let (key, entry) = profile_entry();
+        let at = at % entry.len();
+        let bytes = match damage {
+            0 => noise,
+            1 => {
+                let mut changed = entry;
+                changed[at] ^= flip;
+                changed
+            }
+            2 => entry[..at].to_vec(),
+            _ => [entry.as_slice(), &noise, &[flip]].concat(),
+        };
+        prop_assert!(decode_profile(&bytes, &key).is_none());
     }
 }

@@ -2,7 +2,9 @@
 //! fully or partially warm, on any thread count — must emit a report
 //! byte-identical to the cold run, while doing none of the cached work.
 
-use matic_harness::{run_sweep_with_cache, SweepCache, SweepPlan, SweepReport, TrainingMode};
+use matic_harness::{
+    run_sweep_with_cache, SiliconUsage, SweepCache, SweepPlan, SweepReport, TrainingMode,
+};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,6 +57,14 @@ fn warm_resume_is_byte_identical_and_does_zero_work() {
     assert!(cold.cache.enabled);
     assert_eq!(cold.cache.hits, 0, "first run must be all misses");
     assert_eq!(cold.cache.misses, plan(2).cell_count());
+    // One chip per unit, profiled once per voltage, every profile stored.
+    let cold_silicon = SiliconUsage {
+        profiles_replayed: 0,
+        profiles_computed: 4,
+        chips_synthesized: 2,
+    };
+    assert_eq!(cold.cache.silicon, cold_silicon);
+    assert_eq!(cache.stats().expect("stats").profiles, 4);
 
     // Every cell was checkpointed as it completed.
     assert_eq!(
@@ -72,12 +82,22 @@ fn warm_resume_is_byte_identical_and_does_zero_work() {
         warm.cache.misses
     );
     assert!(warm.cache.per_cell.iter().all(|&h| h));
+    assert_eq!(
+        warm.cache.silicon,
+        SiliconUsage {
+            profiles_replayed: 4,
+            profiles_computed: 0,
+            chips_synthesized: 0,
+        },
+        "a fully cached grid must replay every profile and build no chip"
+    );
     assert_eq!(report_bytes(&cold.report), report_bytes(&warm.report));
 
     // And an uncached run of the same plan agrees too (the cache layer
     // never changes results, only work).
     let uncached = run_sweep_with_cache(&plan(1), None);
     assert!(!uncached.cache.enabled);
+    assert_eq!(uncached.cache.silicon, cold_silicon);
     assert_eq!(report_bytes(&cold.report), report_bytes(&uncached.report));
 
     let _ = fs::remove_dir_all(&dir);
@@ -101,7 +121,10 @@ fn partial_resume_is_byte_identical() {
     }
     let kept = entries.len() - entries.len().div_ceil(2);
 
+    // Every profile is still cached: the recomputed cells run on chips
+    // first built after replayed profiles.
     let resumed = run_sweep_with_cache(&plan(2), Some(&cache));
+    assert_eq!(resumed.cache.silicon.profiles_computed, 0);
     assert_eq!(resumed.cache.hits, kept, "kept checkpoints must replay");
     assert_eq!(resumed.cache.misses, entries.len() - kept);
     assert_eq!(

@@ -26,7 +26,7 @@ use crate::pool::{spawn_workers, SharedExec, WorkQueue};
 use crate::protocol::{read_message, write_message, Event, JobStatusInfo, Request};
 use matic_harness::SweepCache;
 use std::collections::BTreeMap;
-use std::io::{BufReader, ErrorKind, Write};
+use std::io::{self, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -45,6 +45,12 @@ const ACCEPT_POLL: Duration = Duration::from_millis(25);
 /// `Heartbeat`, so client read timeouts never mistake a slow cell for
 /// a dead daemon.
 const HEARTBEAT_IDLE: Duration = Duration::from_secs(2);
+
+/// How long a connection may take to deliver its request (a Unix request
+/// line, or an HTTP head and body). A sender that stalls longer is
+/// answered with an error and its thread is freed. The limit is lifted
+/// before dispatch, so a long job's event stream is unaffected.
+const REQUEST_READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Everything `matic serve` needs to start.
 #[derive(Debug, Clone)]
@@ -282,12 +288,8 @@ fn bind_socket(path: &std::path::Path) -> Result<UnixListener, String> {
 }
 
 fn handle_connection(daemon: &Arc<Daemon>, stream: UnixStream) {
-    stream
-        .set_nonblocking(false)
-        .expect("connection sockets are blocking");
-    let mut reader = BufReader::new(stream.try_clone().expect("cloning connection stream"));
     let mut writer = stream;
-    let request: Request = match read_message(&mut reader, MAX_BODY_BYTES) {
+    let request = match read_request(&writer, REQUEST_READ_TIMEOUT) {
         Ok(Some(req)) => req,
         Ok(None) => return, // client connected and hung up
         Err(e) => {
@@ -303,9 +305,23 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: UnixStream) {
     dispatch(daemon, &mut writer, request);
 }
 
+/// Reads one request line from a Unix connection, giving up once no byte
+/// has arrived for `timeout`, then clears the timeout again. `Ok(None)`
+/// when the client hung up without sending anything.
+fn read_request(stream: &UnixStream, timeout: Duration) -> io::Result<Option<Request>> {
+    stream.set_nonblocking(false)?;
+    stream.set_read_timeout(Some(timeout))?;
+    let request = read_message(&mut BufReader::new(stream), MAX_BODY_BYTES)?;
+    stream.set_read_timeout(None)?;
+    Ok(request)
+}
+
 /// One HTTP exchange: parse the POSTed request line, stream the events
 /// back as the chunked response body, terminate the chunked framing.
 fn handle_http_connection(daemon: &Arc<Daemon>, stream: TcpStream) {
+    if stream.set_read_timeout(Some(REQUEST_READ_TIMEOUT)).is_err() {
+        return;
+    }
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => return,
@@ -315,7 +331,10 @@ fn handle_http_connection(daemon: &Arc<Daemon>, stream: TcpStream) {
         let body = read_body(&mut reader, head.content_length()?)?;
         Ok((head, body))
     });
-    let (head, body) = match parsed {
+    let (head, body) = match parsed.and_then(|parts| {
+        raw_writer.set_read_timeout(None)?;
+        Ok(parts)
+    }) {
         Ok(parts) => parts,
         Err(e) => {
             let _ = write!(
@@ -570,4 +589,37 @@ fn handle_shutdown(daemon: &Arc<Daemon>, writer: &mut impl Write) {
         },
     );
     daemon.stop.store(true, Ordering::Release);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_request_read_gives_up_on_a_stalled_sender_and_then_clears_its_timeout() {
+        let timeout = Duration::from_millis(50);
+        // Nothing sent, then half a line: each read gives up.
+        for partial in [&b""[..], b"{\"Status\""] {
+            let (mut client, server) = UnixStream::pair().unwrap();
+            client.write_all(partial).unwrap();
+            let start = Instant::now();
+            let err = read_request(&server, timeout).expect_err("a stalled sender must time out");
+            assert!(
+                matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                "{err:?}"
+            );
+            assert!(start.elapsed() < Duration::from_secs(5));
+        }
+        // A prompt request is read, and the stream is left without a
+        // timeout for the events that follow.
+        let (mut client, server) = UnixStream::pair().unwrap();
+        write_message(&mut client, &Request::Shutdown).unwrap();
+        let request = read_request(&server, timeout).unwrap();
+        assert!(matches!(request, Some(Request::Shutdown)), "{request:?}");
+        assert_eq!(server.read_timeout().unwrap(), None);
+        // A client that hangs up without a byte is no request at all.
+        let (client, server) = UnixStream::pair().unwrap();
+        drop(client);
+        assert!(read_request(&server, timeout).unwrap().is_none());
+    }
 }

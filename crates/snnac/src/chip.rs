@@ -8,8 +8,11 @@ use matic_core::{CanarySet, DeployedModel, DeploymentFlow, FaultedWeights, Train
 use matic_energy::{EnergyModel, OperatingPoint};
 use matic_fixed::QFormat;
 use matic_nn::{NetSpec, Sample};
-use matic_sram::{profile_array, ArrayConfig, FaultMap, SramArray};
+use matic_sram::{park_bank, profile_array, ArrayConfig, FaultMap, SramArray};
 use serde::{Deserialize, Serialize};
+
+/// The die temperature of a freshly synthesized chip, °C.
+pub const POWER_ON_TEMP_C: f64 = 25.0;
 
 /// Static configuration of a synthesized chip.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -135,7 +138,7 @@ impl Chip {
             array,
             regulator: VoltageRegulator::snnac_sram_rail(),
             energy: EnergyModel::snnac(),
-            temp_c: 25.0,
+            temp_c: POWER_ON_TEMP_C,
         }
     }
 
@@ -218,6 +221,19 @@ impl Chip {
         let (map, _) = profile_array(self.array.banks_mut(), voltage, temp);
         self.array.set_operating_point(self.regulator.volts(), temp);
         map
+    }
+
+    /// Leaves the chip exactly as [`Chip::profile`] does, without
+    /// profiling: every bank parked ([`park_bank`]: safe voltage, every
+    /// word zero) at the die temperature, then the array back at the
+    /// rail's voltage. A caller that replays a profile it already knows
+    /// parks instead of re-running the destructive procedure.
+    pub fn park(&mut self) {
+        for bank in self.array.banks_mut() {
+            park_bank(bank, self.temp_c);
+        }
+        self.array
+            .set_operating_point(self.regulator.volts(), self.temp_c);
     }
 
     /// Runs the full MATIC deployment flow (Fig. 3) on this chip and

@@ -53,7 +53,7 @@ pub mod npu;
 mod regulator;
 
 pub use afu::Afu;
-pub use chip::{Chip, ChipConfig, DeployedNetwork, InferenceStats};
+pub use chip::{Chip, ChipConfig, DeployedNetwork, InferenceStats, POWER_ON_TEMP_C};
 pub use npu::Snnac;
 
 #[cfg(test)]

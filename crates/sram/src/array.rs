@@ -37,23 +37,16 @@ impl SramArray {
                 )
             })
             .collect();
-        let die = Fingerprint::new()
-            .write_str("matic.sram-die/v1")
-            .write_u128(fingerprint_of(cfg))
-            .write_u64(seed)
-            .finish();
         SramArray {
             banks,
-            die,
+            die: die_of(cfg, seed),
             voltage: 0.9,
             temp_c: 25.0,
         }
     }
 
-    /// The die's identity: a fingerprint of the synthesis configuration
-    /// and seed. Two arrays share it exactly when every bit-cell's
-    /// preferred state and `Vmin,read` are the same, so anything computed
-    /// from profiling one applies to the other.
+    /// The die's identity, [`die_of`] its synthesis configuration and
+    /// seed.
     pub fn die(&self) -> u128 {
         self.die
     }
@@ -119,6 +112,19 @@ impl SramArray {
     }
 }
 
+/// The identity of the die [`SramArray::synthesize`] draws from `cfg`
+/// and `seed`: a fingerprint of both, computed without synthesizing.
+/// Two arrays share it exactly when every bit-cell's preferred state and
+/// `Vmin,read` are the same, so anything computed from profiling one
+/// applies to the other.
+pub fn die_of(cfg: &ArrayConfig, seed: u64) -> u128 {
+    Fingerprint::new()
+        .write_str("matic.sram-die/v1")
+        .write_u128(fingerprint_of(cfg))
+        .write_u64(seed)
+        .finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,6 +155,7 @@ mod tests {
     fn die_identity_is_the_config_and_seed() {
         let cfg = ArrayConfig::snnac();
         let die = SramArray::synthesize(&cfg, 5).die();
+        assert_eq!(die_of(&cfg, 5), die);
         assert_eq!(SramArray::synthesize(&cfg, 5).die(), die);
         assert_ne!(SramArray::synthesize(&cfg, 6).die(), die);
         let fewer = ArrayConfig {

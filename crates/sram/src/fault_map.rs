@@ -57,6 +57,25 @@ impl BankFaultMap {
         }
     }
 
+    /// Rebuilds a map from its three per-word mask planes (the inverse of
+    /// [`or_masks`](Self::or_masks), [`and_masks`](Self::and_masks) and
+    /// [`xor_masks`](Self::xor_masks)). `None` when the planes differ in
+    /// length or `word_bits` is outside `1..=32`.
+    pub fn from_masks(
+        word_bits: u8,
+        or_masks: Vec<u32>,
+        and_masks: Vec<u32>,
+        xor_masks: Vec<u32>,
+    ) -> Option<Self> {
+        let planes_agree = or_masks.len() == and_masks.len() && or_masks.len() == xor_masks.len();
+        (planes_agree && (1..=32).contains(&word_bits)).then_some(BankFaultMap {
+            word_bits,
+            or_masks,
+            and_masks,
+            xor_masks,
+        })
+    }
+
     /// Marks a bit as faulty with the given polarity.
     ///
     /// # Panics
@@ -582,5 +601,37 @@ mod tests {
         assert_eq!(recs[1].bank, 1);
         assert!(recs[1].word == 3 && recs[1].bit == 15 && !recs[1].stuck_at_one);
         assert!((map.ber() - 2.0 / 128.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_bank_rebuilds_from_its_mask_planes() {
+        let mut bank = BankFaultMap::clean(4, 16);
+        bank.set_fault(0, 3, true);
+        bank.set_fault(2, 15, false);
+        bank.set_flip(3, 7);
+        let planes = |b: &BankFaultMap| {
+            (
+                b.or_masks().to_vec(),
+                b.and_masks().to_vec(),
+                b.xor_masks().to_vec(),
+            )
+        };
+        let (or, and, xor) = planes(&bank);
+        assert_eq!(
+            BankFaultMap::from_masks(16, or.clone(), and.clone(), xor.clone()),
+            Some(bank)
+        );
+        assert_eq!(
+            BankFaultMap::from_masks(0, or.clone(), and.clone(), xor.clone()),
+            None
+        );
+        assert_eq!(
+            BankFaultMap::from_masks(33, or.clone(), and.clone(), xor.clone()),
+            None
+        );
+        assert_eq!(
+            BankFaultMap::from_masks(16, or, and[1..].to_vec(), xor),
+            None
+        );
     }
 }

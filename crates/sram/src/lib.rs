@@ -50,7 +50,7 @@ pub mod hybrid;
 pub mod inject;
 mod profile;
 
-pub use array::SramArray;
+pub use array::{die_of, SramArray};
 pub use bank::SramBank;
 pub use config::{ArrayConfig, SramConfig};
 pub use dist::VminDistribution;

@@ -42,8 +42,9 @@ USAGE:
                              several daemons and merge the byte-identical report
     matic compare-models [OPTS]  sweep all three fault models at matched
                              stress and print the naive/MAT/MAT+canary table
-    matic cache stats        show persistent sweep-cache contents
-    matic cache clear        delete every cached cell result
+    matic cache stats        show persistent sweep-cache contents (cells and
+                             profiled fault maps, counted apart)
+    matic cache clear        delete every cached cell and profiled fault map
     matic list               list built-in benchmarks and training modes
     matic help               show this message
 
@@ -71,8 +72,9 @@ SWEEP OPTIONS (matic sweep; also accepted by matic energy):
     --seed N            root seed                           [default: 42]
     --threads N         worker threads                      [default: all cores]
     --no-reuse          strict one-model-per-point (disable superset reuse)
-    --cache-dir PATH    persist per-cell results under PATH and replay any
-                        cell whose content key already matches (resume)
+    --cache-dir PATH    persist per-cell results and profiled fault maps
+                        under PATH and replay any whose content key already
+                        matches (resume)
     --resume            shorthand for --cache-dir .matic-cache
     --no-cache          disable the cache even if --cache-dir/--resume given
     --out PATH          JSON report path     [default: matic-sweep.json, or
@@ -406,6 +408,14 @@ impl SweepArgs {
                     run.cache.hits, run.cache.misses
                 ),
             );
+            let silicon = run.cache.silicon;
+            narrate(
+                self.quiet,
+                format_args!(
+                    "silicon: {} chips synthesized, {} profiles computed, {} profiles replayed",
+                    silicon.chips_synthesized, silicon.profiles_computed, silicon.profiles_replayed
+                ),
+            );
         }
         Ok((run, elapsed))
     }
@@ -428,10 +438,10 @@ fn run_sweep_command(args: &[String]) -> Result<(), String> {
     let report = run.report;
     let out = sweep.out_path();
 
-    matic_harness::write_atomic(Path::new(&out), &report.to_json_pretty())
+    matic_harness::write_atomic(Path::new(&out), report.to_json_pretty())
         .map_err(|e| format!("writing {out}: {e}"))?;
     if let Some(path) = &sweep.csv {
-        matic_harness::write_atomic(Path::new(path), &report.to_csv())
+        matic_harness::write_atomic(Path::new(path), report.to_csv())
             .map_err(|e| format!("writing {path}: {e}"))?;
     }
     if !sweep.quiet {
@@ -500,10 +510,10 @@ fn run_energy_command(args: &[String]) -> Result<(), String> {
 
     let energy = matic_serve::job::energy_analysis(&sweep.spec, &report)?;
     let out = sweep.out_path();
-    matic_harness::write_atomic(Path::new(&out), &energy.to_json_pretty())
+    matic_harness::write_atomic(Path::new(&out), energy.to_json_pretty())
         .map_err(|e| format!("writing {out}: {e}"))?;
     if let Some(path) = &sweep.csv {
-        matic_harness::write_atomic(Path::new(path), &energy.to_csv())
+        matic_harness::write_atomic(Path::new(path), energy.to_csv())
             .map_err(|e| format!("writing {path}: {e}"))?;
     }
     if !sweep.quiet {
@@ -1215,13 +1225,20 @@ fn run_cache_command(args: &[String]) -> Result<(), String> {
                 .stats()
                 .map_err(|e| format!("reading cache {dir}: {e}"))?;
             println!("cache {dir}: {} cells, {} bytes", stats.cells, stats.bytes);
+            println!(
+                "cache {dir}: {} profiles, {} bytes",
+                stats.profiles, stats.profile_bytes
+            );
             Ok(())
         }
         "clear" => {
             let removed = cache
                 .clear()
                 .map_err(|e| format!("clearing cache {dir}: {e}"))?;
-            println!("cache {dir}: removed {removed} cells");
+            println!(
+                "cache {dir}: removed {} cells, {} profiles",
+                removed.cells, removed.profiles
+            );
             Ok(())
         }
         _ => unreachable!("action validated above"),
