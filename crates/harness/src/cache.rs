@@ -462,6 +462,11 @@ pub struct CacheUsage {
     /// (and so by every batch entry point). [`assemble_sweep`](crate::assemble_sweep)
     /// alone, which sees only unit outcomes, leaves it zero.
     pub silicon: SiliconUsage,
+    /// Per-scenario datasets the run generated, counted like `silicon`.
+    /// A cached run generates a scenario's dataset only when one of its
+    /// cells computes, so a fully warm run generates none; an uncached
+    /// run generates every scenario's.
+    pub datasets_generated: usize,
 }
 
 impl CacheUsage {

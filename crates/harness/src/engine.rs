@@ -120,6 +120,19 @@
 //! Without a cache every point profiles the chip, as before. What a run
 //! did with silicon is reported in [`CacheUsage::silicon`], never in the
 //! report.
+//!
+//! Datasets are **lazy** like silicon. With a cache attached, a
+//! scenario's dataset is generated by the first of its units that trains
+//! or evaluates (the naive baseline, an adaptive model, a canary
+//! deployment, any evaluation), so a job whose cells all replay generates
+//! none. A dataset is a pure function of the plan's data seed and scale,
+//! so when it is generated changes no byte. Without a cache every cell
+//! computes and every dataset is needed, so [`SweepInputs::new`]
+//! generates them all up front on the calling thread, as a batch sweep
+//! always has. Generating them on the rayon workers instead spreads the
+//! allocations over each worker's glibc malloc arena, which raised an
+//! uncached sweep's peak RSS by about a quarter. How many datasets a run
+//! generated is reported in [`CacheUsage::datasets_generated`].
 
 use crate::cache::{CacheUsage, CellKey, ProfileKey, SiliconUsage, SweepCache, UnitKeyPrefix};
 use crate::plan::{
@@ -145,8 +158,9 @@ use matic_snnac::{Chip, ChipConfig, Snnac, POWER_ON_TEMP_C};
 use matic_sram::{die_of, ArrayConfig, FaultMap};
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// The outcome of one sweep run: the deterministic report plus the
 /// run's cache provenance. The provenance lives here — not inside the
@@ -187,11 +201,14 @@ pub fn run_sweep_with_cache(plan: &SweepPlan, cache: Option<&SweepCache>) -> Swe
 /// front. Datasets are shared per scenario (population statistics vary
 /// the silicon, not the data); index the result by scenario index.
 pub fn sweep_splits(plan: &SweepPlan) -> Vec<Split> {
-    plan.scenarios
-        .iter()
-        .enumerate()
-        .map(|(i, s)| s.generate(plan.data_seed(i), plan.data_scale))
+    (0..plan.scenarios.len())
+        .map(|i| scenario_split(plan, i))
         .collect()
+}
+
+/// Scenario `scen_idx`'s dataset, from its own seed.
+fn scenario_split(plan: &SweepPlan, scen_idx: usize) -> Split {
+    plan.scenarios[scen_idx].generate(plan.data_seed(scen_idx), plan.data_scale)
 }
 
 /// The plan's work units — one `(scenario index, chip index)` pair per
@@ -219,7 +236,7 @@ pub fn sweep_units(plan: &SweepPlan) -> Vec<(usize, usize)> {
 /// when unset); this is the engine's only parallel call.
 pub fn run_sweep_observed(plan: &SweepPlan, ctx: &ExecContext<'_>) -> SweepOutcome {
     let units = sweep_units(plan);
-    let inputs = SweepInputs::new(plan, &units);
+    let inputs = SweepInputs::new(plan, &units, ctx.cache.is_some());
     let pool = ThreadPoolBuilder::new()
         .num_threads(plan.threads.unwrap_or(0))
         .build()
@@ -239,23 +256,31 @@ pub fn run_sweep_observed(plan: &SweepPlan, ctx: &ExecContext<'_>) -> SweepOutco
         .silicon
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
+    usage.datasets_generated = inputs.datasets_generated.load(Ordering::Relaxed);
     outcome
 }
 
-/// What a sweep's units run on: the per-scenario datasets
-/// ([`sweep_splits`]) and the sweep's [`TrainingMemo`]. It evicts each
-/// scenario's models once the last of its units has finished. Training
-/// keys include the train split, and splits are per scenario, so no
-/// other unit can hit those entries: a model lives exactly as long as a
-/// unit that could reuse it may run.
+/// What a sweep's units run on: the per-scenario datasets (the splits
+/// [`sweep_splits`] generates) and the sweep's [`TrainingMemo`]. It
+/// evicts each scenario's models once the last of its units has
+/// finished. Training keys include the train split, and splits are per
+/// scenario, so no other unit can hit those entries: a model lives
+/// exactly as long as a unit that could reuse it may run.
+///
+/// With a cache, a scenario's dataset is generated by the first of its
+/// units that trains or evaluates, so a job whose cells all replay
+/// generates none. Without one every cell computes, and every dataset is
+/// generated up front on the constructing thread (see the module docs).
 ///
 /// Batch sweeps ([`run_sweep_observed`]) and serve jobs run every unit
 /// through [`run_unit`](Self::run_unit), in any order and from any
 /// thread.
 #[derive(Debug)]
 pub struct SweepInputs {
-    /// Per-scenario datasets, indexed by scenario.
-    splits: Vec<Split>,
+    /// Per-scenario datasets, indexed by scenario; each filled on first use.
+    splits: Vec<OnceLock<Split>>,
+    /// Datasets generated so far.
+    datasets_generated: AtomicUsize,
     /// The memo units share when their context carries none.
     memo: TrainingMemo,
     /// Units not yet finished, per scenario index.
@@ -265,40 +290,60 @@ pub struct SweepInputs {
 }
 
 impl SweepInputs {
-    /// Generates the plan's datasets and tracks `units` (the
-    /// `(scenario, chip)` pairs this execution runs).
-    pub fn new(plan: &SweepPlan, units: &[(usize, usize)]) -> Self {
-        let pending = (0..plan.scenarios.len())
+    /// Tracks `units` (the `(scenario, chip)` pairs this execution runs).
+    /// Without a cache (`cached` false) every scenario's dataset is
+    /// generated here; with one, each waits for its first use.
+    pub fn new(plan: &SweepPlan, units: &[(usize, usize)], cached: bool) -> Self {
+        let scenarios = plan.scenarios.len();
+        let pending = (0..scenarios)
             .map(|s| AtomicUsize::new(units.iter().filter(|u| u.0 == s).count()))
             .collect();
-        SweepInputs {
-            splits: sweep_splits(plan),
+        let inputs = SweepInputs {
+            splits: (0..scenarios).map(|_| OnceLock::new()).collect(),
+            datasets_generated: AtomicUsize::new(0),
             memo: TrainingMemo::new(),
             pending,
             silicon: Mutex::default(),
+        };
+        if !cached {
+            for s in 0..scenarios {
+                inputs.split(plan, s);
+            }
         }
+        inputs
+    }
+
+    /// Scenario `scen_idx`'s dataset, generated on the first request.
+    fn split(&self, plan: &SweepPlan, scen_idx: usize) -> &Split {
+        self.splits[scen_idx].get_or_init(|| {
+            self.datasets_generated.fetch_add(1, Ordering::Relaxed);
+            scenario_split(plan, scen_idx)
+        })
     }
 
     /// Runs one of the tracked units through `ctx` with the context's
     /// memo, or this sweep's own when the context carries none. When it
     /// was its scenario's last unit (completed or cancelled), the models
-    /// trained on the scenario's split are evicted.
+    /// trained on the scenario's split are evicted; a scenario whose
+    /// dataset was never generated trained none.
     pub fn run_unit(
         &self,
         plan: &SweepPlan,
         (scen_idx, chip_idx): (usize, usize),
         ctx: &ExecContext<'_>,
     ) -> UnitOutcome {
-        let split = &self.splits[scen_idx];
         let memo = ctx.memo.unwrap_or(&self.memo);
         let ctx = ExecContext {
             memo: Some(memo),
             ..*ctx
         };
-        let (outcome, silicon) = walk_unit(plan, scen_idx, chip_idx, split, &ctx);
+        let split = || self.split(plan, scen_idx);
+        let (outcome, silicon) = walk_unit(plan, scen_idx, chip_idx, &split, &ctx);
         *self.silicon.lock().unwrap_or_else(PoisonError::into_inner) += silicon;
         if self.pending[scen_idx].fetch_sub(1, Ordering::SeqCst) == 1 && !memo.is_empty() {
-            memo.evict(&TrainingSet::new(&split.train));
+            if let Some(split) = self.splits[scen_idx].get() {
+                memo.evict(&TrainingSet::new(&split.train));
+            }
         }
         outcome
     }
@@ -330,6 +375,7 @@ pub fn assemble_sweep(
         misses: per_cell.len() - hits - deduped,
         per_cell,
         silicon: SiliconUsage::default(),
+        datasets_generated: 0,
     };
     if cancelled {
         return SweepOutcome::Cancelled(CancelledSweep {
@@ -541,27 +587,33 @@ pub fn run_unit_observed(
     split: &Split,
     ctx: &ExecContext<'_>,
 ) -> UnitOutcome {
-    walk_unit(plan, scen_idx, chip_idx, split, ctx).0
+    let unit_memo = TrainingMemo::new();
+    let ctx = ExecContext {
+        memo: Some(ctx.memo.unwrap_or(&unit_memo)),
+        ..*ctx
+    };
+    walk_unit(plan, scen_idx, chip_idx, &|| split, &ctx).0
 }
 
-/// [`run_unit_observed`], also returning what the unit did with silicon.
-fn walk_unit(
-    plan: &SweepPlan,
+/// [`run_unit_observed`] with the scenario's dataset behind `split`,
+/// called only once the unit trains or evaluates, and the memo `ctx`
+/// must carry; also returns what the unit did with silicon.
+fn walk_unit<'a>(
+    plan: &'a SweepPlan,
     scen_idx: usize,
     chip_idx: usize,
-    split: &Split,
-    ctx: &ExecContext<'_>,
+    split: &'a dyn Fn() -> &'a Split,
+    ctx: &ExecContext<'a>,
 ) -> (UnitOutcome, SiliconUsage) {
     let scen = &*plan.scenarios[scen_idx];
-    let unit_memo = TrainingMemo::new();
     let unit = Unit {
         plan,
         scen,
         chip_idx,
         split,
-        memo: ctx.memo.unwrap_or(&unit_memo),
+        memo: ctx.memo.expect("the caller supplies the unit's memo"),
         trainer: MatTrainer::new(scen.topology(), plan.train_config(scen)),
-        data: TrainingSet::new(&split.train),
+        data: OnceCell::new(),
     };
     let mut source = FaultSource::new(&unit);
     // The unit-invariant half of every cell key, hashed once.
@@ -787,7 +839,7 @@ impl FaultSource {
         faults: &CellFaults,
         stress: f64,
     ) -> (f64, NpuStats) {
-        let (is_class, test) = (unit.scen.is_classification(), &unit.split.test);
+        let (is_class, test) = (unit.scen.is_classification(), &unit.split().test);
         match self {
             FaultSource::Silicon(die) => eval_on_chip(die.chip(), model, is_class, test, stress),
             FaultSource::Injected { .. } => eval_injected(model, is_class, test, faults),
@@ -898,21 +950,31 @@ impl LazyChip {
 
 /// One (scenario, chip) unit's invariants. Every model comes from the
 /// memo (the sweep's, or the unit's own), with the scenario's trainer and
-/// train split (hashed at most once per unit).
+/// train split (hashed at most once per unit). The dataset is asked for
+/// only by a training or an evaluation, so a unit whose cells all replay
+/// never has one generated.
 struct Unit<'a> {
     plan: &'a SweepPlan,
     scen: &'a dyn Scenario,
     chip_idx: usize,
-    split: &'a Split,
+    split: &'a dyn Fn() -> &'a Split,
     memo: &'a TrainingMemo,
     trainer: MatTrainer,
-    data: TrainingSet<'a>,
+    data: OnceCell<TrainingSet<'a>>,
 }
 
-impl Unit<'_> {
+impl<'a> Unit<'a> {
+    /// The scenario's dataset.
+    fn split(&self) -> &'a Split {
+        (self.split)()
+    }
+
     /// The model trained against `faults`.
     fn train(&self, faults: &FaultMap) -> Arc<TrainedModel> {
-        self.memo.train(&self.trainer, &self.data, faults)
+        let data = self
+            .data
+            .get_or_init(|| TrainingSet::new(&self.split().train));
+        self.memo.train(&self.trainer, data, faults)
     }
 }
 
@@ -1051,7 +1113,7 @@ fn run_canary_cell(
         &weights,
         None,
         unit.scen.is_classification(),
-        &unit.split.test,
+        &unit.split().test,
     );
     let map = net.deployment().fault_map();
     let mut cell = new_cell(
@@ -1184,7 +1246,7 @@ mod tests {
     #[test]
     fn sweep_inputs_evict_a_scenario_right_after_its_last_unit() {
         let plan = two_scenario_plan();
-        let inputs = SweepInputs::new(&plan, &sweep_units(&plan));
+        let inputs = SweepInputs::new(&plan, &sweep_units(&plan), false);
         let ctx = ExecContext::default();
         // Non-grid order; after each unit: (models held, trainings run).
         let walk = [

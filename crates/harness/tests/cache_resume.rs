@@ -307,3 +307,62 @@ fn growing_the_population_reuses_existing_chips() {
     }
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn datasets_are_generated_only_for_scenarios_with_a_cell_to_compute() {
+    let plan = |threads: usize| {
+        SweepPlan::builder()
+            .chips(2)
+            .voltages(&[0.9, 0.52])
+            .benchmark("inversek2j")
+            .expect("builtin benchmark")
+            .benchmark("bscholes")
+            .expect("builtin benchmark")
+            .modes(&[TrainingMode::Naive, TrainingMode::Mat])
+            .data_scale(0.05)
+            .epoch_scale(0.1)
+            .seed(5)
+            .threads(threads)
+            .build()
+            .expect("plan is valid")
+    };
+    let dir = scratch_dir("datasets");
+    let cache = SweepCache::open(&dir).expect("cache opens");
+
+    // Cold: every cell computes, so both scenarios' datasets are built.
+    let cold = run_sweep_with_cache(&plan(2), Some(&cache));
+    assert_eq!(cold.cache.misses, plan(2).cell_count());
+    assert_eq!(cold.cache.datasets_generated, 2);
+
+    // Warm: every cell replays and no dataset is built.
+    let warm = run_sweep_with_cache(&plan(2), Some(&cache));
+    assert!(warm.cache.all_hits());
+    assert_eq!(warm.cache.datasets_generated, 0, "a warm run needs no data");
+    assert_eq!(report_bytes(&cold.report), report_bytes(&warm.report));
+
+    // Partial: one bscholes cell is gone, so only bscholes is built.
+    let victim = fs::read_dir(dir.join("cells"))
+        .expect("cache dir listable")
+        .map(|e| e.expect("entry").path())
+        .find(|p| {
+            fs::read_to_string(p)
+                .expect("cached cell readable")
+                .contains("\"scenario\": \"bscholes\"")
+        })
+        .expect("a cached bscholes cell");
+    fs::remove_file(victim).expect("delete cached cell");
+    let partial = run_sweep_with_cache(&plan(1), Some(&cache));
+    assert_eq!(partial.cache.misses, 1);
+    assert_eq!(
+        partial.cache.datasets_generated, 1,
+        "only the scenario with a miss builds its dataset"
+    );
+    assert_eq!(report_bytes(&cold.report), report_bytes(&partial.report));
+
+    // Uncached: every dataset is built up front.
+    let uncached = run_sweep_with_cache(&plan(2), None);
+    assert_eq!(uncached.cache.datasets_generated, 2);
+    assert_eq!(report_bytes(&cold.report), report_bytes(&uncached.report));
+
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -19,6 +19,18 @@
 //! terminal phase. Workers finish (and checkpoint, through the cache's
 //! atomic writer) the cell they are on — nothing computed is lost — then
 //! the queue closes, the workers join, and the socket file is removed.
+//!
+//! # Accepting connections
+//!
+//! Each listener (the Unix socket, and the HTTP address when one is
+//! configured) has an accept loop that blocks in `accept()`, so a
+//! connection is served the moment it arrives, on a thread of its own.
+//! Each new connection first joins the connection threads that have
+//! finished, which releases their stacks: the loop holds live
+//! connections only. To stop, the `Shutdown` handler sets the stop flag
+//! and then connects once to the daemon's own socket and to its bound
+//! HTTP address. Each loop takes that connection, sees the flag, drops
+//! the connection and exits after joining its live connection threads.
 
 use crate::http::{read_body, read_head, ChunkWriter, MAX_BODY_BYTES, PROTOCOL_PATH};
 use crate::job::Job;
@@ -26,20 +38,18 @@ use crate::pool::{spawn_workers, SharedExec, WorkQueue};
 use crate::protocol::{read_message, write_message, Event, JobStatusInfo, Request};
 use matic_harness::SweepCache;
 use std::collections::BTreeMap;
-use std::io::{self, BufReader, ErrorKind, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, BufReader, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Progress ticks are coalesced to this cadence per connection: a slow
 /// client throttles only its own stream, never the workers.
 const PROGRESS_TICK: Duration = Duration::from_millis(100);
-
-/// How often the accept loop polls for shutdown.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
 /// A submit stream with nothing to say for this long sends a
 /// `Heartbeat`, so client read timeouts never mistake a slow cell for
@@ -96,6 +106,8 @@ impl ServeConfig {
 
 struct Daemon {
     cfg: ServeConfig,
+    /// The address the HTTP listener is bound to, if there is one.
+    http_addr: Option<SocketAddr>,
     exec: Arc<SharedExec>,
     queue: Arc<WorkQueue>,
     jobs: Mutex<BTreeMap<u64, Arc<Job>>>,
@@ -142,10 +154,19 @@ pub fn serve(cfg: ServeConfig) -> Result<(), String> {
             SweepCache::open(dir).map_err(|e| format!("opening sweep cache {}: {e}", dir.display()))
         })
         .transpose()?;
+    // The HTTP listener binds first, so a bad address leaves no socket
+    // file and no worker behind.
+    let http = match &cfg.http {
+        Some(addr) => {
+            let tcp = TcpListener::bind(addr).map_err(|e| format!("binding http://{addr}: {e}"))?;
+            let bound = tcp
+                .local_addr()
+                .map_err(|e| format!("resolving the bound http address: {e}"))?;
+            Some((tcp, bound))
+        }
+        None => None,
+    };
     let listener = bind_socket(&cfg.socket)?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("configuring listener: {e}"))?;
 
     let exec = Arc::new(SharedExec {
         cache,
@@ -155,6 +176,7 @@ pub fn serve(cfg: ServeConfig) -> Result<(), String> {
     let workers = spawn_workers(cfg.workers, &queue, &exec);
     let daemon = Arc::new(Daemon {
         cfg,
+        http_addr: http.as_ref().map(|(_, bound)| *bound),
         exec,
         queue: Arc::clone(&queue),
         jobs: Mutex::new(BTreeMap::new()),
@@ -178,14 +200,8 @@ pub fn serve(cfg: ServeConfig) -> Result<(), String> {
     // The optional HTTP listener runs its own accept loop on the same
     // daemon state; the dispatch below never knows which wire a request
     // arrived on.
-    let http_accept = match &daemon.cfg.http {
-        Some(addr) => {
-            let tcp = TcpListener::bind(addr).map_err(|e| format!("binding http://{addr}: {e}"))?;
-            tcp.set_nonblocking(true)
-                .map_err(|e| format!("configuring the http listener: {e}"))?;
-            let bound = tcp
-                .local_addr()
-                .map_err(|e| format!("resolving the bound http address: {e}"))?;
+    let http_accept = match http {
+        Some((tcp, bound)) => {
             let addr_file = daemon.cfg.http_addr_file();
             std::fs::write(&addr_file, format!("{bound}\n"))
                 .map_err(|e| format!("writing {}: {e}", addr_file.display()))?;
@@ -197,38 +213,27 @@ pub fn serve(cfg: ServeConfig) -> Result<(), String> {
             Some(
                 std::thread::Builder::new()
                     .name("matic-serve-http".into())
-                    .spawn(move || http_accept_loop(&daemon, tcp))
+                    .spawn(move || {
+                        let accept = || tcp.accept().map(|(stream, _)| stream);
+                        if let Err(e) = accept_loop(&daemon, accept, handle_http_connection) {
+                            daemon.note(format_args!("http accept failed: {e}"));
+                        }
+                    })
                     .map_err(|e| format!("spawning the http accept thread: {e}"))?,
             )
         }
         None => None,
     };
 
-    let mut connections = Vec::new();
-    while !daemon.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let daemon = Arc::clone(&daemon);
-                connections.push(
-                    std::thread::Builder::new()
-                        .name("matic-serve-conn".into())
-                        .spawn(move || handle_connection(&daemon, stream))
-                        .map_err(|e| format!("spawning connection thread: {e}"))?,
-                );
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(e) => return Err(format!("accepting on the serve socket: {e}")),
-        }
-    }
+    let accept = || listener.accept().map(|(stream, _)| stream);
+    accept_loop(&daemon, accept, handle_connection)
+        .map_err(|e| format!("accepting on the serve socket: {e}"))?;
 
     // Drain: the shutdown handler already waited for every job, so the
     // queue is dead work at most; close it and let the workers exit.
     queue.close();
     for w in workers {
         let _ = w.join();
-    }
-    for c in connections {
-        let _ = c.join();
     }
     if let Some(accept) = http_accept {
         let _ = accept.join();
@@ -239,30 +244,59 @@ pub fn serve(cfg: ServeConfig) -> Result<(), String> {
     Ok(())
 }
 
-/// The HTTP accept loop: mirrors the Unix one, joining its connection
-/// threads before exiting so shutdown stays orderly.
-fn http_accept_loop(daemon: &Arc<Daemon>, listener: TcpListener) {
-    let mut connections = Vec::new();
-    while !daemon.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let daemon = Arc::clone(daemon);
-                if let Ok(handle) = std::thread::Builder::new()
-                    .name("matic-serve-http-conn".into())
-                    .spawn(move || handle_http_connection(&daemon, stream))
-                {
-                    connections.push(handle);
-                }
+/// Serves every connection `accept` blocks for, each on a thread of its
+/// own running `handle`, until a connection arrives after the stop flag
+/// was set. Then joins the live connection threads. An accept error ends
+/// the loop at once.
+fn accept_loop<S: Send + 'static>(
+    daemon: &Arc<Daemon>,
+    mut accept: impl FnMut() -> io::Result<S>,
+    handle: fn(&Arc<Daemon>, S),
+) -> io::Result<()> {
+    let mut connections: Vec<JoinHandle<()>> = Vec::new();
+    loop {
+        let stream = accept()?;
+        if daemon.stop.load(Ordering::Acquire) {
+            break; // the shutdown wake-up (or a client too late to serve)
+        }
+        // A finished thread keeps its stack until it is joined.
+        for done in connections.extract_if(.., |c| c.is_finished()) {
+            if done.join().is_err() {
+                daemon.note(format_args!("a connection thread panicked"));
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(e) => {
-                daemon.note(format_args!("http accept failed: {e}"));
-                break;
-            }
+        }
+        let conn = Arc::clone(daemon);
+        match std::thread::Builder::new()
+            .name("matic-serve-conn".into())
+            .spawn(move || handle(&conn, stream))
+        {
+            Ok(thread) => connections.push(thread),
+            Err(e) => daemon.note(format_args!("dropping a connection: {e}")),
         }
     }
     for c in connections {
         let _ = c.join();
+    }
+    Ok(())
+}
+
+/// Wakes the accept loops, blocked in `accept`, once the stop flag is
+/// set: one connection to the daemon's own socket and one to its HTTP
+/// address (loopback when it is bound to every interface).
+fn wake_accept_loops(daemon: &Daemon) {
+    if let Err(e) = UnixStream::connect(&daemon.cfg.socket) {
+        daemon.note(format_args!("waking the socket accept loop: {e}"));
+    }
+    if let Some(mut addr) = daemon.http_addr {
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        if let Err(e) = TcpStream::connect_timeout(&addr, REQUEST_READ_TIMEOUT) {
+            daemon.note(format_args!("waking the http accept loop: {e}"));
+        }
     }
 }
 
@@ -309,7 +343,6 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: UnixStream) {
 /// has arrived for `timeout`, then clears the timeout again. `Ok(None)`
 /// when the client hung up without sending anything.
 fn read_request(stream: &UnixStream, timeout: Duration) -> io::Result<Option<Request>> {
-    stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(timeout))?;
     let request = read_message(&mut BufReader::new(stream), MAX_BODY_BYTES)?;
     stream.set_read_timeout(None)?;
@@ -401,7 +434,7 @@ fn dispatch(daemon: &Arc<Daemon>, writer: &mut impl Write, request: Request) {
                     daemon.note(format_args!("job {id} cancel requested"));
                     Event::CancelOk {
                         id,
-                        phase: job.phase().name().to_string(),
+                        phase: job.phase_name().to_string(),
                     }
                 }
                 None => Event::Error {
@@ -482,8 +515,7 @@ fn stream_progress(daemon: &Arc<Daemon>, writer: &mut impl Write, job: &Arc<Job>
     let mut last_done = usize::MAX;
     let mut last_write = Instant::now();
     loop {
-        let phase = job.phase();
-        if phase.is_terminal() {
+        if let Some(phase) = job.take_terminal() {
             let event = match phase {
                 crate::job::JobPhase::Done {
                     report,
@@ -573,7 +605,7 @@ fn handle_shutdown(daemon: &Arc<Daemon>, writer: &mut impl Write) {
     let jobs = daemon.job_snapshot();
     let mut drained = 0usize;
     for job in &jobs {
-        if !job.phase().is_terminal() {
+        if !job.is_terminal() {
             job.cancel.cancel();
             drained += 1;
         }
@@ -589,11 +621,13 @@ fn handle_shutdown(daemon: &Arc<Daemon>, writer: &mut impl Write) {
         },
     );
     daemon.stop.store(true, Ordering::Release);
+    wake_accept_loops(daemon);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::ErrorKind;
 
     #[test]
     fn a_request_read_gives_up_on_a_stalled_sender_and_then_clears_its_timeout() {

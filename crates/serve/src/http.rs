@@ -53,24 +53,18 @@ impl HttpHead {
 }
 
 /// Reads one head (request or status line + headers) off the stream.
+/// No more than [`MAX_HEAD_BYTES`] are read, line endings included.
 pub(crate) fn read_head(r: &mut impl BufRead) -> io::Result<HttpHead> {
-    let line = read_crlf_line(r)?;
+    let mut budget = MAX_HEAD_BYTES;
+    let line = read_crlf_line(r, &mut budget)?;
     if line.is_empty() {
         return Err(io::Error::new(ErrorKind::UnexpectedEof, "empty HTTP head"));
     }
     let mut headers = Vec::new();
-    let mut total = line.len();
     loop {
-        let header = read_crlf_line(r)?;
+        let header = read_crlf_line(r, &mut budget)?;
         if header.is_empty() {
             return Ok(HttpHead { line, headers });
-        }
-        total += header.len();
-        if total > MAX_HEAD_BYTES {
-            return Err(io::Error::new(
-                ErrorKind::InvalidData,
-                "oversized HTTP head",
-            ));
         }
         let (name, value) = header
             .split_once(':')
@@ -89,14 +83,20 @@ pub(crate) fn read_body(r: &mut impl BufRead, len: usize) -> io::Result<Vec<u8>>
     Ok(body)
 }
 
-fn read_crlf_line(r: &mut impl BufRead) -> io::Result<String> {
+/// Reads one line of at most `budget` bytes, line ending included, and
+/// takes its length off `budget`; a longer line is an error.
+fn read_crlf_line(r: &mut impl BufRead, budget: &mut usize) -> io::Result<String> {
     let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+    let read = r.take(*budget as u64 + 1).read_line(&mut line)?;
+    if read == 0 {
         return Err(io::Error::new(
             ErrorKind::UnexpectedEof,
             "peer hung up mid-head",
         ));
     }
+    *budget = budget
+        .checked_sub(read)
+        .ok_or_else(|| io::Error::new(ErrorKind::InvalidData, "oversized HTTP head"))?;
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
     }
@@ -166,13 +166,14 @@ impl<R: BufRead> Read for ChunkReader<R> {
             return Ok(0);
         }
         if self.remaining == 0 {
-            let size_line = read_crlf_line(&mut self.inner)?;
+            let mut budget = MAX_HEAD_BYTES;
+            let size_line = read_crlf_line(&mut self.inner, &mut budget)?;
             let size_hex = size_line.split(';').next().unwrap_or("").trim();
             let size = usize::from_str_radix(size_hex, 16)
                 .map_err(|_| io::Error::new(ErrorKind::InvalidData, "bad chunk size"))?;
             if size == 0 {
                 // Consume the (empty) trailer section's final CRLF.
-                let _ = read_crlf_line(&mut self.inner);
+                let _ = read_crlf_line(&mut self.inner, &mut budget);
                 self.done = true;
                 return Ok(0);
             }
@@ -233,5 +234,92 @@ mod tests {
         assert_eq!(head.header("HOST"), Some("x"));
         let body = read_body(&mut r, head.content_length().unwrap()).unwrap();
         assert_eq!(body, b"hello world!");
+    }
+}
+
+/// Adversarial inputs for the request reader: whatever arrives, parsing
+/// a head and its body returns `Ok` or `Err` and never panics.
+#[cfg(test)]
+mod fuzz {
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::io::BufReader;
+
+    /// A well-formed request carrying `body`.
+    fn request(body: &[u8]) -> Vec<u8> {
+        let mut raw = format!(
+            "POST {PROTOCOL_PATH} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        raw.extend_from_slice(body);
+        raw
+    }
+
+    /// Reads one request off `bytes` as the daemon does: head, then the
+    /// body its `Content-Length` declares.
+    fn parse(bytes: &[u8]) -> io::Result<(HttpHead, Vec<u8>)> {
+        let mut r = BufReader::new(bytes);
+        let head = read_head(&mut r)?;
+        let body = read_body(&mut r, head.content_length()?)?;
+        Ok((head, body))
+    }
+
+    /// Bytes drawn mostly from the characters a head is made of.
+    fn head_shaped() -> impl Strategy<Value = Vec<u8>> {
+        const ALPHABET: &[u8] = b"\r\n: \tPOST/matic2HTTP1.Content-Length0123456789x\xff";
+        vec(0..ALPHABET.len(), 0..256).prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in vec(0u8..=255, 0..512)) {
+            let _ = parse(&bytes);
+        }
+
+        #[test]
+        fn head_shaped_bytes_never_panic(bytes in head_shaped()) {
+            let _ = parse(&bytes);
+        }
+
+        /// Every proper prefix of a request with a body is an error; the
+        /// whole request parses back to its body.
+        #[test]
+        fn a_truncated_request_is_an_error(body in vec(0u8..=255, 1..64), cut in 0.0f64..1.0) {
+            let full = request(&body);
+            let cut = (cut * full.len() as f64) as usize;
+            prop_assert!(parse(&full[..cut]).is_err(), "prefix of {cut} bytes parsed");
+            let (head, got) = parse(&full).expect("a whole request parses");
+            prop_assert_eq!(head.line, format!("POST {PROTOCOL_PATH} HTTP/1.1"));
+            prop_assert_eq!(got, body);
+        }
+
+        /// A head past the cap is refused, whether one long line or many
+        /// headers carry it, and no more than the cap is read.
+        #[test]
+        fn an_over_cap_head_is_refused(pad in 1usize..(2 * MAX_HEAD_BYTES), lines in 1usize..4) {
+            let mut raw = format!("POST {PROTOCOL_PATH} HTTP/1.1\r\n").into_bytes();
+            let header = format!("X-Pad: {}\r\n", "a".repeat(pad));
+            while raw.len() <= MAX_HEAD_BYTES {
+                for _ in 0..lines {
+                    raw.extend_from_slice(header.as_bytes());
+                }
+            }
+            raw.extend_from_slice(b"Content-Length: 0\r\n\r\n");
+            let mut rest = &raw[..];
+            let err = read_head(&mut rest).err().expect("an over-cap head must be refused");
+            prop_assert_eq!(err.kind(), ErrorKind::InvalidData);
+            prop_assert!(raw.len() - rest.len() <= MAX_HEAD_BYTES + 1, "read past the cap");
+        }
+
+        /// A declared body past the cap is refused before anything is read.
+        #[test]
+        fn an_over_cap_body_is_refused(len in (MAX_BODY_BYTES + 1)..=usize::MAX) {
+            let err = read_body(&mut BufReader::new(&b"{}"[..]), len).unwrap_err();
+            prop_assert_eq!(err.kind(), ErrorKind::InvalidData);
+        }
     }
 }

@@ -142,6 +142,9 @@ impl ProgressSink for JobProgress {
 
 /// Where a job is in its lifecycle. Terminal phases carry everything the
 /// client stream needs, so a status query never has to re-derive them.
+/// The payload (a report, or a shard's cells) is handed over once, to the
+/// connection that streams it ([`Job::take_terminal`]); the job keeps the
+/// phase and its counts.
 #[derive(Debug, Clone)]
 pub enum JobPhase {
     /// Admitted, no unit started yet.
@@ -150,7 +153,8 @@ pub enum JobPhase {
     Running,
     /// Every unit finished; `report` is the exact pretty-printed text.
     Done {
-        /// The report bytes the batch CLI would have written.
+        /// The report bytes the batch CLI would have written (empty once
+        /// taken).
         report: String,
         /// Cache replays.
         hits: usize,
@@ -162,7 +166,8 @@ pub enum JobPhase {
     /// Every unit of a shard job finished; the coordinator merges the
     /// per-unit cells into the full-plan report.
     ShardDone {
-        /// Each covered `(scenario, chip)` unit with its cells.
+        /// Each covered `(scenario, chip)` unit with its cells (empty
+        /// once taken).
         units: Vec<ShardUnit>,
         /// Cache replays.
         hits: usize,
@@ -238,9 +243,12 @@ pub struct Job {
 }
 
 impl Job {
-    /// Validates the spec and materializes the job (plan, units,
-    /// datasets). Dataset generation happens here — on the submitting
-    /// connection's thread — so pool workers only ever run units.
+    /// Validates the spec and materializes the job's plan and units.
+    /// With a cache (`cache_enabled`), no dataset is generated here: a
+    /// scenario's dataset is built by the first of its units that trains
+    /// or evaluates, on a pool worker, so a job whose cells all replay
+    /// never builds one. Without a cache every cell computes, and every
+    /// dataset is generated here, on the submitting connection's thread.
     pub fn admit(id: u64, spec: JobSpec, cache_enabled: bool) -> Result<Job, String> {
         let plan = build_plan(&spec)?;
         let units = match spec.chip_range {
@@ -249,7 +257,7 @@ impl Job {
         };
         let slots = units.iter().map(|_| None).collect::<Vec<_>>();
         let remaining = units.len();
-        let inputs = SweepInputs::new(&plan, &units);
+        let inputs = SweepInputs::new(&plan, &units, cache_enabled);
         Ok(Job {
             id,
             spec,
@@ -386,9 +394,54 @@ impl Job {
         }
     }
 
-    /// The current phase (cloned; terminal phases carry their payload).
-    pub fn phase(&self) -> JobPhase {
-        self.state.lock().expect("job state poisoned").phase.clone()
+    /// The current phase's name (see [`JobPhase::name`]).
+    pub fn phase_name(&self) -> &'static str {
+        self.state.lock().expect("job state poisoned").phase.name()
+    }
+
+    /// Whether the job can no longer change.
+    pub fn is_terminal(&self) -> bool {
+        self.state
+            .lock()
+            .expect("job state poisoned")
+            .phase
+            .is_terminal()
+    }
+
+    /// The terminal phase with its payload, or `None` while the job still
+    /// runs. The report (or a shard's cells) moves out to the caller, the
+    /// connection that streams it, so a finished job in the registry
+    /// keeps only its phase and counts; a later call sees an empty
+    /// payload.
+    pub fn take_terminal(&self) -> Option<JobPhase> {
+        let mut st = self.state.lock().expect("job state poisoned");
+        let kept = match &mut st.phase {
+            JobPhase::Queued | JobPhase::Running => return None,
+            JobPhase::Done {
+                report,
+                hits,
+                deduped,
+                misses,
+            } => JobPhase::Done {
+                report: std::mem::take(report),
+                hits: *hits,
+                deduped: *deduped,
+                misses: *misses,
+            },
+            JobPhase::ShardDone {
+                units,
+                hits,
+                deduped,
+                misses,
+            } => JobPhase::ShardDone {
+                units: std::mem::take(units),
+                hits: *hits,
+                deduped: *deduped,
+                misses: *misses,
+            },
+            phase => phase.clone(),
+        };
+        Some(kept)
     }
 
     /// Blocks until the phase changes or `timeout` elapses (progress
@@ -404,21 +457,19 @@ impl Job {
     }
 
     /// Blocks until the job reaches a terminal phase.
-    pub fn wait_terminal(&self) -> JobPhase {
+    pub fn wait_terminal(&self) {
         let mut st = self.state.lock().expect("job state poisoned");
         while !st.phase.is_terminal() {
             st = self.changed.wait(st).expect("job state poisoned");
         }
-        st.phase.clone()
     }
 
     /// One status-line snapshot for `matic status`.
     pub fn status(&self) -> JobStatusInfo {
-        let phase = self.phase();
         let (done, hits, deduped, misses) = self.progress.snapshot();
         JobStatusInfo {
             id: self.id,
-            phase: phase.name().to_string(),
+            phase: self.phase_name().to_string(),
             kind: self.spec.kind,
             cells_done: done,
             cells_total: self.cells_total(),
@@ -435,7 +486,7 @@ impl std::fmt::Debug for Job {
             .field("id", &self.id)
             .field("kind", &self.spec.kind)
             .field("units", &self.units.len())
-            .field("phase", &self.phase().name())
+            .field("phase", &self.phase_name())
             .finish()
     }
 }

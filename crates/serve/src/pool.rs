@@ -265,7 +265,7 @@ mod tests {
             for unit in 0..job.units.len() {
                 run_one_unit(&exec, &job, unit);
             }
-            let phase = job.phase();
+            let phase = job.take_terminal().expect("the job finished");
             assert_eq!(phase.name(), end);
             if let JobPhase::Done { misses, .. } = phase {
                 assert_eq!(misses, 2, "both units ran");
@@ -279,5 +279,47 @@ mod tests {
                 "{end}: the splits and memo were freed"
             );
         }
+    }
+
+    #[test]
+    fn a_taken_report_leaves_the_job_done_with_its_counts() {
+        let exec = SharedExec::default();
+        let job = tiny_job(2);
+        for unit in 0..job.units.len() {
+            run_one_unit(&exec, &job, unit);
+        }
+        let before = job.status();
+        let Some(JobPhase::Done {
+            report,
+            hits,
+            deduped,
+            misses,
+        }) = job.take_terminal()
+        else {
+            panic!("the job must be done");
+        };
+        assert!(!report.is_empty(), "the first take carries the report");
+        let counts = |s: &crate::protocol::JobStatusInfo| {
+            (s.phase.clone(), s.cells_done, s.hits, s.deduped, s.misses)
+        };
+        let want = (
+            "done".into(),
+            hits + deduped + misses,
+            hits,
+            deduped,
+            misses,
+        );
+        assert_eq!(counts(&before), want);
+        assert_eq!(counts(&job.status()), want, "the take changes no status");
+        let Some(JobPhase::Done {
+            report: kept,
+            misses: kept_misses,
+            ..
+        }) = job.take_terminal()
+        else {
+            panic!("the job stays done");
+        };
+        assert!(kept.is_empty(), "the job no longer holds the report");
+        assert_eq!(kept_misses, misses);
     }
 }

@@ -431,6 +431,37 @@ fn draining_daemon_rejects_new_submissions_then_exits_cleanly() {
 }
 
 #[test]
+fn an_idle_daemon_with_both_listeners_shuts_down_promptly() {
+    let dir = scratch_dir("idle");
+    let mut daemon = TestDaemon::start_in(&dir, "idle", 1, &dir.join("cache"), true);
+    let addr_file = dir.join("idle.sock.http");
+    // Both listeners serve a request while nothing else runs.
+    for endpoint in [daemon.endpoint(), daemon.http_endpoint()] {
+        let status = client::roundtrip(&endpoint, &Request::Status).expect("status");
+        assert!(matches!(status, Event::Status { ref jobs } if jobs.is_empty()));
+    }
+    // Both accept loops sit in `accept`; the shutdown must wake them.
+    let event = client::roundtrip(&daemon.endpoint(), &Request::Shutdown).expect("shutdown");
+    assert!(
+        matches!(event, Event::ShutdownOk { jobs_drained: 0 }),
+        "{event:?}"
+    );
+    let handle = daemon.handle.take().expect("daemon handle");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !handle.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "serve() must return within 5 s of the shutdown"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(handle.join().expect("daemon thread"), Ok(()));
+    assert!(!daemon.socket.exists(), "the socket file is removed");
+    assert!(!addr_file.exists(), "the address file is removed");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn stale_socket_is_unlinked_and_reported_as_a_rejection() {
     let dir = scratch_dir("stale");
     let socket = dir.join("serve.sock");

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The resume contract: a warm re-run over a fully cached grid and a
 # resume over a half-deleted cache must both reproduce the cold run's
-# bytes (and the warm run does zero training work and builds no chip).
+# bytes (and the warm run does zero training work, builds no chip and
+# generates no dataset).
 # Profiled fault maps are cached next to the cells, under profiles/.
 set -euo pipefail
 MATIC=${MATIC:-./target/release/matic}
@@ -23,6 +24,7 @@ test "$(ls ci-cache/profiles/*.bin | wc -l)" -eq 4
 cat warm-stderr.txt
 grep -q "cache: 8 hits, 0 misses" warm-stderr.txt
 grep -q "silicon: 0 chips synthesized, 0 profiles computed" warm-stderr.txt
+grep -q "datasets: 0 generated" warm-stderr.txt
 cmp sweep-cold.json sweep-warm.json
 # Cells alone still replay every cell: profiles are recomputed, never
 # needed for the bytes.

@@ -64,8 +64,17 @@ wait $SUBMIT_PID || true
   --scale 0.5 --epochs 0.5 --seed 99 --threads 2 --quiet \
   --out batch99.json
 cmp batch99.json resumed.json
-# Drain: the daemon acks, exits cleanly, and removes its socket.
+# Drain: the daemon acks, exits cleanly, and removes its socket. Its
+# accept loop blocks in accept(), so the shutdown must wake it: give it
+# 30 s to exit rather than hang on `wait`.
 "$MATIC" shutdown --socket serve.sock
+for i in $(seq 1 300); do kill -0 $SERVE_PID 2> /dev/null || break; sleep 0.1; done
+if kill -0 $SERVE_PID 2> /dev/null; then
+  echo "the daemon is still running 30 s after shutdown" >&2
+  cat serve-stderr.txt >&2
+  kill $SERVE_PID
+  exit 1
+fi
 wait $SERVE_PID
 [ ! -e serve.sock ]
 cat serve-stderr.txt

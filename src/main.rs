@@ -416,6 +416,10 @@ impl SweepArgs {
                     silicon.chips_synthesized, silicon.profiles_computed, silicon.profiles_replayed
                 ),
             );
+            narrate(
+                self.quiet,
+                format_args!("datasets: {} generated", run.cache.datasets_generated),
+            );
         }
         Ok((run, elapsed))
     }
