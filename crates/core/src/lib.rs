@@ -71,8 +71,8 @@ pub use layout::{LayoutError, Location, ParamRef, WeightLayout};
 pub use mat::{train_naive, MatConfig, MatTrainer, TrainedModel, UpdateRule};
 pub use memo::{TrainingMemo, TrainingSet};
 pub use models::{
-    drop_surrogate_map, fitted_array_config, CellFaults, FaultContext, FaultModel, RandomBer,
-    SramVoltage, TimingError,
+    drop_surrogate_map, fitted_array_config, CellFaults, FaultContext, FaultModel,
+    RANDOM_BER_FORMAT, TIMING_ERROR_ONSET,
 };
 pub use quantizer::{ComposedQuantizer, MaskedQuantizer};
 

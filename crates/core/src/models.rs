@@ -1,24 +1,26 @@
-//! Pluggable fault-model taxonomy.
+//! The fault-model taxonomy: the three ways the reproduced silicon fails.
 //!
 //! MATIC's original evaluation assumes a single failure mode —
 //! voltage-scaled 6T/8T SRAM bit-cell faults — but the surrounding
 //! literature models failures the paper never saw: ThUnderVolt injects
 //! *timing-error drops* into the datapath MACs under clock overscaling
 //! (Zhang et al.), and Stutz et al. study i.i.d. random bit flips at a
-//! fixed BER with robust fixed-point range selection. This module makes
-//! the fault source a first-class, object-safe trait so the sweep harness
-//! can treat "which way does the silicon fail" as just another axis:
+//! fixed BER with robust fixed-point range selection. The set is closed,
+//! so [`FaultModel`] is one enum, and the sweep's stress axis picks its
+//! variant:
 //!
-//! * [`SramVoltage`] — the paper's own model: faults come from profiling
-//!   real (simulated) bit-cells at an overscaled supply voltage, so it
-//!   *needs silicon* and supports in-situ canaries.
-//! * [`RandomBer`] — Stutz-style i.i.d. bit flips over the quantized
-//!   weight words at a fixed bit-error rate, with the robust (tighter)
-//!   Q1.14 weight range; purely synthetic, no silicon required.
-//! * [`TimingError`] — ThUnderVolt-style TE-Drop: under clock-period
-//!   stress, individual MACs miss timing and their partial products are
-//!   dropped from the accumulation. The storage is clean; the error lives
-//!   in the kernel ([`MacDropSpec`]).
+//! * [`FaultModel::SramVoltage`] (voltage axis) — the paper's own model:
+//!   faults come from profiling real (simulated) bit-cells at an
+//!   overscaled supply voltage, so it *needs silicon* and supports
+//!   in-situ canaries.
+//! * [`FaultModel::RandomBer`] (BER axis) — Stutz-style i.i.d. bit flips
+//!   over the quantized weight words at a fixed bit-error rate, with the
+//!   robust (tighter) Q1.14 weight range; purely synthetic, no silicon
+//!   required.
+//! * [`FaultModel::TimingError`] (clock axis) — ThUnderVolt-style
+//!   TE-Drop: under clock-period stress, individual MACs miss timing and
+//!   their partial products are dropped from the accumulation. The
+//!   storage is clean; the error lives in the kernel ([`MacDropSpec`]).
 //!
 //! Every model yields its per-cell fault content through
 //! [`FaultModel::faults_at`] as a [`CellFaults`] — a storage-side
@@ -34,7 +36,6 @@ use matic_nn::NetSpec;
 use matic_sram::fingerprint::{fingerprint_of, Fingerprint};
 use matic_sram::inject::random_flip_map;
 use matic_sram::{ArrayConfig, FaultMap, SramConfig};
-use std::fmt;
 
 /// Everything a model may key its per-cell fault content on. All fields
 /// derive from the sweep plan and the cell's grid position — never from
@@ -43,9 +44,9 @@ use std::fmt;
 #[derive(Debug, Clone, Copy)]
 pub struct FaultContext<'a> {
     /// The stress value at this grid point, in the model's own axis
-    /// units: supply voltage (V) for [`SramVoltage`], bit-error rate for
-    /// [`RandomBer`], normalized clock-period stress in `[0, 1]` for
-    /// [`TimingError`].
+    /// units: supply voltage (V) for [`FaultModel::SramVoltage`],
+    /// bit-error rate for [`FaultModel::RandomBer`], normalized
+    /// clock-period stress in `[0, 1]` for [`FaultModel::TimingError`].
     pub stress: f64,
     /// Seed unique to this `(chip, scenario, stress point)` cell.
     pub cell_seed: u64,
@@ -70,307 +71,161 @@ pub struct CellFaults {
     pub drops: Option<MacDropSpec>,
 }
 
-/// A pluggable source of hardware faults, swept as an axis value by the
-/// harness. Object-safe: the sweep plan stores `Arc<dyn FaultModel>`.
-pub trait FaultModel: fmt::Debug + Send + Sync {
+/// TE-Drop's timing-slack onset: below this normalized clock stress no
+/// MAC path misses timing.
+pub const TIMING_ERROR_ONSET: f64 = 0.25;
+
+/// The robust weight format the random-BER model imposes: Q1.14
+/// ([`QFormat::snnac_weight_robust`]), so a flipped high-order bit
+/// perturbs the weight as little as the trained range allows (Stutz et
+/// al.).
+pub const RANDOM_BER_FORMAT: QFormat = QFormat::snnac_weight_robust();
+
+/// A source of hardware faults, swept along a stress axis. Each axis has
+/// exactly one model; every variant carries the weight-memory geometry it
+/// injects into.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FaultModel {
+    /// The paper's own fault model: voltage-scaled 6T/8T SRAM bit-cell
+    /// read upsets, profiled from (simulated) silicon at each supply
+    /// point. The only model that needs silicon and supports in-situ
+    /// canaries.
+    SramVoltage {
+        /// The weight-memory geometry.
+        array: ArrayConfig,
+    },
+    /// Stutz-style i.i.d. random bit flips at a fixed bit-error rate over
+    /// the quantized weight words, trained and stored in
+    /// [`RANDOM_BER_FORMAT`]. Purely synthetic.
+    RandomBer {
+        /// The weight-memory geometry.
+        array: ArrayConfig,
+    },
+    /// ThUnderVolt-style TE-Drop: under clock-period overscaling, MACs
+    /// whose critical path misses timing drop their partial product from
+    /// the accumulation. Storage stays clean; the error composes into the
+    /// kernel via [`MacDropSpec`].
+    ///
+    /// The stress axis is normalized clock stress `s ∈ [0, 1]` (0 =
+    /// nominal period, 1 = maximum overscaling). Below
+    /// [`TIMING_ERROR_ONSET`] no path fails; past it the per-MAC drop
+    /// probability grows quadratically, `p(s) = ((s − onset) / (1 −
+    /// onset))²`, mirroring how path-delay distributions put most paths
+    /// near the tail.
+    TimingError {
+        /// The weight-memory geometry.
+        array: ArrayConfig,
+    },
+}
+
+impl FaultModel {
     /// Stable machine-readable model name (`"sram-voltage"`,
     /// `"random-ber"`, `"timing-error"`). Appears in reports and cache
     /// keys.
-    fn name(&self) -> &'static str;
+    pub fn name(&self) -> &'static str {
+        match self {
+            FaultModel::SramVoltage { .. } => "sram-voltage",
+            FaultModel::RandomBer { .. } => "random-ber",
+            FaultModel::TimingError { .. } => "timing-error",
+        }
+    }
 
-    /// The stress axis this model sweeps: `"voltage"`, `"ber"` or
-    /// `"clock"`. Appears in report plan summaries.
-    fn stress_kind(&self) -> &'static str;
+    fn array(&self) -> &ArrayConfig {
+        let (FaultModel::SramVoltage { array }
+        | FaultModel::RandomBer { array }
+        | FaultModel::TimingError { array }) = self;
+        array
+    }
 
     /// The weight-memory geometry the model injects into.
-    fn geometry(&self) -> ArrayConfig;
+    pub fn geometry(&self) -> ArrayConfig {
+        self.array().clone()
+    }
 
-    /// A weight format the model requires, if any. [`RandomBer`] returns
-    /// the robust Q1.14 range (Stutz et al.); models returning `None`
-    /// leave the scenario's own choice in force.
-    fn weight_format(&self) -> Option<QFormat> {
-        None
+    /// A weight format the model requires, if any: [`RANDOM_BER_FORMAT`]
+    /// for random BER. `None` leaves the scenario's own choice in force.
+    pub fn weight_format(&self) -> Option<QFormat> {
+        match self {
+            FaultModel::RandomBer { .. } => Some(RANDOM_BER_FORMAT),
+            FaultModel::SramVoltage { .. } | FaultModel::TimingError { .. } => None,
+        }
     }
 
     /// Whether fault content comes from profiling simulated silicon
     /// ([`FaultContext::profiled`]) rather than from synthesis. Silicon
     /// models key their cache entries on the chip's process variation;
     /// synthetic models must not (their faults are seed-derived).
-    fn needs_silicon(&self) -> bool;
-
-    /// Whether in-situ canary deployment (§III-C) is meaningful under
-    /// this model. Canaries guard read-stability boundaries, so only
-    /// voltage-scaled storage models support them.
-    fn supports_canary(&self) -> bool;
-
-    /// Validates a stress grid against the model's axis domain.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first offending value.
-    fn validate_stress(&self, stress: &[f64]) -> Result<(), String>;
+    pub fn needs_silicon(&self) -> bool {
+        matches!(self, FaultModel::SramVoltage { .. })
+    }
 
     /// The fault content for one sweep cell.
-    fn faults_at(&self, ctx: &FaultContext<'_>) -> CellFaults;
+    ///
+    /// # Panics
+    ///
+    /// [`FaultModel::SramVoltage`] panics without a
+    /// [`FaultContext::profiled`] map.
+    pub fn faults_at(&self, ctx: &FaultContext<'_>) -> CellFaults {
+        let array = self.array();
+        match self {
+            FaultModel::SramVoltage { .. } => CellFaults {
+                map: ctx
+                    .profiled
+                    .expect("the SRAM-voltage model needs a profiled fault map")
+                    .clone(),
+                drops: None,
+            },
+            FaultModel::RandomBer { .. } => CellFaults {
+                map: random_flip_map(
+                    array.banks,
+                    array.bank.words,
+                    array.bank.word_bits,
+                    ctx.stress,
+                    ctx.cell_seed,
+                ),
+                drops: None,
+            },
+            // Keyed on the *unit* seed: at a fixed seed the drop set is
+            // monotone in stress (MacDropSpec thresholds one hash stream),
+            // so harsher clock points strictly grow the error set, exactly
+            // like lower voltages grow a profiled fault map.
+            FaultModel::TimingError { .. } => CellFaults {
+                map: FaultMap::clean(0.0, array.banks, array.bank.words, array.bank.word_bits),
+                drops: Some(MacDropSpec::new(
+                    ctx.unit_seed,
+                    drop_probability(ctx.stress),
+                )),
+            },
+        }
+    }
 
     /// Canonical content fingerprint: two model values share a
     /// fingerprint exactly when they would inject identical faults in
     /// every context. Feeds the content-addressed sweep-cache digest.
-    fn fingerprint(&self) -> u128;
-}
-
-/// The paper's own fault model: voltage-scaled 6T/8T SRAM bit-cell
-/// read upsets, profiled from (simulated) silicon at each supply point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SramVoltage {
-    array: ArrayConfig,
-}
-
-impl SramVoltage {
-    /// A voltage-scaled SRAM model over the given array geometry.
-    pub fn new(array: ArrayConfig) -> Self {
-        SramVoltage { array }
-    }
-
-    /// The SNNAC weight-memory complex (8 × 576 × 16 bit).
-    pub fn snnac() -> Self {
-        Self::new(ArrayConfig::default())
-    }
-}
-
-impl FaultModel for SramVoltage {
-    fn name(&self) -> &'static str {
-        "sram-voltage"
-    }
-
-    fn stress_kind(&self) -> &'static str {
-        "voltage"
-    }
-
-    fn geometry(&self) -> ArrayConfig {
-        self.array.clone()
-    }
-
-    fn needs_silicon(&self) -> bool {
-        true
-    }
-
-    fn supports_canary(&self) -> bool {
-        true
-    }
-
-    fn validate_stress(&self, stress: &[f64]) -> Result<(), String> {
-        for &v in stress {
-            if !(0.2..=1.2).contains(&v) {
-                return Err(format!("supply voltage {v} outside [0.2, 1.2] V"));
+    pub fn fingerprint(&self) -> u128 {
+        let mut f = Fingerprint::new();
+        f.write_str(&format!("matic.fault-model.{}/v1", self.name()));
+        f.write_u128(fingerprint_of(self.array()));
+        match self {
+            FaultModel::SramVoltage { .. } => {}
+            FaultModel::RandomBer { .. } => {
+                f.write_u128(fingerprint_of(&RANDOM_BER_FORMAT));
+            }
+            FaultModel::TimingError { .. } => {
+                f.write_u64(TIMING_ERROR_ONSET.to_bits());
             }
         }
-        Ok(())
-    }
-
-    fn faults_at(&self, ctx: &FaultContext<'_>) -> CellFaults {
-        let map = ctx
-            .profiled
-            .expect("SramVoltage::faults_at requires a profiled fault map")
-            .clone();
-        CellFaults { map, drops: None }
-    }
-
-    fn fingerprint(&self) -> u128 {
-        let mut f = Fingerprint::new();
-        f.write_str("matic.fault-model.sram-voltage/v1");
-        f.write_u128(fingerprint_of(&self.array));
         f.finish()
     }
 }
 
-/// Stutz-style i.i.d. random bit flips at a fixed bit-error rate over the
-/// quantized weight words, with robust (tight) fixed-point range
-/// selection: the model imposes [`QFormat::snnac_weight_robust`] (Q1.14)
-/// so a flipped high-order bit perturbs the weight as little as the
-/// trained range allows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RandomBer {
-    array: ArrayConfig,
-    fmt: QFormat,
-}
-
-impl RandomBer {
-    /// A random-flip model over the given geometry and weight format.
-    pub fn new(array: ArrayConfig, fmt: QFormat) -> Self {
-        RandomBer { array, fmt }
-    }
-
-    /// SNNAC geometry with the robust Q1.14 weight range.
-    pub fn snnac() -> Self {
-        Self::snnac_sized(ArrayConfig::default())
-    }
-
-    /// The SNNAC recipe (robust Q1.14 weights) over a custom geometry —
-    /// e.g. one grown by [`fitted_array_config`] for a larger topology.
-    pub fn snnac_sized(array: ArrayConfig) -> Self {
-        Self::new(array, QFormat::snnac_weight_robust())
-    }
-}
-
-impl FaultModel for RandomBer {
-    fn name(&self) -> &'static str {
-        "random-ber"
-    }
-
-    fn stress_kind(&self) -> &'static str {
-        "ber"
-    }
-
-    fn geometry(&self) -> ArrayConfig {
-        self.array.clone()
-    }
-
-    fn weight_format(&self) -> Option<QFormat> {
-        Some(self.fmt)
-    }
-
-    fn needs_silicon(&self) -> bool {
-        false
-    }
-
-    fn supports_canary(&self) -> bool {
-        false
-    }
-
-    fn validate_stress(&self, stress: &[f64]) -> Result<(), String> {
-        for &ber in stress {
-            if !(0.0..=1.0).contains(&ber) {
-                return Err(format!("bit-error rate {ber} outside [0, 1]"));
-            }
-        }
-        Ok(())
-    }
-
-    fn faults_at(&self, ctx: &FaultContext<'_>) -> CellFaults {
-        let map = random_flip_map(
-            self.array.banks,
-            self.array.bank.words,
-            self.array.bank.word_bits,
-            ctx.stress,
-            ctx.cell_seed,
-        );
-        CellFaults { map, drops: None }
-    }
-
-    fn fingerprint(&self) -> u128 {
-        let mut f = Fingerprint::new();
-        f.write_str("matic.fault-model.random-ber/v1");
-        f.write_u128(fingerprint_of(&self.array));
-        f.write_u128(fingerprint_of(&self.fmt));
-        f.finish()
-    }
-}
-
-/// ThUnderVolt-style TE-Drop: under clock-period overscaling, MACs whose
-/// critical path misses timing drop their partial product from the
-/// accumulation. Storage stays clean; the error composes into the kernel
-/// via [`MacDropSpec`].
-///
-/// The stress axis is normalized clock stress `s ∈ [0, 1]` (0 = nominal
-/// period, 1 = maximum overscaling). Below the timing-slack `onset` no
-/// path fails; past it the per-MAC drop probability grows quadratically,
-/// `p(s) = ((s − onset) / (1 − onset))²`, mirroring how path-delay
-/// distributions put most paths near the tail.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimingError {
-    array: ArrayConfig,
-    onset: f64,
-}
-
-impl TimingError {
-    /// A TE-Drop model over the given geometry with the given onset
-    /// (clamped to `[0, 1)`).
-    pub fn new(array: ArrayConfig, onset: f64) -> Self {
-        let onset = if onset.is_nan() {
-            0.0
-        } else {
-            onset.clamp(0.0, 0.999)
-        };
-        TimingError { array, onset }
-    }
-
-    /// SNNAC geometry with the default 0.25 timing-slack onset.
-    pub fn snnac() -> Self {
-        Self::snnac_sized(ArrayConfig::default())
-    }
-
-    /// The SNNAC recipe (0.25 onset) over a custom geometry — e.g. one
-    /// grown by [`fitted_array_config`] for a larger topology.
-    pub fn snnac_sized(array: ArrayConfig) -> Self {
-        Self::new(array, 0.25)
-    }
-
-    /// Per-MAC drop probability at normalized clock stress `s`.
-    pub fn drop_probability(&self, s: f64) -> f64 {
-        if s <= self.onset {
-            0.0
-        } else {
-            let t = (s - self.onset) / (1.0 - self.onset);
-            (t * t).min(1.0)
-        }
-    }
-}
-
-impl FaultModel for TimingError {
-    fn name(&self) -> &'static str {
-        "timing-error"
-    }
-
-    fn stress_kind(&self) -> &'static str {
-        "clock"
-    }
-
-    fn geometry(&self) -> ArrayConfig {
-        self.array.clone()
-    }
-
-    fn needs_silicon(&self) -> bool {
-        false
-    }
-
-    fn supports_canary(&self) -> bool {
-        false
-    }
-
-    fn validate_stress(&self, stress: &[f64]) -> Result<(), String> {
-        for &s in stress {
-            if !(0.0..=1.0).contains(&s) {
-                return Err(format!("clock stress {s} outside [0, 1]"));
-            }
-        }
-        Ok(())
-    }
-
-    fn faults_at(&self, ctx: &FaultContext<'_>) -> CellFaults {
-        let map = FaultMap::clean(
-            0.0,
-            self.array.banks,
-            self.array.bank.words,
-            self.array.bank.word_bits,
-        );
-        // Keyed on the *unit* seed: at a fixed seed the drop set is
-        // monotone in stress (MacDropSpec thresholds one hash stream), so
-        // harsher clock points strictly grow the error set, exactly like
-        // lower voltages grow a profiled fault map.
-        let drops = MacDropSpec::new(ctx.unit_seed, self.drop_probability(ctx.stress));
-        CellFaults {
-            map,
-            drops: Some(drops),
-        }
-    }
-
-    fn fingerprint(&self) -> u128 {
-        let mut f = Fingerprint::new();
-        f.write_str("matic.fault-model.timing-error/v1");
-        f.write_u128(fingerprint_of(&self.array));
-        f.write_u64(self.onset.to_bits());
-        f.finish()
+/// TE-Drop's per-MAC drop probability at normalized clock stress `s`.
+fn drop_probability(s: f64) -> f64 {
+    if s <= TIMING_ERROR_ONSET {
+        0.0
+    } else {
+        let t = (s - TIMING_ERROR_ONSET) / (1.0 - TIMING_ERROR_ONSET);
+        (t * t).min(1.0)
     }
 }
 
@@ -438,11 +293,16 @@ mod tests {
     use super::*;
     use matic_nn::NetSpec;
 
-    fn all_models() -> Vec<Box<dyn FaultModel>> {
+    fn all_models() -> Vec<FaultModel> {
+        let array = ArrayConfig::default();
         vec![
-            Box::new(SramVoltage::snnac()),
-            Box::new(RandomBer::snnac()),
-            Box::new(TimingError::snnac()),
+            FaultModel::SramVoltage {
+                array: array.clone(),
+            },
+            FaultModel::RandomBer {
+                array: array.clone(),
+            },
+            FaultModel::TimingError { array },
         ]
     }
 
@@ -452,7 +312,6 @@ mod tests {
         for i in 0..models.len() {
             for j in i + 1..models.len() {
                 assert_ne!(models[i].name(), models[j].name());
-                assert_ne!(models[i].stress_kind(), models[j].stress_kind());
                 assert_ne!(models[i].fingerprint(), models[j].fingerprint());
             }
         }
@@ -460,50 +319,32 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_semantic_fields() {
-        let base = RandomBer::snnac();
         let narrow = ArrayConfig {
             banks: 4,
             ..Default::default()
         };
-        assert_ne!(
-            base.fingerprint(),
-            RandomBer::new(narrow.clone(), QFormat::snnac_weight_robust()).fingerprint(),
-            "geometry is semantic"
-        );
-        assert_ne!(
-            base.fingerprint(),
-            RandomBer::new(ArrayConfig::default(), QFormat::snnac_weight()).fingerprint(),
-            "weight format is semantic"
-        );
-        assert_ne!(
-            TimingError::snnac().fingerprint(),
-            TimingError::new(ArrayConfig::default(), 0.5).fingerprint(),
-            "onset is semantic"
-        );
-        assert_ne!(
-            SramVoltage::snnac().fingerprint(),
-            SramVoltage::new(narrow).fingerprint(),
-        );
-        // Equal values, equal digests.
-        assert_eq!(
-            RandomBer::snnac().fingerprint(),
-            RandomBer::snnac().fingerprint()
-        );
-    }
-
-    #[test]
-    fn stress_domains_are_enforced() {
-        assert!(SramVoltage::snnac().validate_stress(&[0.9, 0.46]).is_ok());
-        assert!(SramVoltage::snnac().validate_stress(&[1.5]).is_err());
-        assert!(RandomBer::snnac().validate_stress(&[0.0, 0.3]).is_ok());
-        assert!(RandomBer::snnac().validate_stress(&[-0.1]).is_err());
-        assert!(TimingError::snnac().validate_stress(&[0.0, 1.0]).is_ok());
-        assert!(TimingError::snnac().validate_stress(&[1.1]).is_err());
+        for model in all_models() {
+            let mut resized = model.clone();
+            let (FaultModel::SramVoltage { array }
+            | FaultModel::RandomBer { array }
+            | FaultModel::TimingError { array }) = &mut resized;
+            *array = narrow.clone();
+            assert_ne!(
+                model.fingerprint(),
+                resized.fingerprint(),
+                "{}: geometry is semantic",
+                model.name()
+            );
+            // Equal values, equal digests.
+            assert_eq!(model.fingerprint(), model.clone().fingerprint());
+        }
     }
 
     #[test]
     fn random_ber_faults_are_cell_seeded_flips() {
-        let model = RandomBer::snnac();
+        let model = FaultModel::RandomBer {
+            array: ArrayConfig::default(),
+        };
         let ctx = |cell_seed| FaultContext {
             stress: 0.01,
             cell_seed,
@@ -522,23 +363,24 @@ mod tests {
 
     #[test]
     fn timing_error_probability_is_monotone_with_onset_plateau() {
-        let model = TimingError::snnac();
-        assert_eq!(model.drop_probability(0.0), 0.0);
-        assert_eq!(model.drop_probability(0.25), 0.0);
+        assert_eq!(drop_probability(0.0), 0.0);
+        assert_eq!(drop_probability(0.25), 0.0);
         let mut last = 0.0;
         let mut s = 0.26;
         while s <= 1.0 {
-            let p = model.drop_probability(s);
+            let p = drop_probability(s);
             assert!(p >= last, "p must be non-decreasing in stress");
             last = p;
             s += 0.01;
         }
-        assert!((model.drop_probability(1.0) - 1.0).abs() < 1e-12);
+        assert!((drop_probability(1.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn timing_error_faults_key_on_unit_seed() {
-        let model = TimingError::snnac();
+        let model = FaultModel::TimingError {
+            array: ArrayConfig::default(),
+        };
         let ctx = FaultContext {
             stress: 0.8,
             cell_seed: 999,
@@ -553,22 +395,21 @@ mod tests {
 
     #[test]
     fn trait_objects_round_trip_behaviour() {
-        // The harness holds models only as `&dyn FaultModel`; everything
-        // it needs must be reachable through the vtable.
+        // Every variant answers the whole API the harness uses, and the
+        // synthetic ones fill the model's own geometry.
         for model in all_models() {
-            let dynref: &dyn FaultModel = model.as_ref();
-            assert!(!dynref.name().is_empty());
-            assert!(dynref.geometry().banks > 0);
-            let _ = dynref.fingerprint();
-            if !dynref.needs_silicon() {
+            assert!(!model.name().is_empty());
+            assert!(model.geometry().banks > 0);
+            let _ = model.fingerprint();
+            if !model.needs_silicon() {
                 let ctx = FaultContext {
                     stress: 0.3,
                     cell_seed: 1,
                     unit_seed: 2,
                     profiled: None,
                 };
-                let faults = dynref.faults_at(&ctx);
-                assert_eq!(faults.map.banks().len(), dynref.geometry().banks);
+                let faults = model.faults_at(&ctx);
+                assert_eq!(faults.map.banks().len(), model.geometry().banks);
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Property-based tests over the MATIC core.
 
 use crate::layout::{ParamRef, WeightLayout};
-use crate::models::{FaultModel, RandomBer, SramVoltage, TimingError};
+use crate::models::FaultModel;
 use crate::quantizer::MaskedQuantizer;
 use matic_fixed::QFormat;
 use matic_nn::NetSpec;
@@ -98,37 +98,28 @@ proptest! {
     fn fault_model_fingerprint_tracks_semantics_exactly(
         banks_a in 1usize..9,
         banks_b in 1usize..9,
-        onset_a in 0.0f64..0.99,
-        onset_b in 0.0f64..0.99,
     ) {
-        let geom = |banks: usize| ArrayConfig {
-            banks,
-            ..Default::default()
+        let variants = |banks: usize| {
+            let array = ArrayConfig {
+                banks,
+                ..Default::default()
+            };
+            [
+                FaultModel::SramVoltage { array: array.clone() },
+                FaultModel::RandomBer { array: array.clone() },
+                FaultModel::TimingError { array },
+            ]
         };
-        let a = TimingError::new(geom(banks_a), onset_a);
-        let b = TimingError::new(geom(banks_b), onset_b);
-        let same_fields = banks_a == banks_b && onset_a.to_bits() == onset_b.to_bits();
-        prop_assert_eq!(a.fingerprint() == b.fingerprint(), same_fields);
-
-        // RandomBer keys on geometry *and* weight format.
-        let robust = RandomBer::new(geom(banks_a), QFormat::snnac_weight_robust());
-        prop_assert_eq!(
-            robust.fingerprint(),
-            RandomBer::new(geom(banks_a), QFormat::snnac_weight_robust()).fingerprint()
-        );
-        prop_assert_ne!(
-            robust.fingerprint(),
-            RandomBer::new(geom(banks_a), QFormat::snnac_weight()).fingerprint()
-        );
-        prop_assert_eq!(
-            robust.fingerprint() == RandomBer::new(geom(banks_b), QFormat::snnac_weight_robust()).fingerprint(),
-            banks_a == banks_b
-        );
-
+        let (a, b) = (variants(banks_a), variants(banks_b));
+        for (x, y) in a.iter().zip(&b) {
+            prop_assert_eq!(x.fingerprint() == y.fingerprint(), banks_a == banks_b);
+        }
         // Model types never collide, even over identical geometry.
-        prop_assert_ne!(a.fingerprint(), robust.fingerprint());
-        prop_assert_ne!(SramVoltage::new(geom(banks_a)).fingerprint(), robust.fingerprint());
-        prop_assert_ne!(SramVoltage::new(geom(banks_a)).fingerprint(), a.fingerprint());
+        for i in 0..a.len() {
+            for j in i + 1..a.len() {
+                prop_assert_ne!(a[i].fingerprint(), a[j].fingerprint());
+            }
+        }
     }
 
     /// The masked value differs from the plain quantized value only at

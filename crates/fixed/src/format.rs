@@ -114,7 +114,7 @@ impl QFormat {
     /// worst-case perturbation a single flip can inject. Trained-weight
     /// magnitudes on the paper's four benchmarks stay below 2, so Q1.14
     /// clips nothing that matters at the BERs this model sweeps.
-    pub fn snnac_weight_robust() -> Self {
+    pub const fn snnac_weight_robust() -> Self {
         QFormat {
             word_bits: 16,
             frac_bits: 14,

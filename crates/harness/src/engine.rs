@@ -146,8 +146,8 @@ use crate::sched::{
     CancelledSweep, CellOrigin, ExecContext, Resolution, SweepOutcome, UnitOutcome,
 };
 use matic_core::{
-    drop_surrogate_map, CellFaults, DeploymentFlow, FaultContext, FaultedWeights, MatTrainer,
-    ParamRef, TrainedModel, TrainingMemo, TrainingSet, WeightLayout,
+    drop_surrogate_map, CellFaults, DeploymentFlow, FaultContext, FaultModel, FaultedWeights,
+    MatTrainer, ParamRef, TrainedModel, TrainingMemo, TrainingSet, WeightLayout,
 };
 use matic_datasets::Split;
 use matic_nn::kernel::MacDropSpec;
@@ -725,10 +725,9 @@ fn walk_unit<'a>(
 /// silicon-backed and synthetic fault models differ. The walk in
 /// [`run_unit_observed`] is shared.
 enum FaultSource {
-    /// A die of the model's geometry
-    /// ([`needs_silicon`](matic_core::FaultModel::needs_silicon)),
-    /// profiled at every stress point (or replayed from the cache) and
-    /// evaluated through its own SRAM.
+    /// A die of the voltage model's geometry, profiled at every stress
+    /// point (or replayed from the cache) and evaluated through its own
+    /// SRAM.
     Silicon(Box<LazyChip>),
     /// Seed-derived faults composed straight into the stored weight
     /// words; `layout` places the scenario's weights for the drop
@@ -752,9 +751,8 @@ struct PointFaults {
     /// [`dropped_weight_stats`]), which replaces the storage-map
     /// statistics in the cell.
     drops: Option<(usize, f64)>,
-    /// `train_map`'s fingerprint when it is already known: a profile
-    /// entry's verified digest, for models that train on the profile
-    /// unchanged.
+    /// `train_map`'s fingerprint when it is already known: silicon trains
+    /// on its profile unchanged, so a cached profile's verified digest.
     train_fp: Option<u128>,
 }
 
@@ -773,23 +771,26 @@ impl PointFaults {
 
 impl FaultSource {
     fn new(unit: &Unit<'_>) -> Self {
-        let model = &unit.plan.model;
-        let geom = model.geometry();
-        if model.needs_silicon() {
-            let chip_cfg =
-                ChipConfig::with_geometry(geom, model.weight_format().unwrap_or_default());
-            let seed = unit.plan.chip_seed(unit.chip_idx);
-            FaultSource::Silicon(Box::new(LazyChip::new(chip_cfg, seed)))
-        } else {
-            let layout = WeightLayout::new(unit.trainer.spec(), geom.banks, geom.bank.words)
-                .expect("scenario topology fits the model's weight memory");
-            FaultSource::Injected { geom, layout }
+        match &unit.plan.model {
+            FaultModel::SramVoltage { array } => {
+                let chip_cfg = ChipConfig::with_geometry(array.clone(), Default::default());
+                let seed = unit.plan.chip_seed(unit.chip_idx);
+                FaultSource::Silicon(Box::new(LazyChip::new(chip_cfg, seed)))
+            }
+            FaultModel::RandomBer { array } | FaultModel::TimingError { array } => {
+                let layout = WeightLayout::new(unit.trainer.spec(), array.banks, array.bank.words)
+                    .expect("scenario topology fits the model's weight memory");
+                FaultSource::Injected {
+                    geom: array.clone(),
+                    layout,
+                }
+            }
         }
     }
 
-    /// The fault content at `ctx.stress`; silicon takes the die's profile
-    /// there (once per point, replayed from `cache` when it holds one)
-    /// and hands it to the model.
+    /// The fault content at `ctx.stress`: silicon's is the die's profile
+    /// there (once per point, replayed from `cache` when it holds one),
+    /// trained against unchanged.
     fn point(
         &mut self,
         plan: &SweepPlan,
@@ -798,16 +799,12 @@ impl FaultSource {
     ) -> PointFaults {
         match self {
             FaultSource::Silicon(die) => {
-                let (profiled, profiled_fp) = die.profile(cache, ctx.stress);
-                let faults = plan.model.faults_at(&FaultContext {
-                    profiled: Some(&profiled),
-                    ..ctx
-                });
+                let (map, train_fp) = die.profile(cache, ctx.stress);
                 PointFaults {
-                    train_fp: profiled_fp.filter(|_| faults.map == profiled),
-                    train_map: faults.map.clone(),
-                    faults,
+                    train_map: map.clone(),
+                    faults: CellFaults { map, drops: None },
                     drops: None,
+                    train_fp,
                 }
             }
             FaultSource::Injected { geom, layout } => {

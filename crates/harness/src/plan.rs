@@ -1,7 +1,7 @@
 //! [`SweepPlan`]: the declarative description of a chip-population sweep.
 
 use crate::scenario::{builtin_scenarios, scenario_by_name, Scenario, TopologyScenario};
-use matic_core::{fitted_array_config, FaultModel, MatConfig, RandomBer, SramVoltage, TimingError};
+use matic_core::{fitted_array_config, FaultModel, MatConfig};
 use matic_nn::NetSpec;
 use matic_sram::ArrayConfig;
 use std::fmt;
@@ -144,10 +144,11 @@ pub struct SweepPlan {
     pub chips: usize,
     /// The stress dimension and its points (voltages sorted descending).
     pub axis: StressAxis,
-    /// The fault model stressed along the axis. Defaults to the axis's
-    /// natural model: voltage → [`SramVoltage`], BER → [`RandomBer`],
-    /// clock → [`TimingError`].
-    pub model: Arc<dyn FaultModel>,
+    /// The fault model stressed along the axis, picked by it: voltage →
+    /// [`FaultModel::SramVoltage`], BER → [`FaultModel::RandomBer`], clock
+    /// → [`FaultModel::TimingError`], each over a weight memory fitted to
+    /// every scenario's topology.
+    pub model: FaultModel,
     /// Workloads swept.
     pub scenarios: Vec<Arc<dyn Scenario>>,
     /// Training modes swept.
@@ -309,7 +310,6 @@ impl SweepPlan {
 pub struct SweepPlanBuilder {
     chips: usize,
     axis: Option<StressAxis>,
-    model: Option<Arc<dyn FaultModel>>,
     scenarios: Vec<Arc<dyn Scenario>>,
     topology: Option<NetSpec>,
     modes: Vec<TrainingMode>,
@@ -325,7 +325,6 @@ impl Default for SweepPlanBuilder {
         SweepPlanBuilder {
             chips: 1,
             axis: None,
-            model: None,
             scenarios: Vec::new(),
             topology: None,
             modes: vec![TrainingMode::Naive, TrainingMode::Mat],
@@ -384,14 +383,6 @@ impl SweepPlanBuilder {
         self
     }
 
-    /// Overrides the fault model (default: the stress axis's natural
-    /// model). [`build`](SweepPlanBuilder::build) rejects a model whose
-    /// `stress_kind` disagrees with the chosen axis.
-    pub fn fault_model(mut self, model: Arc<dyn FaultModel>) -> Self {
-        self.model = Some(model);
-        self
-    }
-
     /// Adds one workload.
     pub fn scenario(mut self, s: Arc<dyn Scenario>) -> Self {
         self.scenarios.push(s);
@@ -430,9 +421,9 @@ impl SweepPlanBuilder {
     /// Replaces every scenario's network topology with `spec` (the CLI's
     /// `--topology` axis). Each scenario is wrapped in a
     /// [`TopologyScenario`] at build time — mismatched input/output
-    /// widths surface as a [`PlanError`] there — and, when no explicit
-    /// fault model was set, the default model's weight-memory geometry
-    /// is grown with [`fitted_array_config`] so larger chains fit.
+    /// widths surface as a [`PlanError`] there — and the fault model's
+    /// weight-memory geometry is grown with [`fitted_array_config`] so
+    /// larger chains fit.
     pub fn topology(mut self, spec: NetSpec) -> Self {
         self.topology = Some(spec);
         self
@@ -509,85 +500,47 @@ impl SweepPlanBuilder {
                 })
                 .collect::<Result<_, _>>()?,
         };
-        // The axis's natural fault model, unless the builder overrode it.
-        // Default models size their weight memory to the largest swept
-        // topology (the SNNAC geometry verbatim whenever everything fits,
-        // so stock-benchmark fingerprints and cache keys are unchanged).
-        let model: Arc<dyn FaultModel> = match self.model {
-            Some(m) => m,
-            None => {
-                let geom = scenarios.iter().fold(ArrayConfig::default(), |g, s| {
-                    fitted_array_config(&s.topology(), &g)
-                });
-                match &axis {
-                    StressAxis::Voltage(_) => Arc::new(SramVoltage::new(geom)),
-                    StressAxis::BitErrorRate(_) => Arc::new(RandomBer::snnac_sized(geom)),
-                    StressAxis::ClockStress(_) => Arc::new(TimingError::snnac_sized(geom)),
-                }
-            }
+        // The axis picks the fault model and the domain of its points. The
+        // model's memory is sized to the largest swept topology (the SNNAC
+        // geometry verbatim whenever everything fits, so stock-benchmark
+        // fingerprints and cache keys are unchanged).
+        let array = scenarios.iter().fold(ArrayConfig::default(), |g, s| {
+            fitted_array_config(&s.topology(), &g)
+        });
+        let model = match &axis {
+            StressAxis::Voltage(_) => FaultModel::SramVoltage { array },
+            StressAxis::BitErrorRate(_) => FaultModel::RandomBer { array },
+            StressAxis::ClockStress(_) => FaultModel::TimingError { array },
         };
-        // An explicitly chosen model pins its geometry; reject topologies
-        // it cannot hold instead of panicking in the weight layout.
-        for s in &scenarios {
-            let topo = s.topology();
-            if fitted_array_config(&topo, &model.geometry()) != model.geometry() {
+        let (what, lo, hi, unit) = match &axis {
+            StressAxis::Voltage(_) => ("supply voltage", 0.2, 1.2, " V"),
+            StressAxis::BitErrorRate(_) => ("bit-error rate", 0.0, 1.0, ""),
+            StressAxis::ClockStress(_) => ("clock stress", 0.0, 1.0, ""),
+        };
+        if let Some(bad) = axis.points().iter().find(|&&p| !(lo..=hi).contains(&p)) {
+            return Err(PlanError(format!(
+                "fault model `{}`: {what} {bad} outside [{lo}, {hi}]{unit}",
+                model.name()
+            )));
+        }
+        if self.modes.contains(&TrainingMode::MatCanary) {
+            if !model.needs_silicon() {
                 return Err(PlanError(format!(
-                    "topology `{}` of scenario `{}` does not fit the {}-bank x {}-word \
-                     weight memory of fault model `{}`",
-                    topo.tag(),
-                    s.name(),
-                    model.geometry().banks,
-                    model.geometry().bank.words,
+                    "mat-canary needs a fault model with canary support (the runtime \
+                     controller walks the SRAM rail); `{}` has none",
                     model.name()
                 )));
             }
-        }
-        if model.stress_kind() != axis.kind() {
-            return Err(PlanError(format!(
-                "fault model `{}` sweeps a {} axis, but the plan's stress axis is {}",
-                model.name(),
-                model.stress_kind(),
-                axis.kind()
-            )));
-        }
-        model
-            .validate_stress(axis.points())
-            .map_err(|e| PlanError(format!("fault model `{}`: {e}", model.name())))?;
-        match &axis {
-            StressAxis::Voltage(v) => {
-                if v.iter().any(|&x| !(0.2..=1.2).contains(&x)) {
-                    return Err(PlanError(
-                        "voltages must lie in [0.2, 1.2] V (the regulator range)".into(),
-                    ));
-                }
-                // Canary selection probes below target and bottoms out at
-                // the 0.40 V all-fail floor; targets at/below the first
-                // probe step would panic mid-sweep instead.
-                if self.modes.contains(&TrainingMode::MatCanary) && v.iter().any(|&x| x < 0.41) {
-                    return Err(PlanError(
-                        "mat-canary requires voltages of at least 0.41 V (the canary \
-                         search bottoms out at the 0.40 V all-fail floor)"
-                            .into(),
-                    ));
-                }
+            // Canary selection probes below target and bottoms out at the
+            // 0.40 V all-fail floor; targets at/below the first probe step
+            // would panic mid-sweep instead.
+            if axis.points().iter().any(|&x| x < 0.41) {
+                return Err(PlanError(
+                    "mat-canary requires voltages of at least 0.41 V (the canary \
+                     search bottoms out at the 0.40 V all-fail floor)"
+                        .into(),
+                ));
             }
-            StressAxis::BitErrorRate(r) => {
-                if r.iter().any(|&x| !(0.0..=1.0).contains(&x)) {
-                    return Err(PlanError("bit-error rates must lie in [0, 1]".into()));
-                }
-            }
-            StressAxis::ClockStress(s) => {
-                if s.iter().any(|&x| !(0.0..=1.0).contains(&x)) {
-                    return Err(PlanError("clock stress values must lie in [0, 1]".into()));
-                }
-            }
-        }
-        if self.modes.contains(&TrainingMode::MatCanary) && !model.supports_canary() {
-            return Err(PlanError(format!(
-                "mat-canary needs a fault model with canary support (the runtime \
-                 controller walks the SRAM rail); `{}` has none",
-                model.name()
-            )));
         }
         if self.chips == 0 {
             return Err(PlanError("at least one chip is required".into()));
@@ -699,7 +652,6 @@ mod tests {
             .unwrap();
         assert_eq!(plan.axis.points(), [0.2, 0.8], "ascending, deduped");
         assert_eq!(plan.model.name(), "timing-error");
-        assert_eq!(plan.model.stress_kind(), "clock");
         let err = SweepPlan::builder()
             .clock_stress(&[1.5])
             .benchmark("inversek2j")
@@ -707,6 +659,36 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("[0, 1]"), "{err}");
+    }
+
+    #[test]
+    fn stress_domains_are_enforced() {
+        let build = |builder: SweepPlanBuilder| builder.all_benchmarks().build();
+        let ok = [
+            SweepPlan::builder().voltages(&[0.9, 0.46]),
+            SweepPlan::builder().bit_error_rates(&[0.0, 0.3]),
+            SweepPlan::builder().clock_stress(&[0.0, 1.0]),
+        ];
+        for builder in ok {
+            assert!(build(builder).is_ok());
+        }
+        let bad = [
+            (
+                SweepPlan::builder().voltages(&[1.5]),
+                "fault model `sram-voltage`: supply voltage 1.5 outside [0.2, 1.2] V",
+            ),
+            (
+                SweepPlan::builder().bit_error_rates(&[-0.1]),
+                "fault model `random-ber`: bit-error rate -0.1 outside [0, 1]",
+            ),
+            (
+                SweepPlan::builder().clock_stress(&[1.1]),
+                "fault model `timing-error`: clock stress 1.1 outside [0, 1]",
+            ),
+        ];
+        for (builder, message) in bad {
+            assert_eq!(build(builder).unwrap_err().to_string(), message);
+        }
     }
 
     #[test]
@@ -718,18 +700,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("mat-canary"));
-    }
-
-    #[test]
-    fn model_axis_mismatch_is_rejected() {
-        let err = SweepPlan::builder()
-            .voltages(&[0.9])
-            .fault_model(Arc::new(TimingError::snnac()))
-            .all_benchmarks()
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("timing-error"), "{err}");
-        assert!(err.to_string().contains("clock"), "{err}");
     }
 
     #[test]
@@ -746,26 +716,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(b.model.name(), "random-ber");
-    }
-
-    #[test]
-    fn fingerprint_tracks_fault_model() {
-        let base = || {
-            SweepPlan::builder()
-                .clock_stress(&[0.5])
-                .benchmark("inversek2j")
-                .expect("builtin benchmark")
-        };
-        let reference = base().build().unwrap().fingerprint();
-        let other_onset = base()
-            .fault_model(Arc::new(TimingError::new(Default::default(), 0.6)))
-            .build()
-            .unwrap()
-            .fingerprint();
-        assert_ne!(
-            reference, other_onset,
-            "a semantic model field must change the plan digest"
-        );
     }
 
     #[test]
@@ -892,20 +842,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("topology override"), "{err}");
-    }
-
-    #[test]
-    fn explicit_model_rejects_oversized_topology() {
-        let spec = NetSpec::parse_topology("100;600;10").unwrap();
-        let err = SweepPlan::builder()
-            .voltages(&[0.9])
-            .fault_model(Arc::new(SramVoltage::snnac()))
-            .benchmark("mnist")
-            .unwrap()
-            .topology(spec)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("does not fit"), "{err}");
     }
 
     #[test]

@@ -10,38 +10,34 @@
 //! asserts the two paths agree bit-for-bit — across chips, stress
 //! points, and all three models of the taxonomy.
 //!
-//! It also pins the harness-level guarantees that make the taxonomy
-//! pluggable: reports stay byte-identical across thread counts on every
-//! axis, a custom trait object flows through plan/report untouched, and
-//! the harness source itself never reaches around the trait to the
-//! SRAM-specific machinery.
+//! It also pins the harness-level guarantees of the taxonomy: reports
+//! stay byte-identical across thread counts on every axis, canaries are
+//! refused without silicon, and the harness source itself never reaches
+//! around the model to the SRAM-specific machinery.
 
 use matic_core::{
-    train_naive, upload_weights, CellFaults, FaultContext, FaultModel, FaultedWeights, RandomBer,
-    SramVoltage, TimingError, TrainedModel,
+    train_naive, upload_weights, CellFaults, FaultContext, FaultModel, FaultedWeights, TrainedModel,
 };
 use matic_harness::{run_sweep, scenario_by_name, SweepPlan, TrainingMode};
 use matic_nn::Sample;
 use matic_snnac::microcode::Program;
 use matic_snnac::{Chip, ChipConfig, Snnac};
 use matic_sram::{ArrayConfig, SramArray};
-use std::sync::Arc;
 
 /// Stress points worth probing for each model: one mild, one harsh
 /// (deep enough that faults are overwhelmingly present).
-fn stress_points(model: &dyn FaultModel) -> Vec<f64> {
-    match model.stress_kind() {
-        "voltage" => vec![0.52, 0.46],
-        "ber" => vec![0.002, 0.02],
-        "clock" => vec![0.5, 0.9],
-        other => panic!("unknown stress kind {other}"),
+fn stress_points(model: &FaultModel) -> Vec<f64> {
+    match model {
+        FaultModel::SramVoltage { .. } => vec![0.52, 0.46],
+        FaultModel::RandomBer { .. } => vec![0.002, 0.02],
+        FaultModel::TimingError { .. } => vec![0.5, 0.9],
     }
 }
 
 /// The fault content one cell would see, built exactly the way the
 /// engine builds it: silicon models get a profiled map, synthetic
 /// models get seeds only.
-fn faults_for(model: &dyn FaultModel, stress: f64, seed: u64) -> CellFaults {
+fn faults_for(model: &FaultModel, stress: f64, seed: u64) -> CellFaults {
     let ctx = FaultContext {
         stress,
         cell_seed: seed.wrapping_mul(100).wrapping_add(1),
@@ -82,10 +78,15 @@ fn faulted_array(model_t: &TrainedModel, geom: &ArrayConfig, faults: &CellFaults
 
 #[test]
 fn composed_matches_reference_for_every_model() {
-    let models: Vec<Box<dyn FaultModel>> = vec![
-        Box::new(SramVoltage::snnac()),
-        Box::new(RandomBer::snnac()),
-        Box::new(TimingError::snnac()),
+    let array = ArrayConfig::default();
+    let models = [
+        FaultModel::SramVoltage {
+            array: array.clone(),
+        },
+        FaultModel::RandomBer {
+            array: array.clone(),
+        },
+        FaultModel::TimingError { array },
     ];
     let scenario = scenario_by_name("inversek2j").expect("builtin benchmark");
     let split = scenario.generate(11, 0.15);
@@ -106,8 +107,8 @@ fn composed_matches_reference_for_every_model() {
         let npu = Snnac::snnac(trained.format());
         let program = Program::compile(trained.master().spec(), npu.pe_count());
         for seed in [3u64, 9] {
-            for stress in stress_points(model.as_ref()) {
-                let faults = faults_for(model.as_ref(), stress, seed);
+            for stress in stress_points(model) {
+                let faults = faults_for(model, stress, seed);
                 let mut array = faulted_array(&trained, &geom, &faults);
                 let weights =
                     FaultedWeights::from_array(trained.layout(), trained.format(), &mut array);
@@ -177,56 +178,6 @@ fn every_model_reports_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn custom_trait_object_flows_through_plan_and_report() {
-    // A non-default model value (late onset) handed to the builder as a
-    // bare trait object: everything downstream — plan summary, per-cell
-    // records, fault accounting — must reflect it without the harness
-    // ever knowing the concrete type.
-    let custom: Arc<dyn FaultModel> = Arc::new(TimingError::new(ArrayConfig::default(), 0.5));
-    let plan = SweepPlan::builder()
-        .chips(1)
-        .clock_stress(&[0.55, 0.95])
-        .fault_model(custom.clone())
-        .benchmark("inversek2j")
-        .expect("builtin benchmark")
-        .data_scale(0.1)
-        .epoch_scale(0.2)
-        .build()
-        .expect("plan is valid");
-    assert_eq!(plan.model.fingerprint(), custom.fingerprint());
-
-    let default_plan = SweepPlan::builder()
-        .chips(1)
-        .clock_stress(&[0.55, 0.95])
-        .benchmark("inversek2j")
-        .expect("builtin benchmark")
-        .data_scale(0.1)
-        .epoch_scale(0.2)
-        .build()
-        .expect("plan is valid");
-    assert_ne!(
-        plan.fingerprint(),
-        default_plan.fingerprint(),
-        "a different onset is a different plan"
-    );
-
-    let report = run_sweep(&plan);
-    assert_eq!(report.plan.fault_model, "timing-error");
-    assert_eq!(report.plan.stress_kind, "clock");
-    for cell in &report.cells {
-        assert_eq!(cell.fault_model, "timing-error");
-        let stress = cell.clock_stress.expect("clock axis fills clock_stress");
-        assert!(cell.voltage.is_none() && cell.ber_target.is_none());
-        if stress > 0.9 {
-            assert!(
-                cell.fault_count > 0,
-                "deep overscaling must drop some weights"
-            );
-        }
-    }
-}
-
-#[test]
 fn synthetic_models_reject_canary_mode() {
     for kind in ["ber", "clock"] {
         let builder = SweepPlan::builder()
@@ -247,11 +198,11 @@ fn synthetic_models_reject_canary_mode() {
 
 #[test]
 fn harness_source_never_bypasses_the_fault_model_trait() {
-    // The taxonomy's point is that the sweep engine has no SRAM-specific
-    // knowledge left: all fault content, geometry and chip construction
-    // flow through the `FaultModel` vtable. Catch regressions at the
-    // token level — these identifiers may appear in model impls
-    // (matic-core) and tests, never in the harness engine itself.
+    // The sweep engine has no SRAM-specific knowledge of its own: all
+    // fault content and geometry come from the plan's `FaultModel`.
+    // Catch regressions at the token level — these identifiers may
+    // appear in the models (matic-core) and tests, never in the harness
+    // engine itself.
     let forbidden = [
         "ArrayConfig::snnac",
         "ChipConfig::snnac",
@@ -271,7 +222,7 @@ fn harness_source_never_bypasses_the_fault_model_trait() {
             assert!(
                 !text.contains(token),
                 "{} references `{token}`; fault content must flow through \
-                 the FaultModel trait",
+                 the plan's FaultModel",
                 path.display()
             );
         }

@@ -10,6 +10,8 @@ MATIC=${MATIC:-./target/release/matic}
 "$MATIC" serve --listen serve.sock --workers 2 \
   --cache-dir serve-cache 2> serve-stderr.txt &
 SERVE_PID=$!
+# A failing step must not leave the daemon behind.
+trap 'kill $SERVE_PID 2> /dev/null || true' EXIT
 for i in $(seq 1 100); do [ -S serve.sock ] && break; sleep 0.1; done
 [ -S serve.sock ]
 # The batch reference bytes for the same plan.
@@ -48,21 +50,34 @@ cmp batch-clock.json served-clock.json
 # Cancelling an unknown job is a structured error, not a hang.
 ! "$MATIC" cancel 999 --socket serve.sock
 # Job 5: cancel it mid-flight, then resubmit — the resumed run replays
-# the cancelled prefix and still matches batch bytes.
-"$MATIC" submit --socket serve.sock \
-  --chips 2 --voltages 0.46,0.50,0.55,0.60 --benchmarks inversek2j \
-  --scale 0.5 --epochs 0.5 --seed 99 --out cancelled.json &
+# the cancelled prefix and still matches batch bytes. The cancel goes
+# out on the job's first progress line; each FaceDet die trains its own
+# MAT model, so 8 of them keep the job running well past that line.
+GRID99=(--chips 8 --voltages 0.46,0.50,0.55,0.60 --benchmarks facedet
+  --scale 0.5 --epochs 0.5 --seed 99)
+"$MATIC" submit --socket serve.sock "${GRID99[@]}" \
+  --out cancelled.json 2> cancelled.txt &
 SUBMIT_PID=$!
-sleep 1
-"$MATIC" cancel 5 --socket serve.sock || true
+for i in $(seq 1 600); do
+  grep -Eq "^submit: job [0-9]+ [0-9]+/[0-9]+ cells" cancelled.txt && break
+  sleep 0.05
+done
+JOB=$(sed -n 's/^submit: job \([0-9]*\) accepted.*/\1/p' cancelled.txt)
+[ -n "$JOB" ]
+"$MATIC" cancel "$JOB" --socket serve.sock | tee cancel-reply.txt
+if grep -q "(was done)" cancel-reply.txt; then
+  echo "job $JOB finished before the cancel arrived; the step tested nothing" >&2
+  exit 1
+fi
 wait $SUBMIT_PID || true
-"$MATIC" submit --socket serve.sock \
-  --chips 2 --voltages 0.46,0.50,0.55,0.60 --benchmarks inversek2j \
-  --scale 0.5 --epochs 0.5 --seed 99 --out resumed.json
-"$MATIC" sweep \
-  --chips 2 --voltages 0.46,0.50,0.55,0.60 --benchmarks inversek2j \
-  --scale 0.5 --epochs 0.5 --seed 99 --threads 2 --quiet \
-  --out batch99.json
+cat cancelled.txt
+grep -q "was cancelled after" cancelled.txt
+"$MATIC" submit --socket serve.sock "${GRID99[@]}" \
+  --out resumed.json 2> resumed.txt
+cat resumed.txt
+# The resume must both replay the checkpointed prefix and compute the rest.
+grep -Eq "done -> resumed.json \([1-9][0-9]* hits, [0-9]+ deduped, [1-9][0-9]* misses\)" resumed.txt
+"$MATIC" sweep "${GRID99[@]}" --threads 2 --quiet --out batch99.json
 cmp batch99.json resumed.json
 # Drain: the daemon acks, exits cleanly, and removes its socket. Its
 # accept loop blocks in accept(), so the shutdown must wake it: give it
