@@ -18,7 +18,13 @@
 //! token is flipped, and the handler waits for all jobs to reach a
 //! terminal phase. Workers finish (and checkpoint, through the cache's
 //! atomic writer) the cell they are on — nothing computed is lost — then
-//! the queue closes, the workers join, and the socket file is removed.
+//! the queue closes (a submission that slipped past the drain flag ends
+//! cancelled unrun), the workers join, and the socket file is removed.
+//!
+//! # Admission
+//!
+//! An accepted job joins the pool's round-robin queue in one push that
+//! never blocks, so its connection streams progress from acceptance on.
 //!
 //! # Accepting connections
 //!
@@ -34,7 +40,7 @@
 
 use crate::http::{read_body, read_head, ChunkWriter, MAX_BODY_BYTES, PROTOCOL_PATH};
 use crate::job::Job;
-use crate::pool::{spawn_workers, SharedExec, WorkQueue};
+use crate::pool::{run_one_unit, spawn_workers, SharedExec, WorkQueue};
 use crate::protocol::{read_message, write_message, Event, JobStatusInfo, Request};
 use matic_harness::SweepCache;
 use std::collections::BTreeMap;
@@ -71,8 +77,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Persistent cell cache shared by every job, if any.
     pub cache_dir: Option<PathBuf>,
-    /// Bounded unit-queue depth (the backpressure knob).
-    pub queue_depth: usize,
     /// Suppress the daemon's stderr narration.
     pub quiet: bool,
     /// Also listen for HTTP clients on this `host:port` (port 0 picks a
@@ -81,14 +85,12 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A config with the given socket and sensible defaults: one worker
-    /// per core, a queue depth of twice the worker count, no cache.
+    /// A config with the given socket and worker count, and no cache.
     pub fn new(socket: impl Into<PathBuf>, workers: usize) -> Self {
         ServeConfig {
             socket: socket.into(),
             workers,
             cache_dir: None,
-            queue_depth: workers.max(1) * 2,
             quiet: false,
             http: None,
         }
@@ -168,27 +170,54 @@ pub fn serve(cfg: ServeConfig) -> Result<(), String> {
     };
     let listener = bind_socket(&cfg.socket)?;
 
-    let exec = Arc::new(SharedExec {
-        cache,
-        inflight: Default::default(),
-    });
-    let queue = Arc::new(WorkQueue::new(cfg.queue_depth));
-    let workers = spawn_workers(cfg.workers, &queue, &exec);
     let daemon = Arc::new(Daemon {
         cfg,
         http_addr: http.as_ref().map(|(_, bound)| *bound),
-        exec,
-        queue: Arc::clone(&queue),
+        exec: Arc::new(SharedExec {
+            cache,
+            inflight: Default::default(),
+        }),
+        queue: Arc::default(),
         jobs: Mutex::new(BTreeMap::new()),
         next_id: AtomicU64::new(1),
         draining: AtomicBool::new(false),
         stop: AtomicBool::new(false),
     });
+    let mut workers = Vec::with_capacity(daemon.cfg.workers);
+    let served = spawn_workers(
+        daemon.cfg.workers,
+        &daemon.queue,
+        &daemon.exec,
+        &mut workers,
+    )
+    .map_err(|e| format!("spawning a worker thread: {e}"))
+    .and_then(|()| run_listeners(&daemon, listener, http));
+
+    // The shutdown handler closed the queue once every job had settled;
+    // a start that failed part-way closes it here. Either way the
+    // workers finish what is queued and exit.
+    daemon.queue.close();
+    for w in workers {
+        let _ = w.join();
+    }
+    let _ = std::fs::remove_file(&daemon.cfg.socket);
+    if served.is_ok() {
+        daemon.note(format_args!("shut down cleanly"));
+    }
+    served
+}
+
+/// Accepts connections on the socket, and on the HTTP listener when
+/// there is one, until a `Shutdown` stops both accept loops.
+fn run_listeners(
+    daemon: &Arc<Daemon>,
+    listener: UnixListener,
+    http: Option<(TcpListener, SocketAddr)>,
+) -> Result<(), String> {
     daemon.note(format_args!(
-        "listening on {} ({} workers, queue depth {}, cache {})",
+        "listening on {} ({} workers, cache {})",
         daemon.cfg.socket.display(),
         daemon.cfg.workers,
-        daemon.cfg.queue_depth,
         daemon
             .cfg
             .cache_dir
@@ -209,7 +238,7 @@ pub fn serve(cfg: ServeConfig) -> Result<(), String> {
                 "http on {bound} (published in {})",
                 addr_file.display()
             ));
-            let daemon = Arc::clone(&daemon);
+            let daemon = Arc::clone(daemon);
             Some(
                 std::thread::Builder::new()
                     .name("matic-serve-http".into())
@@ -226,21 +255,12 @@ pub fn serve(cfg: ServeConfig) -> Result<(), String> {
     };
 
     let accept = || listener.accept().map(|(stream, _)| stream);
-    accept_loop(&daemon, accept, handle_connection)
+    accept_loop(daemon, accept, handle_connection)
         .map_err(|e| format!("accepting on the serve socket: {e}"))?;
-
-    // Drain: the shutdown handler already waited for every job, so the
-    // queue is dead work at most; close it and let the workers exit.
-    queue.close();
-    for w in workers {
-        let _ = w.join();
-    }
     if let Some(accept) = http_accept {
         let _ = accept.join();
         let _ = std::fs::remove_file(daemon.cfg.http_addr_file());
     }
-    let _ = std::fs::remove_file(&daemon.cfg.socket);
-    daemon.note(format_args!("shut down cleanly"));
     Ok(())
 }
 
@@ -487,22 +507,14 @@ fn handle_submit(daemon: &Arc<Daemon>, writer: &mut impl Write, spec: crate::pro
         // Client vanished before we queued anything: nobody wants this.
         job.cancel.cancel();
     }
-
-    // Enqueue every unit (blocking on the bounded queue = backpressure).
-    for unit_idx in 0..job.units.len() {
-        if job.cancel.is_cancelled() || !daemon.queue.push((Arc::clone(&job), unit_idx)) {
-            // Cancelled mid-enqueue, or the queue closed under us:
-            // account the unit as cancelled so the job still terminates.
-            job.complete_unit(
-                unit_idx,
-                matic_harness::UnitOutcome {
-                    cells: Vec::new(),
-                    cancelled: true,
-                },
-            );
+    if !daemon.queue.push(Arc::clone(&job)) {
+        // A shutdown closed the queue under us: end every unit
+        // cancelled, so the job still terminates.
+        job.cancel.cancel();
+        for unit_idx in 0..job.units.len() {
+            run_one_unit(&daemon.exec, &job, unit_idx);
         }
     }
-
     stream_progress(daemon, writer, &job);
 }
 
@@ -614,6 +626,8 @@ fn handle_shutdown(daemon: &Arc<Daemon>, writer: &mut impl Write) {
     for job in &jobs {
         job.wait_terminal();
     }
+    // A submission that slipped past the drain flag is refused from here.
+    daemon.queue.close();
     let _ = write_message(
         writer,
         &Event::ShutdownOk {

@@ -3,9 +3,10 @@
 //! Where `matic sweep` is a batch script (one plan, run to completion,
 //! exit), this crate turns the harness into a **daemon**: jobs arrive as
 //! JSON-lines over a local Unix-domain socket or the vendored HTTP/1.1
-//! shim ([`protocol`], [`transport`]), multiplex onto one shared,
-//! bounded worker pool ([`pool`]), stream per-cell progress back to
-//! their clients, and share a single content-addressed cell cache —
+//! shim ([`protocol`], [`transport`]), multiplex onto one shared worker
+//! pool that hands out their units round-robin, stream per-cell
+//! progress back to their clients from admission on, and share a
+//! single content-addressed cell cache —
 //! with an in-flight claim table so two jobs covering the same cell
 //! trigger **one** computation ([`matic_harness::Inflight`]).
 //!
@@ -44,7 +45,7 @@ pub mod coordinator;
 pub mod daemon;
 mod http;
 pub mod job;
-pub mod pool;
+mod pool;
 pub mod protocol;
 pub mod transport;
 

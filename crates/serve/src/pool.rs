@@ -1,14 +1,14 @@
-//! The shared worker pool: a bounded unit queue plus `N` OS threads
-//! draining it.
+//! The shared worker pool: the list of admitted jobs with units still
+//! to hand out, plus `N` OS threads pulling from it.
 //!
-//! Every job's `(scenario, chip)` units go through **one** queue, so
-//! concurrent jobs multiplex onto the same workers in admission order
-//! and a small job never starves behind a large one's tail (workers
-//! pull, they are never partitioned). The queue is **bounded**: when
-//! it is full, the submitting connection thread blocks in
-//! [`WorkQueue::push`] — that blocking *is* the backpressure, and it
-//! propagates to the client because the daemon only acknowledges units
-//! it has actually enqueued.
+//! Every job's `(scenario, chip)` units go through **one** queue, and
+//! workers pull, they are never partitioned. The queue holds jobs, not
+//! units: each entry is a job and the index of its next unit not yet
+//! handed out. A worker takes the front job's next unit and moves that
+//! job to the back, so concurrent jobs get units round-robin and a
+//! small job never starves behind a large one's tail. Admitting a job
+//! is one [`WorkQueue::push`] that never blocks, so its submitter
+//! streams progress from the moment the job is accepted.
 //!
 //! Workers execute units through the harness scheduler's
 //! [`ExecContext`], wiring in the daemon-wide cache, the shared
@@ -18,6 +18,7 @@
 use crate::job::Job;
 use matic_harness::{ExecContext, Inflight, SweepCache, UnitOutcome};
 use std::collections::VecDeque;
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -32,118 +33,84 @@ pub struct SharedExec {
     pub inflight: Inflight,
 }
 
-/// One queued piece of work: a job and the index of one of its units.
-pub type WorkItem = (Arc<Job>, usize);
-
+#[derive(Default)]
 struct QueueState {
-    items: VecDeque<WorkItem>,
+    /// Jobs with units left to hand out, each with its next unit's index.
+    jobs: VecDeque<(Arc<Job>, usize)>,
     closed: bool,
 }
 
-/// A bounded MPMC queue of units (mutex + condvars; std only).
-#[derive(Debug)]
+/// The admitted jobs the workers pull units from, round-robin (mutex +
+/// condvar; std only).
+#[derive(Default)]
 pub struct WorkQueue {
     state: Mutex<QueueState>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-impl std::fmt::Debug for QueueState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueueState")
-            .field("len", &self.items.len())
-            .field("closed", &self.closed)
-            .finish()
-    }
+    ready: Condvar,
 }
 
 impl WorkQueue {
-    /// An empty queue holding at most `capacity` units.
-    pub fn new(capacity: usize) -> Self {
-        WorkQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Enqueues one unit, blocking while the queue is full (the
-    /// backpressure path). Returns `false` if the queue was closed.
-    pub fn push(&self, item: WorkItem) -> bool {
+    /// Admits every unit of `job` at once, without blocking. Returns
+    /// `false` if the queue was closed.
+    pub fn push(&self, job: Arc<Job>) -> bool {
         let mut st = self.state.lock().expect("work queue poisoned");
-        while st.items.len() >= self.capacity && !st.closed {
-            st = self.not_full.wait(st).expect("work queue poisoned");
-        }
         if st.closed {
             return false;
         }
-        st.items.push_back(item);
-        self.not_empty.notify_one();
+        st.jobs.push_back((job, 0));
+        self.ready.notify_all();
         true
     }
 
-    /// Dequeues the oldest unit, blocking while empty; `None` once the
-    /// queue is closed and drained (the worker-exit signal).
-    pub fn pop(&self) -> Option<WorkItem> {
+    /// Hands out the front job's next unit and moves that job to the
+    /// back, blocking while no unit is left; `None` once the queue is
+    /// closed and drained (the worker-exit signal).
+    pub fn pop(&self) -> Option<(Arc<Job>, usize)> {
         let mut st = self.state.lock().expect("work queue poisoned");
         loop {
-            if let Some(item) = st.items.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
+            if let Some((job, unit_idx)) = st.jobs.pop_front() {
+                if unit_idx + 1 < job.units.len() {
+                    st.jobs.push_back((Arc::clone(&job), unit_idx + 1));
+                }
+                return Some((job, unit_idx));
             }
             if st.closed {
                 return None;
             }
-            st = self.not_empty.wait(st).expect("work queue poisoned");
+            st = self.ready.wait(st).expect("work queue poisoned");
         }
     }
 
     /// Closes the queue: pending units still drain, new pushes fail,
     /// idle workers wake up and exit.
     pub fn close(&self) {
-        let mut st = self.state.lock().expect("work queue poisoned");
-        st.closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Units currently queued (diagnostics only).
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("work queue poisoned").items.len()
-    }
-
-    /// Whether nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.state.lock().expect("work queue poisoned").closed = true;
+        self.ready.notify_all();
     }
 }
 
-/// Spawns `workers` threads draining `queue`; join the handles after
-/// closing the queue for a clean shutdown.
+/// Spawns `workers` threads pulling from `queue` into `spawned`; close
+/// the queue and join them for a clean shutdown, also when spawning a
+/// later one failed.
 pub fn spawn_workers(
     workers: usize,
     queue: &Arc<WorkQueue>,
     exec: &Arc<SharedExec>,
-) -> Vec<JoinHandle<()>> {
-    (0..workers.max(1))
-        .map(|i| {
-            let queue = Arc::clone(queue);
-            let exec = Arc::clone(exec);
+    spawned: &mut Vec<JoinHandle<()>>,
+) -> io::Result<()> {
+    for i in 0..workers.max(1) {
+        let queue = Arc::clone(queue);
+        let exec = Arc::clone(exec);
+        spawned.push(
             std::thread::Builder::new()
                 .name(format!("matic-serve-worker-{i}"))
                 .spawn(move || {
                     while let Some((job, unit_idx)) = queue.pop() {
                         run_one_unit(&exec, &job, unit_idx);
                     }
-                })
-                .expect("spawning worker thread")
-        })
-        .collect()
+                })?,
+        );
+    }
+    Ok(())
 }
 
 /// Executes one unit of one job (the worker loop body).
@@ -187,8 +154,6 @@ pub fn run_one_unit(exec: &SharedExec, job: &Arc<Job>, unit_idx: usize) {
 mod tests {
     use super::*;
     use crate::job::JobPhase;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
 
     /// A one-voltage naive sweep of `chips` chips, small enough to run.
     fn tiny_job(chips: usize) -> Arc<Job> {
@@ -213,42 +178,28 @@ mod tests {
     }
 
     #[test]
-    fn queue_delivers_in_fifo_order_and_closes_cleanly() {
-        let q = Arc::new(WorkQueue::new(8));
-        let job = tiny_job(1);
-        assert!(q.push((Arc::clone(&job), 0)));
-        let (_, idx) = q.pop().expect("one queued item");
-        assert_eq!(idx, 0);
+    fn queue_hands_out_units_round_robin_across_jobs_and_closes_cleanly() {
+        let q = WorkQueue::default();
+        let a = tiny_job(3);
+        let b = tiny_job(3);
+        assert!(q.push(Arc::clone(&a)));
+        let (first, idx) = q.pop().expect("job a has units");
+        assert!(Arc::ptr_eq(&first, &a) && idx == 0);
+        assert!(q.push(Arc::clone(&b)));
+        let order: Vec<(&str, usize)> = (0..5)
+            .map(|_| {
+                let (job, idx) = q.pop().expect("units left");
+                (if Arc::ptr_eq(&job, &a) { "a" } else { "b" }, idx)
+            })
+            .collect();
+        assert_eq!(
+            order,
+            [("a", 1), ("b", 0), ("a", 2), ("b", 1), ("b", 2)],
+            "a late job's units alternate with the running job's"
+        );
         q.close();
         assert!(q.pop().is_none(), "closed + empty means worker exit");
-        assert!(!q.push((job, 0)), "closed queue refuses new work");
-    }
-
-    #[test]
-    fn full_queue_blocks_push_until_a_pop_frees_a_slot() {
-        let q = Arc::new(WorkQueue::new(1));
-        let job = tiny_job(2);
-        assert!(q.push((Arc::clone(&job), 0)));
-
-        let pushed = Arc::new(AtomicUsize::new(0));
-        let blocked = {
-            let q = Arc::clone(&q);
-            let job = Arc::clone(&job);
-            let pushed = Arc::clone(&pushed);
-            std::thread::spawn(move || {
-                let ok = q.push((job, 1)); // must block: capacity 1
-                pushed.store(1 + ok as usize, Ordering::SeqCst);
-            })
-        };
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(
-            pushed.load(Ordering::SeqCst),
-            0,
-            "push must block while the queue is full"
-        );
-        let _ = q.pop().expect("frees the slot");
-        blocked.join().expect("pusher thread");
-        assert_eq!(pushed.load(Ordering::SeqCst), 2, "push succeeded");
+        assert!(!q.push(a), "closed queue refuses new work");
     }
 
     #[test]

@@ -58,7 +58,6 @@ impl TestDaemon {
             socket: socket.clone(),
             workers,
             cache_dir: Some(cache.to_path_buf()),
-            queue_depth: 8,
             quiet: true,
             http: http.then(|| "127.0.0.1:0".to_string()),
         };
@@ -206,6 +205,53 @@ fn submitted_report_is_byte_identical_to_batch_and_resubmit_replays() {
     assert_eq!(jobs.len(), 2);
     assert!(jobs.iter().any(|j| j.id == id));
     assert!(jobs.iter().all(|j| j.phase == "done"));
+
+    daemon.shutdown();
+}
+
+#[test]
+fn a_job_streams_progress_from_admission() {
+    // One worker and ten units: more than the worker plus an 8-unit
+    // queue hold, so a daemon that enqueued units one at a time before
+    // streaming would report nothing until a whole unit had finished.
+    // FaceDet's dataset and training keep the first unit busy for
+    // ~0.1 s, far longer than admission takes to send its first event.
+    let daemon = TestDaemon::start("progress", 1);
+    let spec = JobSpec {
+        chips: 10,
+        benchmarks: vec!["facedet".into()],
+        modes: vec!["naive".into()],
+        data_scale: 0.2,
+        epoch_scale: 0.3,
+        ..spec(13)
+    };
+    let plan = build_plan(&spec).expect("valid");
+    let units = plan.scenarios.len() * plan.chips;
+    assert!(units > 8 + 1, "{units} units");
+    let cells_per_unit = plan.cell_count() / units;
+
+    let mut events = Vec::new();
+    let terminal = client::submit(&daemon.endpoint(), &spec, |event| {
+        if let Event::Accepted { .. } | Event::Progress { .. } = event {
+            events.push(event.clone());
+        }
+    })
+    .expect("submit streams to a terminal event");
+    assert!(
+        matches!(terminal, Event::Done { .. }),
+        "the job must finish, got {terminal:?}"
+    );
+    assert!(
+        matches!(events.first(), Some(Event::Accepted { .. })),
+        "{events:?}"
+    );
+    let Some(Event::Progress { done, .. }) = events.get(1) else {
+        panic!("progress must follow the acceptance, got {events:?}");
+    };
+    assert!(
+        *done < cells_per_unit,
+        "the first progress came after {done} cells, a whole unit's worth"
+    );
 
     daemon.shutdown();
 }

@@ -51,15 +51,17 @@ cmp batch-clock.json served-clock.json
 ! "$MATIC" cancel 999 --socket serve.sock
 # Job 5: cancel it mid-flight, then resubmit — the resumed run replays
 # the cancelled prefix and still matches batch bytes. The cancel goes
-# out on the job's first progress line; each FaceDet die trains its own
-# MAT model, so 8 of them keep the job running well past that line.
+# out on the job's first progress line that reports a finished cell
+# (progress streams from admission, so earlier lines read 0 cells);
+# each FaceDet die trains its own MAT model, so 8 of them keep the job
+# running well past that line.
 GRID99=(--chips 8 --voltages 0.46,0.50,0.55,0.60 --benchmarks facedet
   --scale 0.5 --epochs 0.5 --seed 99)
 "$MATIC" submit --socket serve.sock "${GRID99[@]}" \
   --out cancelled.json 2> cancelled.txt &
 SUBMIT_PID=$!
 for i in $(seq 1 600); do
-  grep -Eq "^submit: job [0-9]+ [0-9]+/[0-9]+ cells" cancelled.txt && break
+  grep -Eq "^submit: job [0-9]+ [1-9][0-9]*/[0-9]+ cells" cancelled.txt && break
   sleep 0.05
 done
 JOB=$(sed -n 's/^submit: job \([0-9]*\) accepted.*/\1/p' cancelled.txt)

@@ -90,7 +90,6 @@ SERVE OPTIONS (matic serve):
                         ADDR (host:port; port 0 picks one); the bound address
                         is published to <socket>.http
     --workers N         shared worker-pool threads   [default: all cores]
-    --queue-depth N     bounded unit queue (backpressure) [default: 2x workers]
     --cache-dir PATH / --resume / --no-cache
                         persistent cell cache shared by every job
     --quiet             suppress daemon narration
@@ -724,7 +723,6 @@ fn run_serve_command(args: &[String]) -> Result<(), String> {
     let mut socket = DEFAULT_SOCKET.to_string();
     let mut http: Option<String> = None;
     let mut workers = rayon::current_num_threads();
-    let mut queue_depth: Option<usize> = None;
     let mut cache_dir: Option<String> = None;
     let (mut resume, mut no_cache, mut quiet) = (false, false, false);
     let mut it = args.iter();
@@ -733,7 +731,6 @@ fn run_serve_command(args: &[String]) -> Result<(), String> {
             "--listen" | "--socket" => socket = value(&mut it, arg)?,
             "--http" => http = Some(value(&mut it, arg)?),
             "--workers" => workers = parse_nonzero(&value(&mut it, arg)?, arg)?,
-            "--queue-depth" => queue_depth = Some(parse_nonzero(&value(&mut it, arg)?, arg)?),
             "--cache-dir" => cache_dir = Some(value(&mut it, arg)?),
             "--resume" => resume = true,
             "--no-cache" => no_cache = true,
@@ -745,7 +742,6 @@ fn run_serve_command(args: &[String]) -> Result<(), String> {
         socket: socket.into(),
         workers,
         cache_dir: resolve_cache(cache_dir, resume, no_cache).map(Into::into),
-        queue_depth: queue_depth.unwrap_or(workers * 2),
         quiet,
         http,
     };
@@ -1480,14 +1476,11 @@ mod tests {
 
     #[test]
     fn serve_worker_counts_reject_zero() {
-        for (args, what) in [
-            (vec!["--workers", "0"], "--workers"),
-            (vec!["--queue-depth", "0"], "--queue-depth"),
-        ] {
-            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            let err = run_serve_command(&args).unwrap_err();
-            assert!(err.contains("at least 1"), "{what}: {err}");
-        }
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let err = run_serve_command(&args(&["--workers", "0"])).unwrap_err();
+        assert!(err.contains("at least 1"), "--workers: {err}");
+        let err = run_serve_command(&args(&["--queue-depth", "4"])).unwrap_err();
+        assert_eq!(err, unknown_option("--queue-depth"));
     }
 
     #[test]
