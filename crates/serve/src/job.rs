@@ -15,7 +15,7 @@ use matic_harness::{
     UnitOutcome,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Builds the sweep plan a spec describes. This is the one validation
@@ -276,6 +276,33 @@ impl Job {
         })
     }
 
+    /// Locks the job's state. Poison policy: the lock is poisoned only
+    /// when a thread panicked while it held it, mid-update (a unit
+    /// completed twice, a panic while assembling the report). The slots
+    /// and the phase may then disagree, so nothing reads them again:
+    /// every later [`Job::lock`] or [`Job::wait`] on this job panics too.
+    fn lock(&self) -> MutexGuard<'_, JobState> {
+        self.state.lock().expect("job state poisoned")
+    }
+
+    /// Waits on `changed` for at most `timeout` (forever with `None`),
+    /// under [`Job::lock`]'s poison policy.
+    fn wait<'a>(
+        &self,
+        st: MutexGuard<'a, JobState>,
+        timeout: Option<Duration>,
+    ) -> MutexGuard<'a, JobState> {
+        match timeout {
+            Some(t) => {
+                self.changed
+                    .wait_timeout(st, t)
+                    .expect("job state poisoned")
+                    .0
+            }
+            None => self.changed.wait(st).expect("job state poisoned"),
+        }
+    }
+
     /// Cells this job produces in total (the whole plan, or the
     /// `chip_range` slice of it for shard jobs).
     pub fn cells_total(&self) -> usize {
@@ -286,16 +313,12 @@ impl Job {
     /// The datasets and memo the job's units run on; `None` once the job
     /// is terminal (a unit still running keeps its own handle).
     pub(crate) fn inputs(&self) -> Option<Arc<SweepInputs>> {
-        self.state
-            .lock()
-            .expect("job state poisoned")
-            .inputs
-            .clone()
+        self.lock().inputs.clone()
     }
 
     /// Marks the first unit pickup (idempotent).
     pub fn mark_running(&self) {
-        let mut st = self.state.lock().expect("job state poisoned");
+        let mut st = self.lock();
         if matches!(st.phase, JobPhase::Queued) {
             st.phase = JobPhase::Running;
             self.changed.notify_all();
@@ -305,7 +328,7 @@ impl Job {
     /// Records one unit's outcome; the last unit in assembles the report
     /// (or the cancellation summary) and flips the job terminal.
     pub fn complete_unit(&self, unit_idx: usize, outcome: UnitOutcome) {
-        let mut st = self.state.lock().expect("job state poisoned");
+        let mut st = self.lock();
         if st.phase.is_terminal() {
             return; // a failed job ignores stragglers
         }
@@ -329,7 +352,7 @@ impl Job {
 
     /// Marks the job failed (worker panic, unrenderable report, ...).
     pub fn fail(&self, reason: String) {
-        let mut st = self.state.lock().expect("job state poisoned");
+        let mut st = self.lock();
         if !st.phase.is_terminal() {
             st.phase = JobPhase::Failed(reason);
             st.inputs = None;
@@ -396,16 +419,12 @@ impl Job {
 
     /// The current phase's name (see [`JobPhase::name`]).
     pub fn phase_name(&self) -> &'static str {
-        self.state.lock().expect("job state poisoned").phase.name()
+        self.lock().phase.name()
     }
 
     /// Whether the job can no longer change.
     pub fn is_terminal(&self) -> bool {
-        self.state
-            .lock()
-            .expect("job state poisoned")
-            .phase
-            .is_terminal()
+        self.lock().phase.is_terminal()
     }
 
     /// The terminal phase with its payload, or `None` while the job still
@@ -414,7 +433,7 @@ impl Job {
     /// keeps only its phase and counts; a later call sees an empty
     /// payload.
     pub fn take_terminal(&self) -> Option<JobPhase> {
-        let mut st = self.state.lock().expect("job state poisoned");
+        let mut st = self.lock();
         let kept = match &mut st.phase {
             JobPhase::Queued | JobPhase::Running => return None,
             JobPhase::Done {
@@ -447,20 +466,17 @@ impl Job {
     /// Blocks until the phase changes or `timeout` elapses (progress
     /// streams poll counters on this cadence).
     pub fn wait_changed(&self, timeout: Duration) {
-        let st = self.state.lock().expect("job state poisoned");
+        let st = self.lock();
         if !st.phase.is_terminal() {
-            let _ = self
-                .changed
-                .wait_timeout(st, timeout)
-                .expect("job state poisoned");
+            drop(self.wait(st, Some(timeout)));
         }
     }
 
     /// Blocks until the job reaches a terminal phase.
     pub fn wait_terminal(&self) {
-        let mut st = self.state.lock().expect("job state poisoned");
+        let mut st = self.lock();
         while !st.phase.is_terminal() {
-            st = self.changed.wait(st).expect("job state poisoned");
+            st = self.wait(st, None);
         }
     }
 

@@ -10,6 +10,8 @@
 //! makes interrupted sweeps resumable. `matic list` shows the available
 //! benchmarks and training modes.
 
+#![forbid(unsafe_code)]
+
 use matic_harness::{
     AccuracyBudget, EnergyReport, SweepCache, SweepPlan, SweepReport, SweepRun, TrainingMode,
 };
