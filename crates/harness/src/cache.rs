@@ -439,8 +439,8 @@ impl std::ops::AddAssign for SiliconUsage {
 /// How a sweep run used the cache (returned by
 /// [`run_sweep_with_cache`](crate::run_sweep_with_cache)).
 ///
-/// This is the per-run provenance channel: it says which cells were
-/// replayed from the cache without touching the serialized report —
+/// This is the per-run provenance channel: it counts the cells replayed
+/// from the cache without touching the serialized report —
 /// reports must stay byte-identical between cold and resumed runs, so
 /// `cached` flags can never live inside [`CellRecord`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -454,9 +454,6 @@ pub struct CacheUsage {
     pub deduped: usize,
     /// Cells computed (and, when a cache is attached, stored).
     pub misses: usize,
-    /// Per-cell hit flags, in the report's grid order
-    /// (`report.cells[i]` was a cache hit iff `per_cell[i]`).
-    pub per_cell: Vec<bool>,
     /// Chips synthesized and profiles replayed or computed, summed over
     /// the run's units by [`run_sweep_observed`](crate::run_sweep_observed)
     /// (and so by every batch entry point). [`assemble_sweep`](crate::assemble_sweep)

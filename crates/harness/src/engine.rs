@@ -360,10 +360,8 @@ pub fn assemble_sweep(
 ) -> SweepOutcome {
     let cancelled = per_unit.iter().any(|u| u.cancelled);
     let mut cells = Vec::with_capacity(plan.cell_count());
-    let mut per_cell = Vec::with_capacity(plan.cell_count());
     let (mut hits, mut deduped) = (0usize, 0usize);
     for (cell, origin) in per_unit.into_iter().flat_map(|u| u.cells) {
-        per_cell.push(origin.is_replay());
         hits += (origin == CellOrigin::CacheHit) as usize;
         deduped += (origin == CellOrigin::Deduped) as usize;
         cells.push(cell);
@@ -372,8 +370,7 @@ pub fn assemble_sweep(
         enabled: cache_enabled,
         hits,
         deduped,
-        misses: per_cell.len() - hits - deduped,
-        per_cell,
+        misses: cells.len() - hits - deduped,
         silicon: SiliconUsage::default(),
         datasets_generated: 0,
     };

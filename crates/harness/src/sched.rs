@@ -73,13 +73,6 @@ pub enum CellOrigin {
     Deduped,
 }
 
-impl CellOrigin {
-    /// `true` for the replay origins (anything but a fresh computation).
-    pub fn is_replay(self) -> bool {
-        !matches!(self, CellOrigin::Computed)
-    }
-}
-
 /// Per-cell progress observer. Implementations must be cheap and
 /// non-blocking: the engine calls this from worker threads on the hot
 /// path, once per finished cell.

@@ -81,7 +81,6 @@ fn warm_resume_is_byte_identical_and_does_zero_work() {
         warm.cache.hits,
         warm.cache.misses
     );
-    assert!(warm.cache.per_cell.iter().all(|&h| h));
     assert_eq!(
         warm.cache.silicon,
         SiliconUsage {

@@ -39,7 +39,7 @@
 //! the connection and exits after joining its live connection threads.
 
 use crate::http::{read_body, read_head, ChunkWriter, MAX_BODY_BYTES, PROTOCOL_PATH};
-use crate::job::Job;
+use crate::job::{Job, JobWork};
 use crate::pool::{run_one_unit, spawn_workers, SharedExec, WorkQueue};
 use crate::protocol::{read_message, write_message, Event, JobStatusInfo, Request};
 use matic_harness::SweepCache;
@@ -49,7 +49,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -125,21 +125,20 @@ impl Daemon {
         }
     }
 
+    /// Locks the job registry. Poison policy: the lock guards only one
+    /// map insert, lookup or snapshot of `Arc` clones at a time, none of
+    /// which can leave the map half-updated, so a poisoned registry is
+    /// used as it stands.
+    fn registry(&self) -> MutexGuard<'_, BTreeMap<u64, Arc<Job>>> {
+        self.jobs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn job(&self, id: u64) -> Option<Arc<Job>> {
-        self.jobs
-            .lock()
-            .expect("job registry poisoned")
-            .get(&id)
-            .cloned()
+        self.registry().get(&id).cloned()
     }
 
     fn job_snapshot(&self) -> Vec<Arc<Job>> {
-        self.jobs
-            .lock()
-            .expect("job registry poisoned")
-            .values()
-            .cloned()
-            .collect()
+        self.registry().values().cloned().collect()
     }
 }
 
@@ -478,43 +477,34 @@ fn handle_submit(daemon: &Arc<Daemon>, writer: &mut impl Write, spec: crate::pro
         return;
     }
     let id = daemon.next_id.fetch_add(1, Ordering::Relaxed);
-    let job = match Job::admit(id, spec, daemon.exec.cache.is_some()) {
-        Ok(job) => Arc::new(job),
+    let work = match JobWork::new(spec, daemon.exec.cache.is_some()) {
+        Ok(work) => Arc::new(work),
         Err(reason) => {
             let _ = write_message(writer, &Event::Rejected { reason });
             return;
         }
     };
-    daemon
-        .jobs
-        .lock()
-        .expect("job registry poisoned")
-        .insert(id, Arc::clone(&job));
+    let job = Arc::new(Job::new(id, &work));
+    daemon.registry().insert(id, Arc::clone(&job));
+    let cells_total = job.cells_total;
     daemon.note(format_args!(
-        "job {id} accepted ({} cells, {} units)",
-        job.cells_total(),
-        job.units.len()
+        "job {id} accepted ({cells_total} cells, {} units)",
+        work.units.len()
     ));
-    if write_message(
-        writer,
-        &Event::Accepted {
-            id,
-            cells_total: job.cells_total(),
-        },
-    )
-    .is_err()
-    {
+    if write_message(writer, &Event::Accepted { id, cells_total }).is_err() {
         // Client vanished before we queued anything: nobody wants this.
         job.cancel.cancel();
     }
-    if !daemon.queue.push(Arc::clone(&job)) {
+    if !daemon.queue.push(&job, &work) {
         // A shutdown closed the queue under us: end every unit
         // cancelled, so the job still terminates.
         job.cancel.cancel();
-        for unit_idx in 0..job.units.len() {
-            run_one_unit(&daemon.exec, &job, unit_idx);
+        for unit_idx in 0..work.units.len() {
+            run_one_unit(&daemon.exec, &job, &work, unit_idx);
         }
     }
+    // The queue and the workers hold the work from here on.
+    drop(work);
     stream_progress(daemon, writer, &job);
 }
 
@@ -523,65 +513,22 @@ fn handle_submit(daemon: &Arc<Daemon>, writer: &mut impl Write, spec: crate::pro
 /// job (the cache keeps everything already computed).
 fn stream_progress(daemon: &Arc<Daemon>, writer: &mut impl Write, job: &Arc<Job>) {
     let id = job.id;
-    let total = job.cells_total();
+    let total = job.cells_total;
     let mut last_done = usize::MAX;
     let mut last_write = Instant::now();
     loop {
-        if let Some(phase) = job.take_terminal() {
-            let event = match phase {
-                crate::job::JobPhase::Done {
-                    report,
-                    hits,
-                    deduped,
-                    misses,
-                } => {
-                    daemon.note(format_args!(
-                        "job {id} done ({hits} hits, {deduped} deduped, {misses} misses)"
-                    ));
-                    Event::Done {
-                        id,
-                        report,
-                        hits,
-                        deduped,
-                        misses,
-                    }
-                }
-                crate::job::JobPhase::ShardDone {
-                    units,
-                    hits,
-                    deduped,
-                    misses,
-                } => {
-                    daemon.note(format_args!(
-                        "job {id} shard done ({} units, {hits} hits, {deduped} deduped, \
-                         {misses} misses)",
-                        units.len()
-                    ));
-                    Event::ShardDone {
-                        id,
-                        units,
-                        hits,
-                        deduped,
-                        misses,
-                    }
-                }
-                crate::job::JobPhase::Cancelled { cells_done } => {
-                    daemon.note(format_args!(
-                        "job {id} cancelled after {cells_done}/{total} cells"
-                    ));
-                    Event::Cancelled {
-                        id,
-                        cells_done,
-                        cells_total: total,
-                    }
-                }
-                crate::job::JobPhase::Failed(reason) => {
-                    daemon.note(format_args!("job {id} failed: {reason}"));
-                    Event::Failed { id, reason }
-                }
-                crate::job::JobPhase::Queued | crate::job::JobPhase::Running => unreachable!(),
+        if let Some(end) = job.take_terminal() {
+            let (done, hits, deduped, misses) = job.progress.snapshot();
+            let failure = match &end {
+                Event::Failed { reason, .. } => format!(": {reason}"),
+                _ => String::new(),
             };
-            let _ = write_message(writer, &event);
+            daemon.note(format_args!(
+                "job {id} {} after {done}/{total} cells ({hits} hits, {deduped} deduped, \
+                 {misses} misses){failure}",
+                job.phase_name()
+            ));
+            let _ = write_message(writer, &end);
             return;
         }
         let (done, hits, deduped, misses) = job.progress.snapshot();

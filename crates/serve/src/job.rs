@@ -1,5 +1,5 @@
-//! One submitted job: its plan, its per-unit result slots, and its
-//! lifecycle (`queued → running → done | cancelled | failed`).
+//! One submitted job: its work (plan, units, per-unit result slots) and
+//! its lifecycle (`queued → running → done | cancelled | failed`).
 //!
 //! A job is the scheduler's unit of *admission*; its plan's
 //! `(scenario, chip)` units are the unit of *execution*. Workers from
@@ -7,15 +7,22 @@
 //! in [`sweep_units`](matic_harness::sweep_units) order, so the final
 //! report is byte-identical to a batch run of the same plan no matter
 //! how jobs interleave on the pool.
+//!
+//! A job ends in the terminal [`Event`] its stream sends (`Done`,
+//! `ShardDone`, `Cancelled` or `Failed`), built once by the last unit, a
+//! failure or a cancel. Everything the units run on lives in a
+//! `JobWork` bundle that only the pool's queue and its workers hold,
+//! so a finished job in the daemon's registry keeps just what a status
+//! line shows.
 
-use crate::protocol::{JobKind, JobSpec, JobStatusInfo, ShardUnit};
+use crate::protocol::{Event, JobKind, JobSpec, JobStatusInfo, ShardUnit};
 use matic_harness::{
     assemble_sweep, energy_report, AccuracyBudget, CancelToken, CellOrigin, EnergyReport,
     ProgressSink, ReusePolicy, SweepInputs, SweepOutcome, SweepPlan, SweepReport, TrainingMode,
     UnitOutcome,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Builds the sweep plan a spec describes. This is the one validation
@@ -109,10 +116,11 @@ pub fn report_text(spec: &JobSpec, report: &SweepReport) -> Result<String, Strin
     }
 }
 
-/// Cumulative per-cell counters, updated lock-free from worker threads
-/// and read by the progress-streaming connection thread.
+/// Cumulative per-cell counters, updated lock-free from worker threads.
+/// Progress ticks, status lines and the terminal event's counts all read
+/// them.
 #[derive(Debug, Default)]
-pub struct JobProgress {
+pub(crate) struct JobProgress {
     hits: AtomicUsize,
     deduped: AtomicUsize,
     misses: AtomicUsize,
@@ -140,147 +148,127 @@ impl ProgressSink for JobProgress {
     }
 }
 
-/// Where a job is in its lifecycle. Terminal phases carry everything the
-/// client stream needs, so a status query never has to re-derive them.
-/// The payload (a report, or a shard's cells) is handed over once, to the
-/// connection that streams it ([`Job::take_terminal`]); the job keeps the
-/// phase and its counts.
-#[derive(Debug, Clone)]
-pub enum JobPhase {
-    /// Admitted, no unit started yet.
-    Queued,
-    /// At least one unit ran (or is running).
-    Running,
-    /// Every unit finished; `report` is the exact pretty-printed text.
-    Done {
-        /// The report bytes the batch CLI would have written (empty once
-        /// taken).
-        report: String,
-        /// Cache replays.
-        hits: usize,
-        /// In-flight dedup replays.
-        deduped: usize,
-        /// Fresh computations.
-        misses: usize,
-    },
-    /// Every unit of a shard job finished; the coordinator merges the
-    /// per-unit cells into the full-plan report.
-    ShardDone {
-        /// Each covered `(scenario, chip)` unit with its cells (empty
-        /// once taken).
-        units: Vec<ShardUnit>,
-        /// Cache replays.
-        hits: usize,
-        /// In-flight dedup replays.
-        deduped: usize,
-        /// Fresh computations.
-        misses: usize,
-    },
-    /// Cancelled at a cell boundary; finished cells are checkpointed.
-    Cancelled {
-        /// Cells finished before the stop.
-        cells_done: usize,
-    },
-    /// The run could not produce a report.
-    Failed(String),
-}
-
-impl JobPhase {
-    /// Lowercase phase name for status displays.
-    pub fn name(&self) -> &'static str {
-        match self {
-            JobPhase::Queued => "queued",
-            JobPhase::Running => "running",
-            JobPhase::Done { .. } | JobPhase::ShardDone { .. } => "done",
-            JobPhase::Cancelled { .. } => "cancelled",
-            JobPhase::Failed(_) => "failed",
-        }
-    }
-
-    /// Whether the job can no longer change.
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            JobPhase::Done { .. }
-                | JobPhase::ShardDone { .. }
-                | JobPhase::Cancelled { .. }
-                | JobPhase::Failed(_)
-        )
-    }
-}
-
-struct JobState {
-    phase: JobPhase,
-    /// Per-unit outcome slots in [`matic_harness::sweep_units`] order.
-    slots: Vec<Option<UnitOutcome>>,
-    remaining: usize,
-    /// The datasets and training memo the job's units run on. Dropped
-    /// when the job turns terminal, so a long-lived daemon keeps no
-    /// finished job's datasets or models.
-    inputs: Option<Arc<SweepInputs>>,
-}
-
-/// One admitted job. Shared between the connection thread that streams
-/// its events and the pool workers that execute its units.
-pub struct Job {
-    /// Daemon-assigned id.
-    pub id: u64,
-    /// What to compute (sweep vs energy, and the energy budgets).
-    pub spec: JobSpec,
+/// Everything a job's units run on. The pool's queue entries and the
+/// workers running its units hold it, the job never does: it is freed
+/// once the last unit has been handed out and has finished.
+pub(crate) struct JobWork {
+    /// What to compute (sweep vs energy, the energy budgets, the chip
+    /// range).
+    spec: JobSpec,
     /// The validated plan.
     pub plan: SweepPlan,
     /// The job's `(scenario, chip)` units, scenario-major — the full
     /// grid, or the `chip_range` slice of it for shard jobs.
     pub units: Vec<(usize, usize)>,
-    /// Cooperative cancellation for every unit of this job.
-    pub cancel: CancelToken,
-    /// Per-cell counters for progress streams.
-    pub progress: JobProgress,
+    /// The datasets and training memo the units run on.
+    pub inputs: SweepInputs,
     /// Whether the daemon had a cache attached when this job ran.
-    pub cache_enabled: bool,
-    state: Mutex<JobState>,
-    changed: Condvar,
+    cache_enabled: bool,
+    /// Per-unit outcomes in `units` order, and how many are still
+    /// missing.
+    slots: Mutex<(Vec<Option<UnitOutcome>>, usize)>,
 }
 
-impl Job {
-    /// Validates the spec and materializes the job's plan and units.
-    /// With a cache (`cache_enabled`), no dataset is generated here: a
+impl JobWork {
+    /// Validates the spec and materializes its plan and units. With a
+    /// cache (`cache_enabled`), no dataset is generated here: a
     /// scenario's dataset is built by the first of its units that trains
     /// or evaluates, on a pool worker, so a job whose cells all replay
     /// never builds one. Without a cache every cell computes, and every
     /// dataset is generated here, on the submitting connection's thread.
-    pub fn admit(id: u64, spec: JobSpec, cache_enabled: bool) -> Result<Job, String> {
+    pub fn new(spec: JobSpec, cache_enabled: bool) -> Result<JobWork, String> {
         let plan = build_plan(&spec)?;
         let units = match spec.chip_range {
             Some(range) => matic_harness::shard_units(&plan, range),
             None => matic_harness::sweep_units(&plan),
         };
-        let slots = units.iter().map(|_| None).collect::<Vec<_>>();
-        let remaining = units.len();
         let inputs = SweepInputs::new(&plan, &units, cache_enabled);
-        Ok(Job {
-            id,
+        let slots = Mutex::new((units.iter().map(|_| None).collect(), units.len()));
+        Ok(JobWork {
             spec,
             plan,
             units,
-            cancel: CancelToken::new(),
-            progress: JobProgress::default(),
+            inputs,
             cache_enabled,
-            state: Mutex::new(JobState {
-                phase: JobPhase::Queued,
-                slots,
-                remaining,
-                inputs: Some(Arc::new(inputs)),
-            }),
-            changed: Condvar::new(),
+            slots,
         })
     }
 
+    /// Records one unit's outcome; returns every outcome, in unit order,
+    /// once the last one is in. Poison policy as [`Job::lock`]'s: only a
+    /// unit completed twice panics under this lock, and every later
+    /// completion of the job panics too.
+    fn fill(&self, unit_idx: usize, outcome: UnitOutcome) -> Option<Vec<UnitOutcome>> {
+        let mut slots = self.slots.lock().expect("job slots poisoned");
+        let (outcomes, remaining) = &mut *slots;
+        assert!(
+            outcomes[unit_idx].is_none(),
+            "unit {unit_idx} completed twice"
+        );
+        outcomes[unit_idx] = Some(outcome);
+        *remaining -= 1;
+        if *remaining > 0 {
+            return None;
+        }
+        std::mem::take(outcomes).into_iter().collect()
+    }
+}
+
+struct JobState {
+    /// `queued`, `running`, `done`, `cancelled` or `failed`.
+    phase: &'static str,
+    /// The terminal event, from the moment the job ends until the
+    /// connection streaming the job takes it.
+    end: Option<Event>,
+}
+
+/// Whether `phase` is one a job can no longer leave.
+fn terminal(phase: &str) -> bool {
+    !matches!(phase, "queued" | "running")
+}
+
+/// One admitted job, as the daemon's registry keeps it: shared between
+/// the connection thread that streams its events and the pool workers
+/// that execute its units.
+pub(crate) struct Job {
+    /// Daemon-assigned id.
+    pub id: u64,
+    /// Sweep or energy.
+    kind: JobKind,
+    /// Cells the job produces in total (the whole plan, or the
+    /// `chip_range` slice of it for shard jobs).
+    pub cells_total: usize,
+    /// Cooperative cancellation for every unit of this job.
+    pub cancel: CancelToken,
+    /// Per-cell counters by origin.
+    pub progress: JobProgress,
+    state: Mutex<JobState>,
+    changed: Condvar,
+}
+
+impl Job {
+    /// A queued job `id` for the admitted `work`.
+    pub fn new(id: u64, work: &JobWork) -> Job {
+        let full_units = work.plan.scenarios.len() * work.plan.chips;
+        Job {
+            id,
+            kind: work.spec.kind,
+            cells_total: work.plan.cell_count() / full_units * work.units.len(),
+            cancel: CancelToken::new(),
+            progress: JobProgress::default(),
+            state: Mutex::new(JobState {
+                phase: "queued",
+                end: None,
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
     /// Locks the job's state. Poison policy: the lock is poisoned only
-    /// when a thread panicked while it held it, mid-update (a unit
-    /// completed twice, a panic while assembling the report). The slots
-    /// and the phase may then disagree, so nothing reads them again:
-    /// every later [`Job::lock`] or [`Job::wait`] on this job panics too.
+    /// when a thread panicked while it held it, mid-update. The phase
+    /// and the terminal event may then disagree, so nothing reads them
+    /// again: every later [`Job::lock`] or [`Job::wait`] on this job
+    /// panics too.
     fn lock(&self) -> MutexGuard<'_, JobState> {
         self.state.lock().expect("job state poisoned")
     }
@@ -303,113 +291,91 @@ impl Job {
         }
     }
 
-    /// Cells this job produces in total (the whole plan, or the
-    /// `chip_range` slice of it for shard jobs).
-    pub fn cells_total(&self) -> usize {
-        let full_units = self.plan.scenarios.len() * self.plan.chips;
-        self.plan.cell_count() / full_units * self.units.len()
-    }
-
-    /// The datasets and memo the job's units run on; `None` once the job
-    /// is terminal (a unit still running keeps its own handle).
-    pub(crate) fn inputs(&self) -> Option<Arc<SweepInputs>> {
-        self.lock().inputs.clone()
-    }
-
     /// Marks the first unit pickup (idempotent).
     pub fn mark_running(&self) {
         let mut st = self.lock();
-        if matches!(st.phase, JobPhase::Queued) {
-            st.phase = JobPhase::Running;
+        if st.phase == "queued" {
+            st.phase = "running";
             self.changed.notify_all();
         }
     }
 
     /// Records one unit's outcome; the last unit in assembles the report
-    /// (or the cancellation summary) and flips the job terminal.
-    pub fn complete_unit(&self, unit_idx: usize, outcome: UnitOutcome) {
+    /// (or the cancellation summary) and ends the job.
+    pub fn complete_unit(&self, work: &JobWork, unit_idx: usize, outcome: UnitOutcome) {
+        if let Some(per_unit) = work.fill(unit_idx, outcome) {
+            if !self.is_terminal() {
+                self.end(self.finalize(work, per_unit));
+            }
+        }
+    }
+
+    /// Ends the job failed (worker panic, unrenderable report, ...).
+    pub fn fail(&self, reason: String) {
+        self.end(Event::Failed {
+            id: self.id,
+            reason,
+        });
+    }
+
+    /// Ends the job in `end`, its terminal event, unless it already
+    /// ended: the first end wins.
+    fn end(&self, end: Event) {
         let mut st = self.lock();
-        if st.phase.is_terminal() {
-            return; // a failed job ignores stragglers
+        if terminal(st.phase) {
+            return;
         }
-        assert!(
-            st.slots[unit_idx].is_none(),
-            "unit {unit_idx} completed twice"
-        );
-        st.slots[unit_idx] = Some(outcome);
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            let per_unit: Vec<UnitOutcome> = st
-                .slots
-                .iter_mut()
-                .map(|s| s.take().expect("all units complete"))
-                .collect();
-            st.phase = self.finalize(per_unit);
-            st.inputs = None;
-        }
+        st.phase = match end {
+            Event::Cancelled { .. } => "cancelled",
+            Event::Failed { .. } => "failed",
+            _ => "done",
+        };
+        st.end = Some(end);
         self.changed.notify_all();
     }
 
-    /// Marks the job failed (worker panic, unrenderable report, ...).
-    pub fn fail(&self, reason: String) {
-        let mut st = self.lock();
-        if !st.phase.is_terminal() {
-            st.phase = JobPhase::Failed(reason);
-            st.inputs = None;
-            self.changed.notify_all();
-        }
-    }
-
-    fn finalize(&self, per_unit: Vec<UnitOutcome>) -> JobPhase {
-        if self.spec.chip_range.is_some() {
-            return self.finalize_shard(per_unit);
-        }
-        match assemble_sweep(&self.plan, per_unit, self.cache_enabled) {
-            SweepOutcome::Cancelled(c) => JobPhase::Cancelled {
-                cells_done: c.cells_done,
-            },
-            SweepOutcome::Complete(run) => match report_text(&self.spec, &run.report) {
-                Ok(report) => JobPhase::Done {
-                    report,
-                    hits: run.cache.hits,
-                    deduped: run.cache.deduped,
-                    misses: run.cache.misses,
+    /// The terminal event of a job whose units all reported. Its counts
+    /// are the progress counters, which saw every cell by origin.
+    fn finalize(&self, work: &JobWork, per_unit: Vec<UnitOutcome>) -> Event {
+        let id = self.id;
+        let (cells_done, hits, deduped, misses) = self.progress.snapshot();
+        let cancelled = Event::Cancelled {
+            id,
+            cells_done,
+            cells_total: self.cells_total,
+        };
+        if work.spec.chip_range.is_none() {
+            return match assemble_sweep(&work.plan, per_unit, work.cache_enabled) {
+                SweepOutcome::Cancelled(_) => cancelled,
+                SweepOutcome::Complete(run) => match report_text(&work.spec, &run.report) {
+                    Ok(report) => Event::Done {
+                        id,
+                        report,
+                        hits,
+                        deduped,
+                        misses,
+                    },
+                    Err(reason) => Event::Failed { id, reason },
                 },
-                Err(e) => JobPhase::Failed(e),
-            },
+            };
         }
-    }
-
-    /// Shard jobs skip report assembly: the coordinator owns the merge,
-    /// so the terminal payload is the raw per-unit cells in this job's
-    /// unit order.
-    fn finalize_shard(&self, per_unit: Vec<UnitOutcome>) -> JobPhase {
+        // Shard jobs skip report assembly: the coordinator owns the
+        // merge, so the payload is the raw per-unit cells in unit order.
         if per_unit.iter().any(|u| u.cancelled) {
-            let cells_done = per_unit.iter().map(|u| u.cells.len()).sum();
-            return JobPhase::Cancelled { cells_done };
+            return cancelled;
         }
-        let (mut hits, mut deduped, mut misses) = (0usize, 0usize, 0usize);
-        let units = self
+        let units = work
             .units
             .iter()
             .zip(per_unit)
-            .map(|(&(scen, chip), unit)| {
-                let cells = unit
-                    .cells
-                    .into_iter()
-                    .map(|(cell, origin)| {
-                        match origin {
-                            CellOrigin::CacheHit => hits += 1,
-                            CellOrigin::Deduped => deduped += 1,
-                            CellOrigin::Computed => misses += 1,
-                        }
-                        cell
-                    })
-                    .collect();
-                ShardUnit { scen, chip, cells }
+            .map(|(&(scen, chip), unit)| ShardUnit {
+                scen,
+                chip,
+                cells: unit.cells.into_iter().map(|(cell, _)| cell).collect(),
             })
             .collect();
-        JobPhase::ShardDone {
+        Event::ShardDone {
+            id,
             units,
             hits,
             deduped,
@@ -417,57 +383,27 @@ impl Job {
         }
     }
 
-    /// The current phase's name (see [`JobPhase::name`]).
+    /// The current phase's name.
     pub fn phase_name(&self) -> &'static str {
-        self.lock().phase.name()
+        self.lock().phase
     }
 
     /// Whether the job can no longer change.
     pub fn is_terminal(&self) -> bool {
-        self.lock().phase.is_terminal()
+        terminal(self.phase_name())
     }
 
-    /// The terminal phase with its payload, or `None` while the job still
-    /// runs. The report (or a shard's cells) moves out to the caller, the
-    /// connection that streams it, so a finished job in the registry
-    /// keeps only its phase and counts; a later call sees an empty
-    /// payload.
-    pub fn take_terminal(&self) -> Option<JobPhase> {
-        let mut st = self.lock();
-        let kept = match &mut st.phase {
-            JobPhase::Queued | JobPhase::Running => return None,
-            JobPhase::Done {
-                report,
-                hits,
-                deduped,
-                misses,
-            } => JobPhase::Done {
-                report: std::mem::take(report),
-                hits: *hits,
-                deduped: *deduped,
-                misses: *misses,
-            },
-            JobPhase::ShardDone {
-                units,
-                hits,
-                deduped,
-                misses,
-            } => JobPhase::ShardDone {
-                units: std::mem::take(units),
-                hits: *hits,
-                deduped: *deduped,
-                misses: *misses,
-            },
-            phase => phase.clone(),
-        };
-        Some(kept)
+    /// The terminal event, once: `None` while the job still runs and
+    /// after the event was taken by the connection that streams it.
+    pub fn take_terminal(&self) -> Option<Event> {
+        self.lock().end.take()
     }
 
     /// Blocks until the phase changes or `timeout` elapses (progress
     /// streams poll counters on this cadence).
     pub fn wait_changed(&self, timeout: Duration) {
         let st = self.lock();
-        if !st.phase.is_terminal() {
+        if !terminal(st.phase) {
             drop(self.wait(st, Some(timeout)));
         }
     }
@@ -475,34 +411,25 @@ impl Job {
     /// Blocks until the job reaches a terminal phase.
     pub fn wait_terminal(&self) {
         let mut st = self.lock();
-        while !st.phase.is_terminal() {
+        while !terminal(st.phase) {
             st = self.wait(st, None);
         }
     }
 
-    /// One status-line snapshot for `matic status`.
+    /// One status-line snapshot for `matic status`. The phase is read
+    /// first: once it reads terminal, the counters are final.
     pub fn status(&self) -> JobStatusInfo {
+        let phase = self.phase_name().to_string();
         let (done, hits, deduped, misses) = self.progress.snapshot();
         JobStatusInfo {
             id: self.id,
-            phase: self.phase_name().to_string(),
-            kind: self.spec.kind,
+            phase,
+            kind: self.kind,
             cells_done: done,
-            cells_total: self.cells_total(),
+            cells_total: self.cells_total,
             hits,
             deduped,
             misses,
         }
-    }
-}
-
-impl std::fmt::Debug for Job {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Job")
-            .field("id", &self.id)
-            .field("kind", &self.spec.kind)
-            .field("units", &self.units.len())
-            .field("phase", &self.phase_name())
-            .finish()
     }
 }

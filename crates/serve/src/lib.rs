@@ -33,6 +33,11 @@
 //! * **Graceful drain** — shutdown finishes and checkpoints in-flight
 //!   cells, answers new submissions with a structured rejection, then
 //!   exits cleanly.
+//! * **A status line per finished job** — a job ends in the terminal
+//!   [`Event`] its stream sends, built once and handed to that stream.
+//!   Its plan, datasets, memo and unit outcomes are freed when its last
+//!   unit finishes, so a long-lived daemon keeps only the id, phase and
+//!   counts `matic status` shows for each finished job.
 //!
 //! Everything is `std`-only: Unix sockets, threads, mutexes and
 //! condvars — no new dependencies over the offline vendor set.
@@ -51,6 +56,5 @@ pub mod transport;
 
 pub use coordinator::{shard_sweep, ShardOutcome, ShardProgress, ShardSweepConfig};
 pub use daemon::{serve, ServeConfig};
-pub use job::{Job, JobPhase};
 pub use protocol::{Event, JobKind, JobSpec, JobStatusInfo, Request, ShardUnit, SERVE_SCHEMA};
 pub use transport::{Endpoint, EventStream};

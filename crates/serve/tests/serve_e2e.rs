@@ -3,7 +3,7 @@
 //! crate docs promise — byte-identity with batch sweeps, exactly-once
 //! overlap, cancel/resume, and a graceful drain that rejects new jobs.
 
-use matic_harness::run_sweep_with_cache;
+use matic_harness::{run_sweep_with_cache, SweepCache};
 use matic_serve::job::build_plan;
 use matic_serve::{
     client, serve, shard_sweep, Endpoint, Event, JobKind, JobSpec, Request, ServeConfig,
@@ -205,6 +205,79 @@ fn submitted_report_is_byte_identical_to_batch_and_resubmit_replays() {
     assert_eq!(jobs.len(), 2);
     assert!(jobs.iter().any(|j| j.id == id));
     assert!(jobs.iter().all(|j| j.phase == "done"));
+
+    daemon.shutdown();
+}
+
+#[test]
+fn terminal_counts_match_the_status_line_and_the_batch_run() {
+    let daemon = TestDaemon::start("counts", 2);
+    // The batch runs go to a cache of their own, which passes through
+    // the same states as the daemon's.
+    let batch_cache = SweepCache::open(daemon.dir.join("batch-cache")).expect("batch cache");
+    let sweep = spec(19);
+    // A third chip on the same seed: its cells are new, the first two
+    // chips' replay.
+    let shard = JobSpec {
+        chips: 3,
+        chip_range: Some((0, 3)),
+        ..spec(19)
+    };
+    let total = build_plan(&sweep).expect("valid").cell_count();
+    let expected = [(0, 0, total), (total, 0, 0), (total, 0, total / 2)];
+    for ((label, spec), want) in [("cold", &sweep), ("warm", &sweep), ("shard", &shard)]
+        .into_iter()
+        .zip(expected)
+    {
+        let mut id = None;
+        let end = client::submit(&daemon.endpoint(), spec, |event| {
+            if let Event::Accepted { id: accepted, .. } = event {
+                id = Some(*accepted);
+            }
+        })
+        .expect("submit");
+        let served = match end {
+            Event::Done {
+                hits,
+                deduped,
+                misses,
+                ..
+            }
+            | Event::ShardDone {
+                hits,
+                deduped,
+                misses,
+                ..
+            } => (hits, deduped, misses),
+            other => panic!("{label}: the job must finish, got {other:?}"),
+        };
+        assert_eq!(served, want, "{label}: terminal counts");
+        let status = client::roundtrip(&daemon.endpoint(), &Request::Status).expect("status");
+        let Event::Status { jobs } = status else {
+            panic!("status must answer with the job table, got {status:?}");
+        };
+        let line = jobs
+            .iter()
+            .find(|j| Some(j.id) == id)
+            .expect("the job has a status line");
+        assert_eq!(
+            (line.phase.as_str(), line.cells_done),
+            ("done", served.0 + served.1 + served.2),
+            "{label}: status phase"
+        );
+        assert_eq!(
+            (line.hits, line.deduped, line.misses),
+            served,
+            "{label}: status counts"
+        );
+        let plan = build_plan(spec).expect("valid");
+        let batch = run_sweep_with_cache(&plan, Some(&batch_cache)).cache;
+        assert_eq!(
+            (batch.hits, batch.deduped, batch.misses),
+            served,
+            "{label}: batch counts"
+        );
+    }
 
     daemon.shutdown();
 }

@@ -53,9 +53,9 @@ cmp "$DIR/batch.csv" "$DIR/merged-unix.csv"
 cmp "$DIR/batch.json" "$DIR/merged-http.json"
 
 # Failover: a cold-seed run (nothing cached for seed 99) with one
-# daemon SIGKILLed mid-run must still merge byte-identically. The
-# full-scale mnist cells keep shard 0 busy on d0 for several seconds,
-# so the kill below reliably lands mid-shard.
+# daemon SIGKILLed mid-run must still merge byte-identically. The kill
+# lands as soon as d0 has accepted its shard: the full-scale mnist
+# cells keep that shard busy for far longer than the poll step.
 FAILGRID=(--chips 6 --voltages 0.50,0.90 --benchmarks mnist
           --scale 1.0 --epochs 1.0 --seed 99)
 "$MATIC" sweep "${FAILGRID[@]}" --threads 2 --quiet --out "$DIR/batch99.json"
@@ -63,7 +63,10 @@ FAILGRID=(--chips 6 --voltages 0.50,0.90 --benchmarks mnist
   --daemons "$DIR/d0.sock,$DIR/d1.sock,$DIR/d2.sock" --timeout-secs 30 \
   --out "$DIR/merged-failover.json" 2> "$DIR/failover.log" &
 SHARD_PID=$!
-sleep 1
+for i in $(seq 1 1500); do
+  grep -q "accepted on $DIR/d0.sock" "$DIR/failover.log" && break
+  sleep 0.02
+done
 kill -9 "$(cat "$DIR/d0.pid")"
 wait "$SHARD_PID"
 cat "$DIR/failover.log"

@@ -3,7 +3,8 @@
 # conv-chain sweep must produce byte-identical reports cold, warm (from
 # the persistent cache) and served out of the daemon — and the report
 # must carry the v4 schema with the topology fingerprint while stock MLP
-# sweeps stay on v3.
+# sweeps stay on v3. `energy --report` over the v4 file must match the
+# inline energy run of the same grid.
 set -euo pipefail
 MATIC=${MATIC:-./target/release/matic}
 
@@ -24,6 +25,12 @@ grep -q '"topologies"' topo-cold.json
 cat topo-warm-stderr.txt
 grep -q "cache: 8 hits, 0 misses" topo-warm-stderr.txt
 cmp topo-cold.json topo-warm.json
+# The energy analysis of the v4 report file is the inline run's.
+"$MATIC" energy --report topo-cold.json --quiet --out topo-energy-report.json
+"$MATIC" energy --chips 2 --voltages 0.50,0.90 \
+  --benchmarks mnist --topology "$TOPO" --scale 0.1 --epochs 0.2 \
+  --cache-dir topo-cache --quiet --out topo-energy-inline.json
+cmp topo-energy-report.json topo-energy-inline.json
 # Served leg: the daemon streams the same bytes for the same spec.
 "$MATIC" serve --listen topo.sock --workers 2 2> topo-serve-stderr.txt &
 SERVE_PID=$!

@@ -500,12 +500,16 @@ fn run_energy_command(args: &[String]) -> Result<(), String> {
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             let report: SweepReport = serde_json::from_str(&text)
                 .map_err(|e| format!("parsing sweep report {path}: {e}"))?;
-            if report.schema != matic_harness::REPORT_SCHEMA {
+            let known = [
+                matic_harness::REPORT_SCHEMA,
+                matic_harness::REPORT_SCHEMA_V4,
+            ];
+            if !known.contains(&report.schema.as_str()) {
                 return Err(format!(
                     "sweep report {path} has schema `{}`, this binary expects `{}` \
                      (re-run the sweep with this version)",
                     report.schema,
-                    matic_harness::REPORT_SCHEMA
+                    known.join("` or `")
                 ));
             }
             report
@@ -1517,6 +1521,53 @@ mod tests {
             .collect();
         let err = run_energy_command(&args).unwrap_err();
         assert!(err.contains("--report"), "{err}");
+    }
+
+    #[test]
+    fn energy_reads_a_v4_conv_report_like_the_inline_run() {
+        // A conv chain upgrades the sweep report to the v4 schema; the
+        // analysis of that file must be the inline run's, byte for byte.
+        let dir = std::env::temp_dir().join(format!("matic-energy-v4-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).display().to_string();
+        let grid = [
+            "--topology",
+            "10x10x1;conv3x2;pool2;dense10",
+            "--benchmarks",
+            "mnist",
+            "--chips",
+            "1",
+            "--voltages",
+            "0.9,0.5",
+            "--scale",
+            "0.1",
+            "--epochs",
+            "0.1",
+            "--quiet",
+        ];
+        let args = |extra: &[&str], out: &str| -> Vec<String> {
+            let mut args: Vec<String> = extra.iter().map(|s| s.to_string()).collect();
+            args.extend(["--out".to_string(), path(out)]);
+            args
+        };
+        run_sweep_command(&args(&grid, "topo.json")).unwrap();
+        let report = std::fs::read_to_string(path("topo.json")).unwrap();
+        assert!(report.contains(matic_harness::REPORT_SCHEMA_V4));
+        let topo = path("topo.json");
+        run_energy_command(&args(&["--report", &topo, "--quiet"], "from-report.json")).unwrap();
+        run_energy_command(&args(&grid, "inline.json")).unwrap();
+        assert_eq!(
+            std::fs::read(path("from-report.json")).unwrap(),
+            std::fs::read(path("inline.json")).unwrap()
+        );
+        // A schema this binary does not write is still refused.
+        let stale = report.replace(matic_harness::REPORT_SCHEMA_V4, "matic.sweep-report/v2");
+        std::fs::write(path("stale.json"), stale).unwrap();
+        let stale = path("stale.json");
+        let err =
+            run_energy_command(&args(&["--report", &stale], "stale-energy.json")).unwrap_err();
+        assert!(err.contains("matic.sweep-report/v2"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
